@@ -11,7 +11,8 @@ import argparse
 import math
 import pathlib
 
-from triphase import slope_profile, sweep_alpha
+from triphase import sweep_alpha
+from triphase.cli import sweep_csv
 
 
 def main() -> None:
@@ -28,18 +29,12 @@ def main() -> None:
 
     print(f"phi = {args.phi:.6g}, steps = {args.steps}")
     print(f"{'theta':>10} {'winding':>10} {'peak slope':>12} {'1/tan(t/2)':>12}  singular alphas")
-    slopes = slope_profile(args.thetas, args.phi, args.steps)
-    for theta, slope in zip(args.thetas, slopes):
+    for theta in args.thetas:
         result = sweep_alpha(theta, args.phi, args.steps)
         path = outdir / f"sweep_theta_{theta:.4f}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped\n")
-            for i in range(result.alphas.size):
-                fh.write(f"{result.alphas[i]:.12g},{result.gamma1[i]:.12g},"
-                         f"{result.gamma2[i]:.12g},{result.gamma_wrapped[i]:.12g},"
-                         f"{result.gamma_total[i]:.12g}\n")
+        path.write_text(sweep_csv(result), encoding="utf-8", newline="")
         singular = " ".join(f"{a:.4f}" for a in result.singular_alphas)
-        print(f"{theta:>10.4f} {result.winding:>10.6f} {slope:>12.4f}"
+        print(f"{theta:>10.4f} {result.winding:>10.6f} {result.peak_slope:>12.4f}"
               f" {1.0 / math.tan(theta / 2):>12.4f}  {singular}")
         print(f"{'':>10} -> {path}")
 

@@ -10,12 +10,10 @@ TWO_PI = 2.0 * np.pi
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to the principal branch (-pi, pi]."""
     w = np.asarray(x, dtype=float)
-    w = w - TWO_PI * np.round(w / TWO_PI)
-    # np.round ties to even, so odd multiples of pi can land on -pi
-    if w.ndim == 0:
-        return float(w) + TWO_PI if w <= -np.pi else float(w)
-    w[w <= -np.pi] += TWO_PI
-    return w
+    w = w - TWO_PI * np.rint(w / TWO_PI)
+    # np.rint ties to even, so odd multiples of pi can land on -pi
+    w = np.where(w <= -np.pi, w + TWO_PI, w)
+    return float(w) if w.ndim == 0 else w
 
 
 def angle_dist(a, b):

@@ -28,7 +28,7 @@ from .phases import (
     three_vertex_phase,
 )
 from .states import BlochPoint, PureState, inner_product
-from .sweep import GridTooCoarseError, sweep_alpha
+from .sweep import GridTooCoarseError, SweepResult, sweep_alpha
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -77,8 +77,13 @@ def _clean(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _json_text(obj) -> str:
+    # NaN or inf would be invalid JSON: fail with ValueError (exit 1) instead
+    return json.dumps(_clean(obj), indent=2, allow_nan=False) + "\n"
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(_clean(obj), indent=2) + "\n")
+    sys.stdout.write(_json_text(obj))
 
 
 def _angle_text(x: float, degrees: bool) -> str:
@@ -110,7 +115,7 @@ def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
         raise CliInputError(f"{label}: amplitudes must be [re, im] number pairs") from None
     norm = float(np.linalg.norm(vec))
     tol = 1e-3 if renormalize else 1e-6
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects NaN and inf
         hint = "" if renormalize else "; pass --renormalize to accept up to 1e-3"
         raise CliInputError(f"{label}: norm is {norm:.9g}, not 1 within {tol:g}{hint}")
     return PureState.normalized(vec)
@@ -308,21 +313,26 @@ def _sidecar_path(out: str) -> str:
     return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
 
 
-def cmd_sweep(args) -> int:
-    result = sweep_alpha(args.theta, args.phi, args.steps)
+def sweep_csv(result: SweepResult) -> str:
+    """CSV text of a sweep: header plus one row per alpha sample."""
     lines = ["alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped"]
     for i in range(result.alphas.size):
         lines.append(",".join(_fmt(v) for v in (
             result.alphas[i], result.gamma1[i], result.gamma2[i],
             result.gamma_wrapped[i], result.gamma_total[i],
         )))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_sweep(args) -> int:
+    result = sweep_alpha(args.theta, args.phi, args.steps)
+    _write_text(args.out, sweep_csv(result))
     sidecar = _sidecar_path(args.out)
     sidecar_obj = {
         "singular_alphas": list(result.singular_alphas),
         "winding": result.winding,
     }
-    _write_text(sidecar, json.dumps(_clean(sidecar_obj), indent=2) + "\n")
+    _write_text(sidecar, _json_text(sidecar_obj))
     if args.json:
         _emit_json({
             "out": args.out,
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eraser", parents=[common],
                        help="interferometric phase readout of a triple")
     p.add_argument("triple", help="triple JSON file")
-    p.add_argument("--grid", type=int, default=4096, help="number of delta samples (default 4096)")
+    p.add_argument("--grid", type=int, default=4096, help="number of delta samples, 16 to 2^20 (default 4096)")
     p.add_argument("--mode", choices=("closed_form", "grid_argmax", "both"), default="both",
                    help="how constructive points are extracted")
     p.add_argument("--scan-csv", metavar="PATH", help="also write the sampled fringe as CSV")
@@ -385,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the qutrit family phase over alpha")
     p.add_argument("--theta", type=float, required=True, help="half angle between the fixed states")
     p.add_argument("--phi", type=float, required=True, help="half angle between the moving points")
-    p.add_argument("--steps", type=int, required=True, help="number of alpha intervals (>= 64)")
+    p.add_argument("--steps", type=int, required=True, help="number of alpha intervals, 64 to 2^20")
     p.add_argument("--out", required=True, help="output CSV path (sidecar JSON written next to it)")
     p.set_defaults(func=cmd_sweep)
     return parser

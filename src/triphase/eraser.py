@@ -24,6 +24,7 @@ from .states import DimensionMismatchError, PureState, inner_product
 
 _SQRT2 = math.sqrt(2.0)
 _MODES = ("closed_form", "grid_argmax", "both")
+MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
 
 class FringeUndefinedError(ValueError):
@@ -38,8 +39,8 @@ class EraserConfig:
     extraction_mode: str = "both"
 
     def __post_init__(self):
-        if self.grid_size < 16:
-            raise ValueError(f"grid_size must be >= 16, got {self.grid_size}")
+        if not 16 <= self.grid_size <= MAX_GRID_SIZE:
+            raise ValueError(f"grid_size must lie in [16, {MAX_GRID_SIZE}], got {self.grid_size}")
         if self.extraction_mode not in _MODES:
             raise ValueError(f"extraction_mode must be one of {_MODES}")
 

@@ -16,12 +16,16 @@ at the south pole (pi, 0). This is the orientation for which points_to_state
 inverts state_to_points; the basis states pin it down: (1, 0, ..., 0) maps to
 N-1 points at (0, 0) and (0, ..., 0, 1) to N-1 points at (pi, 0).
 
-Roots are taken as companion-matrix eigenvalues (numpy.roots); at degree
-N-1 <= 12 this is accurate to ~1e-12 on well-conditioned inputs.
+Roots are taken as eigenvalues of companion matrices, stacked so that one
+numpy.linalg.eigvals call serves a whole batch of states; at degree
+N-1 <= 12 this is accurate to ~1e-12 on well-conditioned inputs. The array
+kernels (constellation_qubits, symmetric_amplitudes) carry the arithmetic;
+state_to_points and points_to_state wrap them for single states.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +34,14 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .states import BlochPoint, DimensionMismatchError, PureState, bloch_to_qubit
+from .states import (
+    BlochPoint,
+    DimensionMismatchError,
+    PureState,
+    bloch_angles,
+    bloch_qubits,
+    bloch_to_qubit,
+)
 
 MAX_ORACLE_QUBITS = 12     # factorial permutation sum; resource guard
 DEFICIENCY_REL_TOL = 1e-12  # leading coefficients below this (relative) are zero
@@ -79,47 +90,85 @@ class MajoranaSet:
         return float(cost[rows, cols].max()) <= tol
 
 
+@functools.lru_cache(maxsize=64)
 def _binomial_weights(n: int) -> np.ndarray:
-    return np.sqrt([math.comb(n, k) for k in range(n + 1)])
+    w = np.sqrt([math.comb(n, k) for k in range(n + 1)])
+    w.setflags(write=False)
+    return w
+
+
+def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
+    """Constellations of a stack of states, as unnormalized qubit rows.
+
+    Takes amplitudes of shape (S, N) and returns shape (S, N-1, 2): one row
+    (1, z) per finite root z of each state's polynomial, after one row (0, 1)
+    (the south pole) per vanishing leading coefficient. bloch_angles maps the
+    rows onto the sphere under the module convention. Rows with the same
+    number of vanishing leading coefficients share one stacked eigvals call.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] < 2:
+        raise ValueError(f"expected a (states, dim >= 2) stack, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    n = amps.shape[1] - 1
+    # descending powers: coefficient of z^(n-k) is (-1)^k sqrt(C(n,k)) c_k
+    coeffs = (-1.0) ** np.arange(n + 1) * _binomial_weights(n) * amps
+    magnitude = np.abs(coeffs)
+    scale = magnitude.max(axis=1)
+    if not scale.min() > 0.0:
+        raise ValueError("a state has only zero amplitudes")
+    small = magnitude <= DEFICIENCY_REL_TOL * scale[:, None]
+    # leading small coefficients: the index of the first large one, which
+    # exists since the largest coefficient is not small
+    deficiency = np.argmin(small, axis=1)
+    out = np.zeros((amps.shape[0], n, 2), dtype=complex)
+    out[..., 1] = 1.0
+    for d in set(deficiency.tolist()) - {n}:
+        rows = deficiency == d
+        degree = n - d
+        reduced = coeffs[rows, d:]
+        companion = np.zeros((reduced.shape[0], degree, degree), dtype=complex)
+        companion[:, 0, :] = -reduced[:, 1:] / reduced[:, :1]
+        companion.reshape(-1, degree * degree)[:, degree::degree + 1] = 1.0  # subdiagonal
+        out[rows, d:, 0] = 1.0
+        out[rows, d:, 1] = np.linalg.eigvals(companion)
+    return out
 
 
 def state_to_points(s: PureState) -> MajoranaSet:
     """Point constellation of a state: the N-1 roots (with multiplicity) of
     its polynomial, mapped to the sphere under the module convention."""
-    n = s.dim - 1
-    signs = np.array([(-1.0) ** k for k in range(n + 1)])
-    # descending powers: coefficient of z^(n-k) is (-1)^k sqrt(C(n,k)) c_k
-    coeffs = signs * _binomial_weights(n) * s.amplitudes
-    scale = float(np.max(np.abs(coeffs)))
-    deficiency = 0
-    while deficiency < n and abs(coeffs[deficiency]) <= DEFICIENCY_REL_TOL * scale:
-        deficiency += 1
-    points = [BlochPoint(math.pi, 0.0)] * deficiency
-    reduced = coeffs[deficiency:]
-    if reduced.size > 1:
-        for z in np.roots(reduced):
-            polar = 2.0 * math.atan2(abs(z), 1.0)
-            points.append(BlochPoint(polar, float(np.angle(z))))
-    return MajoranaSet(tuple(points))
+    polar, azimuth = bloch_angles(constellation_qubits(s.amplitudes[None, :])[0])
+    return MajoranaSet(tuple(BlochPoint(t, p) for t, p in zip(polar.tolist(), azimuth.tolist())))
+
+
+def symmetric_amplitudes(qubits: np.ndarray) -> np.ndarray:
+    """Symmetrized products of stacked qubit rows (..., n, 2), unnormalized,
+    shape (..., n + 1).
+
+    Expands the product polynomial prod_i (a_i + b_i w), whose w^k
+    coefficient divided by sqrt(C(n, k)) is the amplitude on k excitations.
+    """
+    n = qubits.shape[-2]
+    poly = np.ones(qubits.shape[:-2] + (1,), dtype=complex)
+    for i in range(n):
+        nxt = np.zeros(poly.shape[:-1] + (poly.shape[-1] + 1,), dtype=complex)
+        nxt[..., :-1] = poly * qubits[..., i, 0:1]
+        nxt[..., 1:] += poly * qubits[..., i, 1:2]
+        poly = nxt
+    return poly / _binomial_weights(n)
 
 
 def points_to_state(points: Iterable[BlochPoint] | MajoranaSet) -> PureState:
-    """Normalized symmetrized product of the qubits at the given points.
-
-    Computed by expanding the product polynomial prod_i (a_i + b_i w) whose
-    w^k coefficient, divided by sqrt(C(n, k)), is the amplitude on k
-    excitations. The overall normalization is absorbed at the end.
+    """Normalized symmetrized product of the qubits at the given points
+    (symmetric_amplitudes); the overall normalization is absorbed at the end.
     """
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
-    poly = np.ones(1, dtype=complex)
-    for p in pts:
-        half = p.polar / 2.0
-        factor = np.array([math.cos(half), np.exp(1j * p.azimuth) * math.sin(half)])
-        poly = np.convolve(poly, factor)
-    n = len(pts)
-    return PureState.normalized(poly / _binomial_weights(n))
+    qubits = bloch_qubits([p.polar for p in pts], [p.azimuth for p in pts])
+    return PureState.normalized(symmetric_amplitudes(qubits))
 
 
 def product_state(q: PureState, n: int) -> PureState:

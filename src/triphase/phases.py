@@ -17,7 +17,7 @@ from .states import (
     PureState,
     Unitary,
     apply_unitary,
-    bloch_to_qubit,
+    bloch_qubits,
     inner_product,
     qubit_to_bloch,
 )
@@ -35,9 +35,39 @@ class DegenerateGeodesicError(ValueError):
     """Two vertices are antipodal: the connecting geodesic is not unique."""
 
 
+def bargmann_products(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray):
+    """Cyclic overlap products <1|3><3|2><2|1> of stacked amplitude rows.
+
+    The inputs broadcast against each other over all but the last axis,
+    which holds the amplitudes; one-dimensional inputs give a scalar.
+    """
+    return np.vecdot(a1, a3) * np.vecdot(a3, a2) * np.vecdot(a2, a1)
+
+
+def bargmann_phases(b, *, eps_null: float = EPS_NULL):
+    """Principal-branch phases arg(b) in (-pi, pi] of Bargmann products.
+
+    Raises UndefinedPhaseError, naming the first offending entry of an
+    array, when a product has modulus at most eps_null.
+    """
+    modulus = abs(b)
+    null = modulus <= eps_null
+    if np.count_nonzero(null):
+        flat = int(np.argmax(null))
+        where = ", ".join(str(int(i)) for i in np.unravel_index(flat, np.shape(null)))
+        raise UndefinedPhaseError(
+            (f"component {where}: " if where else "")
+            + f"overlap product modulus {float(np.ravel(modulus)[flat]):.3g} <= {eps_null:.3g}; "
+            "phase undefined"
+        )
+    return wrap_angle(np.arctan2(b.imag, b.real))
+
+
 def bargmann(s1: PureState, s2: PureState, s3: PureState) -> complex:
     """Cyclic overlap product <s1|s3><s3|s2><s2|s1>."""
-    return inner_product(s1, s3) * inner_product(s3, s2) * inner_product(s2, s1)
+    if not s1.dim == s2.dim == s3.dim:
+        raise DimensionMismatchError(f"state dimensions differ: {s1.dim}, {s2.dim}, {s3.dim}")
+    return complex(bargmann_products(s1.amplitudes, s2.amplitudes, s3.amplitudes))
 
 
 def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
@@ -50,12 +80,7 @@ def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
     eps_null, i.e. some pair is orthogonal and the phase is genuinely
     undefined.
     """
-    b = bargmann(s1, s2, s3)
-    if abs(b) <= eps_null:
-        raise UndefinedPhaseError(
-            f"overlap product modulus {abs(b):.3g} <= {eps_null:.3g}; phase undefined"
-        )
-    return wrap_angle(float(np.angle(b)))
+    return bargmann_phases(bargmann(s1, s2, s3), eps_null=eps_null)
 
 
 def solid_angle_triangle(p1: BlochPoint, p2: BlochPoint, p3: BlochPoint) -> float:
@@ -104,16 +129,12 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState,
     if q2.dim != 2 or q3.dim != 2:
         raise DimensionMismatchError("q2 and q3 must be qubits")
     points = state_to_points(sym1).sorted_points()
+    qubits = bloch_qubits([p.polar for p in points], [p.azimuth for p in points])
+    products = bargmann_products(qubits, q2.amplitudes, q3.amplitudes)
+    phases = bargmann_phases(products, eps_null=eps_null).tolist()
     b2, b3 = qubit_to_bloch(q2), qubit_to_bloch(q3)
-    phases = []
-    triangles = []
-    for i, point in enumerate(points):
-        try:
-            phases.append(three_vertex_phase(bloch_to_qubit(point), q2, q3, eps_null=eps_null))
-        except UndefinedPhaseError as exc:
-            raise UndefinedPhaseError(f"component {i}: {exc}") from None
-        triangles.append((point, b2, b3))
-    return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), tuple(triangles))
+    triangles = tuple((point, b2, b3) for point in points)
+    return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), triangles)
 
 
 @dataclass(frozen=True)

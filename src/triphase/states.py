@@ -33,7 +33,7 @@ class PureState:
         if vec.size < 2:
             raise ValueError(f"state dimension must be >= 2, got {vec.size}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
             raise ValueError(f"amplitudes have norm {norm:.6g}, expected 1")
         vec = vec / norm  # absorb rounding drift
         vec.setflags(write=False)
@@ -44,8 +44,8 @@ class PureState:
         """Build a state from an arbitrary-norm nonzero vector."""
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm}")
         return cls(vec / norm)
 
     @classmethod
@@ -81,7 +81,10 @@ class BlochPoint:
         if not -1e-9 <= t <= math.pi + 1e-9:
             raise ValueError(f"polar angle {t} outside [0, pi]")
         t = min(max(t, 0.0), math.pi)
-        p = float(self.azimuth) % TWO_PI
+        p = float(self.azimuth)
+        if not math.isfinite(p):
+            raise ValueError(f"azimuth {p} is not finite")
+        p %= TWO_PI
         if t <= _POLE_TOL:
             t, p = 0.0, 0.0
         elif t >= math.pi - _POLE_TOL:
@@ -117,6 +120,8 @@ class Unitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
         if defect > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
@@ -141,20 +146,38 @@ def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
     return abs(abs(inner_product(a, b)) - 1.0) <= tol
 
 
+def bloch_angles(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch (polar, azimuth) of a stack of qubit rows, shape (..., 2).
+
+    Rows need not be normalized; their global phase and scale drop out. The
+    azimuth is left unreduced, as a difference of two arguments.
+    """
+    a, b = qubits[..., 0], qubits[..., 1]
+    return 2.0 * np.arctan2(np.abs(b), np.abs(a)), np.angle(b) - np.angle(a)
+
+
+def bloch_qubits(polar, azimuth) -> np.ndarray:
+    """Unit qubit rows cos(polar/2)|0> + e^{i azimuth} sin(polar/2)|1> for
+    broadcast angle arrays; shape (..., 2)."""
+    half = np.asarray(polar, dtype=float) / 2.0
+    lower = np.exp(1j * np.asarray(azimuth, dtype=float)) * np.sin(half)
+    out = np.empty(lower.shape + (2,), dtype=complex)
+    out[..., 0] = np.cos(half)
+    out[..., 1] = lower
+    return out
+
+
 def qubit_to_bloch(q: PureState) -> BlochPoint:
     """Bloch angles of a qubit ray; the global phase is discarded."""
     if q.dim != 2:
         raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
-    a, b = q.amplitudes
-    polar = 2.0 * math.atan2(abs(b), abs(a))
-    azimuth = float(np.angle(b) - np.angle(a))
-    return BlochPoint(polar, azimuth)
+    polar, azimuth = bloch_angles(q.amplitudes)
+    return BlochPoint(float(polar), float(azimuth))
 
 
 def bloch_to_qubit(p: BlochPoint) -> PureState:
     """The qubit cos(polar/2)|0> + e^{i azimuth} sin(polar/2)|1>."""
-    half = p.polar / 2.0
-    return PureState(np.array([math.cos(half), np.exp(1j * p.azimuth) * math.sin(half)]))
+    return PureState(bloch_qubits(p.polar, p.azimuth))
 
 
 def random_pure_state(dim: int, seed: int) -> PureState:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from triphase import PureState, inner_product, points_to_state
-from triphase.cli import main
+from triphase.cli import _json_text, main
+from triphase.eraser import MAX_GRID_SIZE
+from triphase.sweep import MAX_SWEEP_INTERVALS
 from triphase.states import BlochPoint
 
 SQRT2 = math.sqrt(2.0)
@@ -244,6 +246,46 @@ def test_sweep_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--theta", "1e-7", "--phi", "0.2",
                             "--steps", "64", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2
+
+
+def test_grid_caps_exit_1(tmp_path, triple_file, capsys):
+    # validation only: both requests fail before any grid is allocated
+    code, _, err = run_cli(["sweep", "--theta", "0.5", "--phi", "0.2",
+                            "--steps", str(MAX_SWEEP_INTERVALS + 1),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 1 and "steps" in err
+    assert not (tmp_path / "x.csv").exists()
+    code, _, err = run_cli(["eraser", triple_file, "--grid", str(MAX_GRID_SIZE + 1)], capsys)
+    assert code == 1 and "grid_size" in err
+
+
+@pytest.mark.parametrize("command", ["phase", "canonicalize", "eraser"])
+def test_non_finite_amplitude_exits_1(tmp_path, capsys, command):
+    obj = quarter_turn_triple()
+    obj["psi2"]["amplitudes"][0][0] = math.nan  # written as a bare NaN token
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, str(path), "--json"], capsys)
+    assert code == 1
+    assert out == "" and "norm" in err and "Traceback" not in err
+
+
+def test_non_finite_output_is_never_emitted(tmp_path):
+    # full process run: no traceback, and no NaN token on stdout
+    obj = quarter_turn_triple()
+    obj["psi1"]["amplitudes"][1][1] = math.inf
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run([sys.executable, "-m", "triphase", "phase", str(path), "--json",
+                           "--renormalize"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "NaN" not in proc.stdout
+
+
+def test_json_writer_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        _json_text({"gamma": math.nan})
+    assert _json_text({"gamma": 0.5}) == '{\n  "gamma": 0.5\n}\n'
 
 
 def test_byte_determinism(tmp_path, triple_file):

@@ -21,6 +21,7 @@ from triphase import (
     visibility,
     wrap_angle,
 )
+from triphase.eraser import MAX_GRID_SIZE
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -153,6 +154,10 @@ def test_eraser_config_validation():
         EraserConfig(grid_size=8)
     with pytest.raises(ValueError):
         EraserConfig(extraction_mode="fastest")
+    # validation only: a grid at the cap is never sampled here
+    assert EraserConfig(grid_size=MAX_GRID_SIZE).grid_size == MAX_GRID_SIZE
+    with pytest.raises(ValueError):
+        EraserConfig(grid_size=MAX_GRID_SIZE + 1)
 
 
 def test_extract_trivial_and_quarter_turn():

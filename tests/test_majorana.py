@@ -21,6 +21,8 @@ from triphase import (
     state_to_points,
     symmetrize_full,
 )
+from triphase.majorana import constellation_qubits
+from triphase.states import bloch_angles
 
 SQRT2 = math.sqrt(2.0)
 
@@ -198,6 +200,61 @@ def test_degenerate_root_cluster_survives_roundtrip():
     s = points_to_state(pts)
     fidelity = abs(inner_product(s, points_to_state(state_to_points(s))))
     assert fidelity >= 1.0 - 1e-6
+
+
+# --- stacked root kernel -----------------------------------------------------
+
+def stacked_sets(amplitudes):
+    polar, azimuth = bloch_angles(constellation_qubits(amplitudes))
+    return [MajoranaSet(tuple(BlochPoint(t, p) for t, p in zip(row_t, row_p)))
+            for row_t, row_p in zip(polar.tolist(), azimuth.tolist())]
+
+
+def roots_reference(s):
+    """Constellation through numpy.roots, stripping exact leading zeros."""
+    n = s.dim - 1
+    coeffs = np.array([(-1) ** k * math.sqrt(math.comb(n, k)) for k in range(n + 1)]) * s.amplitudes
+    lead = int(np.flatnonzero(coeffs)[0])
+    pts = [BlochPoint(math.pi, 0.0)] * lead
+    pts += [BlochPoint(2 * math.atan(abs(z)), float(np.angle(z))) for z in np.roots(coeffs[lead:])]
+    return MajoranaSet(tuple(pts))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 13])
+def test_stacked_kernel_matches_single_state_route(dim):
+    rng = np.random.default_rng(dim)
+    amps = rng.standard_normal((40, dim)) + 1j * rng.standard_normal((40, dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    for row, stacked in zip(amps, stacked_sets(amps)):
+        state = PureState(row)
+        assert stacked.matches(state_to_points(state), tol=1e-8)
+        assert stacked.matches(roots_reference(state), tol=1e-8)
+
+
+def test_stacked_kernel_handles_deficient_rows():
+    rng = np.random.default_rng(8)
+    amps = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    amps[1, 0] = 0.0            # one point at the south pole
+    amps[3, :3] = 0.0           # three
+    amps[4] = [0, 0, 0, 0, 1]   # all four
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    qubits = constellation_qubits(amps)
+    assert np.all(np.isfinite(qubits))
+    sets = stacked_sets(amps)
+    for row, stacked in zip(amps, sets):
+        assert stacked.matches(state_to_points(PureState(row)), tol=1e-8)
+    south = BlochPoint(math.pi, 0.0)
+    assert [sum(p == south for p in s.points) for s in sets] == [0, 1, 0, 3, 4, 0]
+    # one regular row next to one without finite roots
+    pair = stacked_sets(amps[[0, 4]])
+    assert pair[0].matches(sets[0], tol=1e-12) and pair[1].matches(sets[4], tol=0.0)
+
+
+def test_stacked_kernel_rejects_non_finite_and_zero_rows():
+    good = np.array([[1.0, 0.0, 0.0]])
+    for bad in ([[np.nan, 1.0, 0.0]], [[np.inf, 0.0, 0.0]], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            constellation_qubits(np.vstack([good, bad]))
 
 
 # --- multiset matching -------------------------------------------------------

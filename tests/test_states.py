@@ -65,6 +65,20 @@ def test_pure_state_validation():
         PureState.normalized([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_rejected(bad):
+    with pytest.raises(ValueError):
+        PureState([bad, 1.0])
+    with pytest.raises(ValueError):
+        PureState([complex(0.6, bad), 0.8])
+    with pytest.raises(ValueError):
+        PureState.normalized([bad, 1.0])
+    with pytest.raises(ValueError):
+        BlochPoint(1.0, bad)
+    with pytest.raises(ValueError):
+        Unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_qubit_to_bloch_axes():
     assert qubit_to_bloch(PureState.basis(2, 0)) == BlochPoint(0.0, 0.0)
     p = qubit_to_bloch(PureState(np.array([1.0, 1.0]) / SQRT2))

@@ -17,8 +17,10 @@ from triphase import (
     state_to_points,
     sweep_alpha,
     symmetrize_full,
+    decompose_phase,
     three_vertex_phase,
 )
+from triphase.sweep import MAX_SWEEP_INTERVALS
 
 PI = math.pi
 
@@ -108,6 +110,25 @@ def test_sweep_validation():
         sweep_alpha(0.5, 1.0, 32)
     with pytest.raises(ValueError):
         sweep_alpha(0.0, 1.0, 128)
+    with pytest.raises(ValueError):
+        sweep_alpha(0.5, math.nan, 128)
+    with pytest.raises(ValueError):
+        FamilyParams(0.5, math.inf)
+    # validation only: the cap is checked before any grid is allocated
+    with pytest.raises(ValueError, match="steps"):
+        sweep_alpha(0.5, 1.0, MAX_SWEEP_INTERVALS + 1)
+
+
+def test_batched_pipeline_matches_scalar_decomposition():
+    # theta = 0.02 doubles the 256-interval grid twice
+    result = sweep_alpha(0.02, PI / 4, 256)
+    assert result.alphas.size == 1025
+    for i in range(0, result.alphas.size, 97):
+        params = FamilyParams(0.02, PI / 4, float(result.alphas[i]))
+        psi1, _, _ = build_family_states(params)
+        _, _, q2, q3 = family_qubits(params)
+        scalar = decompose_phase(psi1, q2, q3).total
+        assert angle_dist(result.gamma_pipeline_wrapped[i], scalar) <= 1e-12, i
 
 
 def test_sweep_grid_too_coarse_for_extreme_theta():
@@ -157,6 +178,7 @@ def test_slope_profile_monotone_and_analytic():
         assert slope == pytest.approx(1.0 / math.tan(theta / 2), abs=1e-3)
     with pytest.raises(ValueError):
         slope_profile([-0.1], PI / 4, 128)
+    assert slopes[1] == sweep_alpha(PI / 6, PI / 4, 4096).peak_slope
 
 
 def test_slope_profile_flattens_toward_wide_angles():
