@@ -11,13 +11,13 @@ from triphase import (
     angle_dist,
     build_family_states,
     closed_form_phase,
+    decompose_phase,
     dicke_embed,
     family_qubits,
     slope_profile,
     state_to_points,
     sweep_alpha,
     symmetrize_full,
-    decompose_phase,
     three_vertex_phase,
 )
 from triphase.sweep import MAX_SWEEP_INTERVALS
@@ -119,15 +119,25 @@ def test_sweep_validation():
         sweep_alpha(0.5, 1.0, MAX_SWEEP_INTERVALS + 1)
 
 
+def scalar_pipeline(theta, phi, alpha):
+    params = FamilyParams(theta, phi, float(alpha))
+    psi1, _, _ = build_family_states(params)
+    _, _, q2, q3 = family_qubits(params)
+    return decompose_phase(psi1, q2, q3).total
+
+
 def test_batched_pipeline_matches_scalar_decomposition():
     # theta = 0.02 doubles the 256-interval grid twice
     result = sweep_alpha(0.02, PI / 4, 256)
     assert result.alphas.size == 1025
     for i in range(0, result.alphas.size, 97):
-        params = FamilyParams(0.02, PI / 4, float(result.alphas[i]))
-        psi1, _, _ = build_family_states(params)
-        _, _, q2, q3 = family_qubits(params)
-        scalar = decompose_phase(psi1, q2, q3).total
+        scalar = scalar_pipeline(0.02, PI / 4, result.alphas[i])
+        assert angle_dist(result.gamma_pipeline_wrapped[i], scalar) <= 1e-12, i
+    # 5001 samples span two blocks of the batched pass
+    result = sweep_alpha(PI / 6, 1.0, 5000)
+    assert np.max(angle_dist(result.gamma_wrapped, result.gamma_pipeline_wrapped)) < 1e-8
+    for i in (0, 4095, 4096, 4500):
+        scalar = scalar_pipeline(PI / 6, 1.0, result.alphas[i])
         assert angle_dist(result.gamma_pipeline_wrapped[i], scalar) <= 1e-12, i
 
 
