@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .angles import wrap_angle
-from .eraser import EraserConfig, FringeUndefinedError, fringe_scan, visibility
+from .eraser import EraserConfig, FringeUndefinedError, fringe_scan
 from .majorana import MajoranaSet, points_to_state, state_to_points
 from .phases import (
     EPS_NULL,
@@ -276,7 +276,7 @@ def cmd_eraser(args) -> int:
     projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
     plain = fringe_scan(psi1, psi2, None, cfg, eps_null=args.tolerance)
     gamma = float(wrap_angle(projected.delta_f - plain.delta_m))
-    vis = visibility(psi1, psi2, psi3, eps_null=args.tolerance)
+    vis = projected.visibility
     if args.scan_csv:
         lines = ["delta,probability"]
         lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in zip(projected.deltas, projected.probabilities)]
@@ -349,12 +349,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    # NaN, inf or a negative value would turn a vanishing overlap into a phase
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON on stdout")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (reserved; current commands are deterministic)")
-    common.add_argument("--tolerance", type=float, default=EPS_NULL,
+    common.add_argument("--tolerance", type=_tolerance, default=EPS_NULL,
                         help="overlap modulus below which a phase counts as undefined")
     common.add_argument("--degrees", action="store_true",
                         help="display angles in degrees (human output only, never files)")

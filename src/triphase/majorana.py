@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .states import (
     BlochPoint,
@@ -65,10 +64,6 @@ class MajoranaSet:
     def __iter__(self):
         return iter(self.points)
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
     def sorted_points(self) -> tuple[BlochPoint, ...]:
         """Points in (polar, azimuth) order, for stable display."""
         return tuple(sorted(self.points, key=lambda p: (p.polar, p.azimuth)))
@@ -79,15 +74,27 @@ class MajoranaSet:
     def matches(self, other: "MajoranaSet", tol: float = 1e-8) -> bool:
         """Permutation-invariant equality within an angular tolerance.
 
-        Points are paired by minimum-weight matching on sphere distance, so
-        the result does not depend on the arbitrary output order of a root
-        finder.
+        True when the points of the two sets can be paired one to one with
+        every pair at most tol apart on the sphere (a perfect matching, found
+        by augmenting paths), so the result does not depend on the arbitrary
+        output order of a root finder.
         """
         if len(self) != len(other):
             return False
-        cost = np.array([[a.sphere_distance(b) for b in other.points] for a in self.points])
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].max()) <= tol
+        near = [[j for j, b in enumerate(other.points) if a.sphere_distance(b) <= tol]
+                for a in self.points]
+        owner = [-1] * len(other)  # owner[j]: the point of self paired with other's j
+
+        def augment(i: int, seen: set[int]) -> bool:
+            for j in near[i]:
+                if j not in seen:
+                    seen.add(j)
+                    if owner[j] < 0 or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in range(len(self)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .angles import wrap_angle
 from .majorana import product_state, state_to_points
@@ -160,17 +159,15 @@ class CanonicalTriple:
         return product_state(self.psi3_qubit, self.dim - 1)
 
 
-def _orthonormal_complement(frame: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    if len(frame) == dim:
-        return []
-    rows = np.array([f.conj() for f in frame])
-    basis = null_space(rows)
-    return [basis[:, j] for j in range(basis.shape[1])]
+def _orthonormal_complement(frame: list[np.ndarray]) -> list[np.ndarray]:
+    # the rows of vh past the (orthonormal) frame's rank span the null space
+    # of the conjugated frame rows; conjugated, they complete the frame
+    return list(np.linalg.svd(np.conj(frame))[2][len(frame):].conj())
 
 
-def _frame_matching_unitary(src: list[np.ndarray], tgt: list[np.ndarray], dim: int) -> np.ndarray:
-    b_src = np.column_stack(src + _orthonormal_complement(src, dim))
-    b_tgt = np.column_stack(tgt + _orthonormal_complement(tgt, dim))
+def _frame_matching_unitary(src: list[np.ndarray], tgt: list[np.ndarray]) -> np.ndarray:
+    b_src = np.column_stack(src + _orthonormal_complement(src))
+    b_tgt = np.column_stack(tgt + _orthonormal_complement(tgt))
     return b_tgt @ b_src.conj().T
 
 
@@ -189,8 +186,7 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
         raise DimensionMismatchError(
             f"dimensions differ: {phi1.dim}, {phi2.dim}, {phi3.dim}"
         )
-    dim = phi1.dim
-    n = dim - 1
+    n = phi1.dim - 1
     g = inner_product(phi2, phi3)
     w = g ** (1.0 / n)
     q2 = PureState(np.array([1.0, 0.0], dtype=complex))
@@ -209,7 +205,7 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
         src = gram_pair(phi2.amplitudes, phi3.amplitudes)
         tgt = gram_pair(big2.amplitudes, big3.amplitudes)
 
-    transform = Unitary(_frame_matching_unitary(src, tgt, dim))
+    transform = Unitary(_frame_matching_unitary(src, tgt))
     return CanonicalTriple(
         psi1=apply_unitary(transform, phi1),
         psi2_qubit=q2,

@@ -272,6 +272,19 @@ def test_non_finite_amplitude_exits_1(tmp_path, capsys, command, bad):
     assert out == "" and "norm" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["phase", "eraser"])
+def test_bad_tolerance_exits_1(tmp_path, capsys, command, tolerance):
+    obj = quarter_turn_triple()
+    obj["psi1"] = state_obj([1 + 0j, 0j])
+    obj["psi2"] = state_obj([0j, 1 + 0j])  # orthogonal: no phase, no reference fringe
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, str(path), "--json", "--tolerance", tolerance], capsys)
+    assert code == 1
+    assert out == "" and "--tolerance" in err and "Traceback" not in err
+
+
 def test_json_writer_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         _json_text({"gamma": math.nan})
@@ -297,6 +310,13 @@ def test_byte_determinism(tmp_path, triple_file):
     assert out.read_bytes() == csv_first
     assert (tmp_path / "s.json").read_bytes() == sidecar_first
     assert b"\r" not in csv_first
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules imported by the test session do not count
+    code = "import sys, triphase; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True).stdout
+    assert out == b"False\n"
 
 
 def test_degrees_flag_display_only(triple_file, capsys):

@@ -270,3 +270,14 @@ def test_matches_is_permutation_invariant_and_tolerant():
     moved = MajoranaSet(tuple(BlochPoint(min(p.polar + 1e-3, math.pi), p.azimuth) for p in pts))
     assert not base.matches(moved, tol=1e-8)
     assert not base.matches(MajoranaSet(tuple(pts[:4])))
+    # a1-b1 (0.95e-3) and a2-b2 (0.90e-3) pair within tol, although the
+    # minimum-sum pairing a1-b2 (1.12e-3), a2-b1 (0.6e-3) does not; with a2
+    # listed first, the pairing must move a2 from b1 to b2 to place a1
+    def near(x, y):
+        return BlochPoint(math.pi / 2 + y * 1e-3, 1.0 + x * 1e-3)
+
+    a = (near(0, 0), near(0.95, 0.6))
+    b = MajoranaSet((near(0.95, 0), near(0.2, 1.1)))
+    for order in (a, a[::-1]):
+        assert MajoranaSet(order).matches(b, tol=1e-3) and b.matches(MajoranaSet(order), tol=1e-3)
+    assert not MajoranaSet(a).matches(b, tol=0.94e-3)
