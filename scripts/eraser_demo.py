@@ -15,24 +15,22 @@ import numpy as np
 from triphase import (
     EraserConfig,
     PureState,
-    extract_geometric_phase,
-    fringe_scan,
+    fringe_pair,
     random_pure_state,
     three_vertex_phase,
-    visibility,
+    wrap_angle,
 )
 
 
 def report(label, psi1, psi2, psi3, cfg, scan_path=None):
-    projected = fringe_scan(psi1, psi2, psi3, cfg)
-    plain = fringe_scan(psi1, psi2, None, cfg)
-    fringe = extract_geometric_phase(psi1, psi2, psi3, cfg)
+    projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
+    fringe = wrap_angle(projected.delta_f - plain.delta_m)
     direct = three_vertex_phase(psi1, psi2, psi3)
     print(f"--- {label}")
     print(f"delta_f = {projected.delta_f:+.9f}   delta_m = {plain.delta_m:+.9f}")
     print(f"gamma (fringe shift) = {fringe:+.9f}")
     print(f"gamma (overlap arg)  = {direct:+.9f}   |diff| = {abs(fringe - direct):.2e}")
-    print(f"visibility = {visibility(psi1, psi2, psi3):.6f}")
+    print(f"visibility = {projected.visibility:.6f}")
     if scan_path:
         with open(scan_path, "w", newline="") as fh:
             fh.write("delta,probability\n")

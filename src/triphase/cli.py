@@ -3,9 +3,10 @@ constellations, canonical form, eraser fringes, and family sweeps out.
 
 Exit codes: 0 success, 1 I/O / parse / usage error, 2 mathematically
 undefined request (vanishing overlap, degenerate geodesic, unresolvable
-sweep grid). All emitted numbers are radians; floats are formatted with 12
-significant digits and lowercase exponents, lines end with \\n, so repeated
-invocations are byte-identical.
+sweep grid). Emitted angles are radians (--degrees changes human output
+only, never JSON or files); floats are formatted with 12 significant digits
+and lowercase exponents, lines end with \\n, so repeated invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from .angles import wrap_angle
-from .eraser import EraserConfig, FringeUndefinedError, fringe_scan
+from .eraser import EraserConfig, FringeUndefinedError, fringe_pair
 from .majorana import MajoranaSet, points_to_state, state_to_points
 from .phases import (
     EPS_NULL,
@@ -233,7 +234,8 @@ def cmd_canonicalize(args) -> int:
     overlap_delta = abs(inner_product(trans2, trans3) - inner_product(phi2, phi3))
     try:
         phase_delta = float(abs(wrap_angle(
-            three_vertex_phase(*transformed) - three_vertex_phase(*originals)
+            three_vertex_phase(*transformed, eps_null=args.tolerance)
+            - three_vertex_phase(*originals, eps_null=args.tolerance)
         )))
     except UndefinedPhaseError:
         phase_delta = None
@@ -273,8 +275,7 @@ def cmd_canonicalize(args) -> int:
 def cmd_eraser(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     cfg = EraserConfig(grid_size=args.grid, extraction_mode=args.mode)
-    projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
-    plain = fringe_scan(psi1, psi2, None, cfg, eps_null=args.tolerance)
+    projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
     gamma = float(wrap_angle(projected.delta_f - plain.delta_m))
     vis = projected.visibility
     if args.scan_csv:
@@ -344,8 +345,9 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
     print(f"wrote {result.alphas.size} rows to {args.out}")
     print(f"sidecar: {sidecar}")
-    print(f"winding = {_fmt(result.winding)}")
-    print("singular_alphas = " + " ".join(_fmt(a) for a in result.singular_alphas))
+    print(f"winding = {_angle_text(result.winding, args.degrees)}")
+    alphas = (_angle_text(a, args.degrees) for a in result.singular_alphas)
+    print("singular_alphas = " + " ".join(alphas))
     return EXIT_OK
 
 
@@ -357,38 +359,44 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    flag = argparse.ArgumentParser(add_help=False)
+    flag.add_argument(*names, **kwargs)
+    return flag
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON on stdout")
-    common.add_argument("--tolerance", type=_tolerance, default=EPS_NULL,
-                        help="overlap modulus below which a phase counts as undefined")
-    common.add_argument("--degrees", action="store_true",
-                        help="display angles in degrees (human output only, never files)")
-    common.add_argument("--renormalize", action="store_true",
+    # each command takes only the common flags it reads; any other is a usage error
+    json_ = _flag("--json", action="store_true", help="emit machine-readable JSON on stdout")
+    tolerance = _flag("--tolerance", type=_tolerance, default=EPS_NULL,
+                      help="overlap modulus below which a phase counts as undefined")
+    degrees = _flag("--degrees", action="store_true",
+                    help="display angles in degrees (human output only, never files)")
+    renormalize = _flag("--renormalize", action="store_true",
                         help="accept input states with norm off by up to 1e-3")
 
     parser = _Parser(prog="triphase",
                      description="Three-vertex geometric phases on the Bloch sphere")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("phase", parents=[common],
+    p = sub.add_parser("phase", parents=[json_, tolerance, degrees, renormalize],
                        help="geometric phase of a state triple")
     p.add_argument("triple", help="triple JSON file (psi1, psi2, psi3)")
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("majorana", parents=[common],
+    p = sub.add_parser("majorana", parents=[json_, degrees, renormalize],
                        help="point constellation of a state, or its inverse")
     p.add_argument("state", nargs="?", help="state JSON file")
     p.add_argument("--from-points", metavar="FILE",
                    help="reconstruct the state from a points JSON file instead")
     p.set_defaults(func=cmd_majorana)
 
-    p = sub.add_parser("canonicalize", parents=[common],
+    p = sub.add_parser("canonicalize", parents=[json_, tolerance, renormalize],
                        help="reduce a triple to product-state form")
     p.add_argument("triple", help="triple JSON file")
     p.set_defaults(func=cmd_canonicalize)
 
-    p = sub.add_parser("eraser", parents=[common],
+    p = sub.add_parser("eraser", parents=[json_, tolerance, degrees, renormalize],
                        help="interferometric phase readout of a triple")
     p.add_argument("triple", help="triple JSON file")
     p.add_argument("--grid", type=int, default=4096, help="number of delta samples, 16 to 2^20 (default 4096)")
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-csv", metavar="PATH", help="also write the sampled fringe as CSV")
     p.set_defaults(func=cmd_eraser)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[json_, degrees],
                        help="sweep the qutrit family phase over alpha")
     p.add_argument("--theta", type=float, required=True, help="half angle between the fixed states")
     p.add_argument("--phi", type=float, required=True, help="half angle between the moving points")

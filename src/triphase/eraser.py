@@ -7,12 +7,20 @@ fringe whose constructive point, relative to the unprojected fringe's, is
 shifted by exactly the geometric phase of (psi1, psi2, psi3).
 
 Two computation routes are kept deliberately separate: explicit state
-algebra (composite vectors, projectors) and the factored fringe law
-P = (1 + V cos(phase - delta))/2. Tests require them to agree.
+algebra (composite vectors, projectors, partial traces) and the factored
+fringe law P = (1 + V cos(phase - delta))/2. Tests require them to agree.
+
+Sampling costs O(N + grid), never O(N * grid). The plain fringe is read off
+the path qubit's reduced density matrix, P(delta) = <delta|rho_path|delta>
+(mixed-state interferometry, Sjoqvist et al., PRL 85, 2845 (2000)); the
+projected one off the path qubit left after the projection onto psi3. The
+delta grid and its phase factors are built once per grid size and shared,
+read-only, by every scan at that size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,8 +97,18 @@ def composite_intermediate(psi1: PureState, psi2: PureState) -> np.ndarray:
     return out / _SQRT2
 
 
-def _path_ket(delta: float) -> np.ndarray:
-    return np.array([1.0, np.exp(1j * delta)]) / _SQRT2
+def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarray:
+    """Path qubit left when the composite's internal part is projected onto
+    psi3, i.e. (<psi3|psi1>, <psi3|psi2>)/sqrt(2), not renormalized."""
+    return psi3.amplitudes.conj() @ composite_intermediate(psi1, psi2).reshape(-1, 2)
+
+
+def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
+    """|<delta|path>|^2 of the renormalized path qubit at each phase factor
+    e^{-i delta} (an array or a single value)."""
+    path_spinor = path_spinor / np.linalg.norm(path_spinor)
+    amps = (path_spinor[0] + phase_factors * path_spinor[1]) / _SQRT2
+    return np.abs(amps) ** 2
 
 
 def output_probability(psi1: PureState, psi2: PureState, psi3: PureState,
@@ -98,20 +116,18 @@ def output_probability(psi1: PureState, psi2: PureState, psi3: PureState,
     """Detection probability at path offset delta after projecting the
     internal state onto psi3.
 
-    Explicit state algebra end to end: build the composite vector, apply the
-    internal projector |psi3><psi3| x I, renormalize, then take the expectation
-    of I x |delta><delta|. The factored law lives in
+    Explicit state algebra end to end, the same route as fringe_scan: build
+    the composite vector, apply the internal projector |psi3><psi3| x I,
+    which leaves psi3 times a path qubit, renormalize, then take the
+    expectation of I x |delta><delta|. The factored law lives in
     output_probability_closed_form.
     """
     if psi3.dim != psi1.dim:
         raise DimensionMismatchError(f"state dimensions differ: {psi3.dim} != {psi1.dim}")
-    composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
-    path_spinor = psi3.amplitudes.conj() @ composite
+    path_spinor = _path_spinor(psi1, psi2, psi3)
     if np.max(np.abs(path_spinor)) <= eps_null:
         raise FringeUndefinedError("projection onto psi3 annihilates the state")
-    projected = np.outer(psi3.amplitudes, path_spinor / np.linalg.norm(path_spinor))
-    remaining = projected @ _path_ket(delta).conj()
-    return float(np.real(np.vdot(remaining, remaining)))
+    return float(_projected_fringe(path_spinor, np.exp(-1j * delta)))
 
 
 def output_probability_closed_form(psi1: PureState, psi2: PureState, psi3: PureState,
@@ -147,6 +163,18 @@ def _refine_argmax(deltas: np.ndarray, probs: np.ndarray) -> float:
     return wrap_angle(float(deltas[j]) + offset * step)
 
 
+@functools.lru_cache(maxsize=2)
+def _delta_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid delta_k = 2pi k/grid on [0, 2pi) and its factors
+    e^{-i delta_k}, read-only; at most two sizes are kept (24 MB each at
+    MAX_GRID_SIZE)."""
+    deltas = TWO_PI * np.arange(grid) / grid
+    phase_factors = np.exp(-1j * deltas)
+    deltas.setflags(write=False)
+    phase_factors.setflags(write=False)
+    return deltas, phase_factors
+
+
 def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
                 cfg: EraserConfig = EraserConfig(), *, eps_null: float = EPS_NULL) -> FringeScan:
     """Sample the interference pattern over a uniform delta grid on [0, 2pi).
@@ -154,21 +182,21 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     With psi3 the projected (eraser) fringe is scanned and its constructive
     point fills delta_f; without psi3 the plain two-path fringe is scanned
     and fills delta_m. Sampling always goes through the explicit state
-    algebra; the extraction mode decides whether the stored landmark comes
-    from the closed form, the refined grid argmax, or (mode "both") the
-    closed form with the grid value kept alongside.
+    algebra, at O(N + grid) cost; the extraction mode decides whether the
+    stored landmark comes from the closed form, the refined grid argmax, or
+    (mode "both") the closed form with the grid value kept alongside.
     """
-    grid = cfg.grid_size
-    deltas = TWO_PI * np.arange(grid) / grid
-    phase_factors = np.exp(-1j * deltas)
+    deltas, phase_factors = _delta_grid(cfg.grid_size)
     o12 = inner_product(psi1, psi2)
 
     if psi3 is None:
         if abs(o12) <= eps_null:
             raise FringeUndefinedError("<psi1|psi2> vanishes; the plain fringe is flat")
+        # trace out the internal state: rho[p, q] = sum_i c_ip conj(c_iq), and
+        # <delta|rho|delta> with |delta> = (|0> + e^{i delta}|1>)/sqrt(2)
         composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
-        amps = (composite[:, :1] + phase_factors[None, :] * composite[:, 1:]) / _SQRT2
-        probs = np.sum(np.abs(amps) ** 2, axis=0)
+        rho = composite.T @ composite.conj()
+        probs = 0.5 * (rho[0, 0] + rho[1, 1]).real + (rho[1, 0] * phase_factors).real
         vis = abs(o12)
         center = wrap_angle(float(np.angle(o12)))
     else:
@@ -177,11 +205,7 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
         for name, val in (("<psi3|psi1>", o31), ("<psi3|psi2>", o32)):
             if abs(val) <= eps_null:
                 raise FringeUndefinedError(f"{name} vanishes; constructive point undefined")
-        composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
-        path_spinor = psi3.amplitudes.conj() @ composite
-        path_spinor = path_spinor / np.linalg.norm(path_spinor)
-        amps = (path_spinor[0] + phase_factors * path_spinor[1]) / _SQRT2
-        probs = np.abs(amps) ** 2
+        probs = _projected_fringe(_path_spinor(psi1, psi2, psi3), phase_factors)
         vis = visibility(psi1, psi2, psi3, eps_null=eps_null)
         center = wrap_angle(float(np.angle(inner_product(psi1, psi3) * o32)))
 
@@ -202,17 +226,27 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
                       gamma=gamma, delta_f_grid=grid_value)
 
 
+def fringe_pair(psi1: PureState, psi2: PureState, psi3: PureState,
+                cfg: EraserConfig = EraserConfig(),
+                *, eps_null: float = EPS_NULL) -> tuple[FringeScan, FringeScan]:
+    """The two scans of the eraser readout, (projected, plain).
+
+    The plain scan runs first, so a vanishing <psi1|psi2> (a flat reference
+    fringe) fails before the projected scan is sampled.
+    """
+    plain = fringe_scan(psi1, psi2, None, cfg, eps_null=eps_null)
+    projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=eps_null)
+    return projected, plain
+
+
 def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState,
                             cfg: EraserConfig = EraserConfig(),
                             *, eps_null: float = EPS_NULL) -> float:
     """Geometric phase as the fringe shift delta_f - delta_m, in (-pi, pi].
 
-    Runs the scan twice, with and without the final projection, and
-    differences the two constructive points, each extracted per the config
-    mode. Agrees with three_vertex_phase on the same triple.
+    Runs the scan twice (fringe_pair), with and without the final
+    projection, and differences the two constructive points, each extracted
+    per the config mode. Agrees with three_vertex_phase on the same triple.
     """
-    if abs(inner_product(psi2, psi1)) <= eps_null:
-        raise FringeUndefinedError("<psi2|psi1> vanishes; the reference fringe is flat")
-    projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=eps_null)
-    plain = fringe_scan(psi1, psi2, None, cfg, eps_null=eps_null)
+    projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=eps_null)
     return wrap_angle(projected.delta_f - plain.delta_m)

@@ -285,6 +285,62 @@ def test_bad_tolerance_exits_1(tmp_path, capsys, command, tolerance):
     assert out == "" and "--tolerance" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--tolerance=0.5"),
+    ("sweep", "--renormalize"),
+    ("majorana", "--tolerance=0.5"),
+    ("canonicalize", "--degrees"),
+])
+def test_flag_the_command_does_not_read_exits_1(tmp_path, triple_file, capsys, command, flag):
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps(quarter_turn_triple()["psi1"]))
+    out_csv = tmp_path / "x.csv"
+    argv = {
+        "sweep": ["sweep", "--theta", "0.5", "--phi", "0.2", "--steps", "64", "--out", str(out_csv)],
+        "majorana": ["majorana", str(state)],
+        "canonicalize": ["canonicalize", triple_file],
+    }[command]
+    code, out, err = run_cli(argv + [flag], capsys)
+    assert code == 1
+    assert out == "" and "unrecognized arguments" in err and flag.split("=")[0] in err
+    assert not out_csv.exists()
+
+
+def test_canonicalize_tolerance_reaches_phase_delta(triple_file, capsys):
+    # the quarter-turn triple's overlap product is 2^(-3/2) ~ 0.35
+    code, out, _ = run_cli(["canonicalize", triple_file, "--json"], capsys)
+    assert code == 0 and json.loads(out)["verification"]["phase_delta"] < 1e-9
+    assert run_cli(["phase", triple_file, "--tolerance", "0.9"], capsys)[0] == 2
+    code, out, _ = run_cli(["canonicalize", triple_file, "--json", "--tolerance", "0.9"], capsys)
+    assert code == 0 and json.loads(out)["verification"]["phase_delta"] is None
+    code, out, _ = run_cli(["canonicalize", triple_file, "--tolerance", "0.9"], capsys)
+    assert code == 0 and "phase_delta = n/a (undefined phase)" in out.splitlines()
+
+
+def test_sweep_degrees_changes_text_only(tmp_path, capsys):
+    def sweep(name, *flags):
+        out = tmp_path / f"{name}.csv"
+        code, text, _ = run_cli(["sweep", "--theta", str(math.pi / 6), "--phi", str(math.pi / 4),
+                                 "--steps", "256", "--out", str(out), *flags], capsys)
+        assert code == 0
+        return text, out.read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+    rad_text, rad_csv, rad_sidecar = sweep("rad")
+    deg_text, deg_csv, deg_sidecar = sweep("deg", "--degrees")
+    assert (deg_csv, deg_sidecar) == (rad_csv, rad_sidecar)
+    rad = dict(line.split(" = ") for line in rad_text.splitlines() if " = " in line)
+    deg = dict(line.split(" = ") for line in deg_text.splitlines() if " = " in line)
+    assert deg["winding"].endswith(" deg")
+    assert float(deg["winding"][:-4]) == pytest.approx(720.0, abs=1e-4)
+    alphas_rad = [float(a) for a in rad["singular_alphas"].split()]
+    alphas_deg = deg["singular_alphas"].split(" deg")
+    assert alphas_deg[-1] == "" and len(alphas_deg) == len(alphas_rad) + 1 == 3
+    for a_rad, a_deg in zip(alphas_rad, alphas_deg):
+        assert float(a_deg) == pytest.approx(math.degrees(a_rad), rel=1e-11)
+    deg_json, _, _ = sweep("deg_json", "--degrees", "--json")
+    assert json.loads(deg_json)["winding"] == pytest.approx(4 * math.pi, abs=1e-6)  # radians
+
+
 def test_json_writer_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         _json_text({"gamma": math.nan})

@@ -142,6 +142,52 @@ def test_fringe_scan_grid_argmax_matches_closed_form(s1, s2, s3, dim):
     assert contrast == pytest.approx(scan.visibility, abs=(math.pi / cfg.grid_size) ** 2 + 1e-12)
 
 
+def plain_fringe_reference(psi1, psi2, grid):
+    """The plain fringe as a per-delta sum over the internal index,
+    sum_i |psi1_i + e^{-i delta} psi2_i|^2 / 4, built as an (N, grid) array."""
+    deltas = TWO_PI * np.arange(grid) / grid
+    composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
+    amps = (composite[:, :1] + np.exp(-1j * deltas)[None, :] * composite[:, 1:]) / SQRT2
+    return deltas, np.sum(np.abs(amps) ** 2, axis=0)
+
+
+# float64 rounding of a sum of 2N <= 40 terms, each at most 1: below 40 eps ~ 9e-15
+PLAIN_REFERENCE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("grid", [16, 64, 4096])
+def test_plain_scan_matches_per_delta_sum(grid):
+    for dim in range(2, 21):
+        for seed in range(3):
+            psi1, psi2 = random_pure_state(dim, 100 * dim + seed), random_pure_state(dim, 7 + seed)
+            scan = fringe_scan(psi1, psi2, None, EraserConfig(grid_size=grid))
+            deltas, want = plain_fringe_reference(psi1, psi2, grid)
+            assert np.array_equal(scan.deltas, deltas)
+            assert np.max(np.abs(scan.probabilities - want)) <= PLAIN_REFERENCE_TOL
+
+
+def test_scan_grid_is_read_only():
+    cfg = EraserConfig(grid_size=64)
+    for scan in (fringe_scan(PLUS, ZERO, YPLUS, cfg), fringe_scan(PLUS, ZERO, None, cfg)):
+        assert not scan.deltas.flags.writeable
+        with pytest.raises(ValueError):
+            scan.deltas[0] = 1.0
+
+
+def test_alternating_grid_sizes():
+    psi1, psi2, psi3 = (random_pure_state(4, 40 + k) for k in range(3))
+    for grid in (16, 64, 16, 256, 64, 16):
+        deltas, want = plain_fringe_reference(psi1, psi2, grid)
+        plain = fringe_scan(psi1, psi2, None, EraserConfig(grid_size=grid))
+        projected = fringe_scan(psi1, psi2, psi3, EraserConfig(grid_size=grid))
+        for scan in (plain, projected):
+            assert scan.deltas.size == scan.probabilities.size == grid
+            assert np.array_equal(scan.deltas, deltas)
+        assert np.max(np.abs(plain.probabilities - want)) <= PLAIN_REFERENCE_TOL
+        law = [output_probability_closed_form(psi1, psi2, psi3, float(d)) for d in deltas]
+        assert np.allclose(projected.probabilities, law, rtol=0.0, atol=1e-12)
+
+
 def test_fringe_scan_errors_name_the_missing_overlap():
     with pytest.raises(FringeUndefinedError, match="psi3"):
         fringe_scan(ZERO, PLUS, PureState.basis(2, 1), EraserConfig(grid_size=64))
