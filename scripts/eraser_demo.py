@@ -20,22 +20,21 @@ from triphase import (
     three_vertex_phase,
     wrap_angle,
 )
+from triphase.cli import scan_csv
 
 
 def report(label, psi1, psi2, psi3, cfg, scan_path=None):
     projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
-    fringe = wrap_angle(projected.delta_f - plain.delta_m)
+    fringe = wrap_angle(projected.center - plain.center)
     direct = three_vertex_phase(psi1, psi2, psi3)
     print(f"--- {label}")
-    print(f"delta_f = {projected.delta_f:+.9f}   delta_m = {plain.delta_m:+.9f}")
+    print(f"delta_f = {projected.center:+.9f}   delta_m = {plain.center:+.9f}")
     print(f"gamma (fringe shift) = {fringe:+.9f}")
     print(f"gamma (overlap arg)  = {direct:+.9f}   |diff| = {abs(fringe - direct):.2e}")
     print(f"visibility = {projected.visibility:.6f}")
     if scan_path:
-        with open(scan_path, "w", newline="") as fh:
-            fh.write("delta,probability\n")
-            for d, p in zip(projected.deltas, projected.probabilities):
-                fh.write(f"{d:.12g},{p:.12g}\n")
+        with open(scan_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(scan_csv(projected))
         print(f"fringe written to {scan_path}")
 
 
@@ -46,7 +45,7 @@ def main() -> None:
     parser.add_argument("--scan-csv", metavar="PATH", default=None)
     args = parser.parse_args()
 
-    cfg = EraserConfig(grid_size=args.grid, extraction_mode="both")
+    cfg = EraserConfig(grid_size=args.grid)
     s = 1 / math.sqrt(2.0)
     report(
         "qubit triple with phase pi/4",

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .angles import wrap_angle
-from .eraser import EraserConfig, FringeUndefinedError, fringe_pair
+from .eraser import EraserConfig, FringeScan, FringeUndefinedError, fringe_pair
 from .majorana import MajoranaSet, points_to_state, state_to_points
 from .phases import (
     EPS_NULL,
@@ -152,18 +152,15 @@ def _overlap_entry(a: PureState, b: PureState) -> dict:
 
 def cmd_phase(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
+    try:
+        gamma = three_vertex_phase(psi1, psi2, psi3, eps_null=args.tolerance)
+    except UndefinedPhaseError as exc:
+        raise UndefinedPhaseError(f"undefined phase: {exc}") from None
     overlaps = {
         "psi1_psi3": _overlap_entry(psi1, psi3),
         "psi3_psi2": _overlap_entry(psi3, psi2),
         "psi2_psi1": _overlap_entry(psi2, psi1),
     }
-    try:
-        gamma = three_vertex_phase(psi1, psi2, psi3, eps_null=args.tolerance)
-    except UndefinedPhaseError:
-        names = [k for k, v in overlaps.items() if v["abs"] <= args.tolerance]
-        raise UndefinedPhaseError(
-            "undefined phase: vanishing overlap " + ", ".join(names or ["(product underflow)"])
-        ) from None
     b = bargmann(psi1, psi2, psi3)
     if args.json:
         _emit_json({"gamma": gamma, "bargmann_abs": abs(b), "overlaps": overlaps})
@@ -274,19 +271,21 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_eraser(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
-    cfg = EraserConfig(grid_size=args.grid, extraction_mode=args.mode)
+    cfg = EraserConfig(grid_size=args.grid)
     projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
-    gamma = float(wrap_angle(projected.delta_f - plain.delta_m))
+    if args.mode == "grid_argmax":
+        delta_f, delta_m = projected.peak, plain.peak
+    else:  # "closed_form" and "both" report the closed-form constructive points
+        delta_f, delta_m = projected.center, plain.center
+    gamma = float(wrap_angle(delta_f - delta_m))
     vis = projected.visibility
     if args.scan_csv:
-        lines = ["delta,probability"]
-        lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in zip(projected.deltas, projected.probabilities)]
-        _write_text(args.scan_csv, "\n".join(lines) + "\n")
+        _write_text(args.scan_csv, scan_csv(projected))
     payload = {
         "grid_size": cfg.grid_size,
-        "mode": cfg.extraction_mode,
-        "delta_f": float(projected.delta_f),
-        "delta_m": float(plain.delta_m),
+        "mode": args.mode,
+        "delta_f": float(delta_f),
+        "delta_m": float(delta_m),
         "gamma": gamma,
         "visibility": float(vis),
     }
@@ -322,6 +321,13 @@ def sweep_csv(result: SweepResult) -> str:
             result.alphas[i], result.gamma1[i], result.gamma2[i],
             result.gamma_wrapped[i], result.gamma_total[i],
         )))
+    return "\n".join(lines) + "\n"
+
+
+def scan_csv(scan: FringeScan) -> str:
+    """CSV text of a fringe scan: header plus one row per delta sample."""
+    lines = ["delta,probability"]
+    lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in zip(scan.deltas, scan.probabilities)]
     return "\n".join(lines) + "\n"
 
 
@@ -368,8 +374,12 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     # each command takes only the common flags it reads; any other is a usage error
     json_ = _flag("--json", action="store_true", help="emit machine-readable JSON on stdout")
-    tolerance = _flag("--tolerance", type=_tolerance, default=EPS_NULL,
-                      help="overlap modulus below which a phase counts as undefined")
+
+    def tolerance(compared: str) -> argparse.ArgumentParser:
+        return _flag("--tolerance", type=_tolerance, default=EPS_NULL,
+                     help=f"{compared} at or below which the result counts as undefined")
+
+    product_tolerance = tolerance("overlap-product modulus |<1|3><3|2><2|1>|")
     degrees = _flag("--degrees", action="store_true",
                     help="display angles in degrees (human output only, never files)")
     renormalize = _flag("--renormalize", action="store_true",
@@ -379,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Three-vertex geometric phases on the Bloch sphere")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("phase", parents=[json_, tolerance, degrees, renormalize],
+    p = sub.add_parser("phase", parents=[json_, product_tolerance, degrees, renormalize],
                        help="geometric phase of a state triple")
     p.add_argument("triple", help="triple JSON file (psi1, psi2, psi3)")
     p.set_defaults(func=cmd_phase)
@@ -391,17 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reconstruct the state from a points JSON file instead")
     p.set_defaults(func=cmd_majorana)
 
-    p = sub.add_parser("canonicalize", parents=[json_, tolerance, renormalize],
+    p = sub.add_parser("canonicalize", parents=[json_, product_tolerance, renormalize],
                        help="reduce a triple to product-state form")
     p.add_argument("triple", help="triple JSON file")
     p.set_defaults(func=cmd_canonicalize)
 
-    p = sub.add_parser("eraser", parents=[json_, tolerance, degrees, renormalize],
+    fringe_tolerance = tolerance("modulus of each overlap a fringe needs (<1|2>, <3|1>, <3|2>)")
+    p = sub.add_parser("eraser", parents=[json_, fringe_tolerance, degrees, renormalize],
                        help="interferometric phase readout of a triple")
     p.add_argument("triple", help="triple JSON file")
     p.add_argument("--grid", type=int, default=4096, help="number of delta samples, 16 to 2^20 (default 4096)")
     p.add_argument("--mode", choices=("closed_form", "grid_argmax", "both"), default="both",
-                   help="how constructive points are extracted")
+                   help="closed_form and both report the closed-form constructive points, "
+                        "grid_argmax the refined peaks of the sampled fringes")
     p.add_argument("--scan-csv", metavar="PATH", help="also write the sampled fringe as CSV")
     p.set_defaults(func=cmd_eraser)
 

@@ -31,7 +31,6 @@ from .phases import EPS_NULL
 from .states import DimensionMismatchError, PureState, inner_product
 
 _SQRT2 = math.sqrt(2.0)
-_MODES = ("closed_form", "grid_argmax", "both")
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
 
@@ -41,46 +40,28 @@ class FringeUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class EraserConfig:
-    """Scan resolution and which extraction route fills the scan fields."""
+    """Scan resolution: the number of delta samples on [0, 2pi)."""
 
     grid_size: int = 4096
-    extraction_mode: str = "both"
 
     def __post_init__(self):
         if not 16 <= self.grid_size <= MAX_GRID_SIZE:
             raise ValueError(f"grid_size must lie in [16, {MAX_GRID_SIZE}], got {self.grid_size}")
-        if self.extraction_mode not in _MODES:
-            raise ValueError(f"extraction_mode must be one of {_MODES}")
-
-    @property
-    def wants_grid(self) -> bool:
-        return self.extraction_mode in ("grid_argmax", "both")
-
-    @property
-    def wants_closed_form(self) -> bool:
-        return self.extraction_mode in ("closed_form", "both")
 
 
 @dataclass(frozen=True, eq=False)
 class FringeScan:
-    """Sampled interference pattern and its extracted landmarks.
+    """One sampled fringe and its constructive point.
 
-    delta_f is the constructive point of the projected fringe, delta_m of the
-    plain (unprojected) one; whichever pattern was scanned carries the value
-    selected by the extraction mode, the other is filled from its closed
-    form. gamma = delta_f - delta_m wrapped to (-pi, pi]. Fields that would
-    need a vanishing overlap are None. The *_grid values keep the refined
-    argmax estimates whenever the mode asked for them.
+    center is the closed-form constructive point, peak the refined grid
+    argmax (within 2pi/grid_size of center); both lie in (-pi, pi].
     """
 
     deltas: np.ndarray
     probabilities: np.ndarray
     visibility: float
-    delta_f: float | None
-    delta_m: float | None
-    gamma: float | None
-    delta_f_grid: float | None = None
-    delta_m_grid: float | None = None
+    center: float
+    peak: float
 
 
 def composite_intermediate(psi1: PureState, psi2: PureState) -> np.ndarray:
@@ -179,17 +160,15 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
                 cfg: EraserConfig = EraserConfig(), *, eps_null: float = EPS_NULL) -> FringeScan:
     """Sample the interference pattern over a uniform delta grid on [0, 2pi).
 
-    With psi3 the projected (eraser) fringe is scanned and its constructive
-    point fills delta_f; without psi3 the plain two-path fringe is scanned
-    and fills delta_m. Sampling always goes through the explicit state
-    algebra, at O(N + grid) cost; the extraction mode decides whether the
-    stored landmark comes from the closed form, the refined grid argmax, or
-    (mode "both") the closed form with the grid value kept alongside.
+    With psi3 the projected (eraser) fringe is scanned, without it the plain
+    two-path fringe. Sampling always goes through the explicit state
+    algebra, at O(N + grid) cost; the scan carries both the closed-form
+    constructive point and the refined grid argmax.
     """
     deltas, phase_factors = _delta_grid(cfg.grid_size)
-    o12 = inner_product(psi1, psi2)
 
     if psi3 is None:
+        o12 = inner_product(psi1, psi2)
         if abs(o12) <= eps_null:
             raise FringeUndefinedError("<psi1|psi2> vanishes; the plain fringe is flat")
         # trace out the internal state: rho[p, q] = sum_i c_ip conj(c_iq), and
@@ -213,17 +192,7 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     if drift > 1e-12:
         raise RuntimeError(f"sampled probabilities leave [0, 1] by {drift:.3g}")
     probs = np.clip(probs, 0.0, 1.0)
-
-    grid_value = _refine_argmax(deltas, probs) if cfg.wants_grid else None
-    stored = center if cfg.wants_closed_form else grid_value
-
-    if psi3 is None:
-        return FringeScan(deltas, probs, vis, delta_f=None, delta_m=stored,
-                          gamma=None, delta_m_grid=grid_value)
-    delta_m = wrap_angle(float(np.angle(o12))) if abs(o12) > eps_null else None
-    gamma = wrap_angle(stored - delta_m) if delta_m is not None else None
-    return FringeScan(deltas, probs, vis, delta_f=stored, delta_m=delta_m,
-                      gamma=gamma, delta_f_grid=grid_value)
+    return FringeScan(deltas, probs, vis, center, _refine_argmax(deltas, probs))
 
 
 def fringe_pair(psi1: PureState, psi2: PureState, psi3: PureState,
@@ -245,8 +214,10 @@ def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState,
     """Geometric phase as the fringe shift delta_f - delta_m, in (-pi, pi].
 
     Runs the scan twice (fringe_pair), with and without the final
-    projection, and differences the two constructive points, each extracted
-    per the config mode. Agrees with three_vertex_phase on the same triple.
+    projection, and differences the two closed-form constructive points,
+    delta_f of the projected fringe and delta_m of the plain one. Agrees
+    with three_vertex_phase on the same triple; the grid readout, the
+    difference of the two scans' peaks, is within 2pi/grid_size of it.
     """
     projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=eps_null)
-    return wrap_angle(projected.delta_f - plain.delta_m)
+    return wrap_angle(projected.center - plain.center)

@@ -39,7 +39,6 @@ from .states import (
     PureState,
     bloch_angles,
     bloch_qubits,
-    bloch_to_qubit,
 )
 
 MAX_ORACLE_QUBITS = 12     # factorial permutation sum; resource guard
@@ -67,9 +66,6 @@ class MajoranaSet:
     def sorted_points(self) -> tuple[BlochPoint, ...]:
         """Points in (polar, azimuth) order, for stable display."""
         return tuple(sorted(self.points, key=lambda p: (p.polar, p.azimuth)))
-
-    def as_qubits(self) -> list[PureState]:
-        return [bloch_to_qubit(p) for p in self.points]
 
     def matches(self, other: "MajoranaSet", tol: float = 1e-8) -> bool:
         """Permutation-invariant equality within an angular tolerance.

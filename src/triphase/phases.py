@@ -144,7 +144,6 @@ class CanonicalTriple:
     psi2_qubit: PureState
     psi3_qubit: PureState
     transform: Unitary
-    originals: tuple[PureState, PureState, PureState]
     degenerate_frame: bool = False
 
     @property
@@ -211,6 +210,5 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
         psi2_qubit=q2,
         psi3_qubit=q3,
         transform=transform,
-        originals=(phi1, phi2, phi3),
         degenerate_frame=degenerate,
     )

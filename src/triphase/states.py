@@ -96,14 +96,6 @@ class BlochPoint:
         st = math.sin(self.polar)
         return np.array([st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)])
 
-    @classmethod
-    def from_cartesian(cls, xyz) -> "BlochPoint":
-        x, y, z = (float(v) for v in xyz)
-        r = math.sqrt(x * x + y * y + z * z)
-        if r == 0.0:
-            raise ValueError("zero vector has no direction")
-        return cls(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
-
     def sphere_distance(self, other: "BlochPoint") -> float:
         """Geodesic angle to another point, in [0, pi]."""
         a, b = self.to_cartesian(), other.to_cartesian()

@@ -22,6 +22,7 @@ from triphase import (
     decompose_phase,
     dicke_embed,
     extract_geometric_phase,
+    fringe_pair,
     fringe_scan,
     inner_product,
     points_to_state,
@@ -179,8 +180,7 @@ def test_c5_roundtrips_and_oracle():
 @criterion(6, "interferometric readout reproduces the phase, dims 2-6")
 def test_c6_eraser_protocol():
     grid = 4096
-    closed_cfg = EraserConfig(grid_size=grid, extraction_mode="closed_form")
-    argmax_cfg = EraserConfig(grid_size=grid, extraction_mode="grid_argmax")
+    cfg = EraserConfig(grid_size=grid)
     worst_closed = worst_grid = worst_contrast = 0.0
     for dim in range(2, 7):
         for k in range(40):
@@ -188,10 +188,10 @@ def test_c6_eraser_protocol():
             psi1, psi2, psi3 = (random_pure_state(dim, seed + j) for j in range(3))
             direct = three_vertex_phase(psi1, psi2, psi3)
             worst_closed = max(worst_closed, wrapped_dist(
-                extract_geometric_phase(psi1, psi2, psi3, closed_cfg), direct))
-            worst_grid = max(worst_grid, wrapped_dist(
-                extract_geometric_phase(psi1, psi2, psi3, argmax_cfg), direct))
-            scan = fringe_scan(psi1, psi2, psi3, closed_cfg)
+                extract_geometric_phase(psi1, psi2, psi3, cfg), direct))
+            projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
+            worst_grid = max(worst_grid, wrapped_dist(projected.peak - plain.peak, direct))
+            scan = fringe_scan(psi1, psi2, psi3, cfg)
             assert np.all(scan.probabilities >= 0.0) and np.all(scan.probabilities <= 1.0)
             contrast = float(scan.probabilities.max() - scan.probabilities.min())
             worst_contrast = max(worst_contrast, abs(

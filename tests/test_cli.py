@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from triphase import PureState, inner_product, points_to_state
+from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
 from triphase.sweep import MAX_SWEEP_INTERVALS
@@ -73,6 +73,20 @@ def test_phase_orthogonal_pair_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["phase", str(path)], capsys)
     assert code == 2
     assert "undefined phase" in err
+
+
+def test_phase_tolerance_error_reports_the_product(tmp_path, capsys):
+    # every overlap exceeds 0.9, but their product (~0.888) does not
+    obj = {
+        "psi1": state_obj(list(np.array([1, 0.2 + 0j]) / math.sqrt(1.04))),
+        "psi2": state_obj(list(np.array([1, -0.2 + 0j]) / math.sqrt(1.04))),
+        "psi3": state_obj([1 + 0j, 0j]),
+    }
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["phase", str(path), "--tolerance", "0.9"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: undefined phase: overlap product modulus 0.888 <= 0.9; phase undefined\n"
 
 
 def test_parse_errors_exit_1(tmp_path, capsys):
@@ -198,6 +212,33 @@ def test_eraser_grid_resolution_contract(tmp_path, capsys):
     direct = gamma_for(4096, "both")
     assert abs(gamma_for(64, "grid_argmax") - direct) <= 2 * math.pi / 64
     assert abs(gamma_for(4096, "grid_argmax") - direct) <= 2 * math.pi / 4096
+
+
+@pytest.mark.parametrize("dim", [2, 5, 13])
+def test_eraser_mode_reads_scan_landmarks(tmp_path, capsys, dim):
+    rng = np.random.default_rng(70 + dim)
+    vecs = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    states = [PureState.normalized(v) for v in vecs]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({f"psi{k + 1}": state_obj(list(s.amplitudes))
+                                for k, s in enumerate(states)}))
+
+    def eraser(mode, *flags):
+        scan = tmp_path / f"{mode}.csv"
+        code, out, _ = run_cli(["eraser", str(path), "--grid", "64", "--mode", mode,
+                                "--scan-csv", str(scan), *flags], capsys)
+        assert code == 0
+        return out.replace(str(scan), "SCAN"), scan.read_bytes()
+
+    for flags in ([], ["--degrees"]):
+        assert eraser("both", *flags) == eraser("closed_form", *flags)
+    projected, plain = fringe_pair(*states, EraserConfig(grid_size=64))
+    for scan in (projected, plain):
+        assert abs(wrap_angle(scan.peak - scan.center)) <= 2 * math.pi / 64
+    payload = json.loads(eraser("grid_argmax", "--json")[0])
+    assert payload["delta_f"] == pytest.approx(projected.peak, abs=1e-11)
+    assert payload["delta_m"] == pytest.approx(plain.peak, abs=1e-11)
+    assert payload["gamma"] == pytest.approx(wrap_angle(projected.peak - plain.peak), abs=1e-11)
 
 
 def test_eraser_repeated_state(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Interferometric protocol: fringes, visibility, and phase extraction."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from triphase import (
     PureState,
     composite_intermediate,
     extract_geometric_phase,
+    fringe_pair,
     fringe_scan,
     output_probability,
     output_probability_closed_form,
@@ -88,7 +90,7 @@ def test_peak_probability_pins_the_projection_normalization(seed, dim):
         scan = fringe_scan(psi1, psi2, psi3, EraserConfig(grid_size=64))
     except FringeUndefinedError:
         return
-    peak = output_probability(psi1, psi2, psi3, scan.delta_f)
+    peak = output_probability(psi1, psi2, psi3, scan.center)
     assert peak == pytest.approx((1.0 + scan.visibility) / 2.0, abs=1e-12)
 
 
@@ -113,29 +115,29 @@ def test_visibility_never_exceeds_one():
 def test_fringe_scan_plain_reference():
     psi = random_pure_state(3, 8)
     scan = fringe_scan(psi, psi, None, EraserConfig(grid_size=64))
-    assert scan.delta_m == pytest.approx(0.0, abs=1e-12)
-    assert scan.delta_f is None and scan.gamma is None
+    assert scan.center == pytest.approx(0.0, abs=1e-12)
+    assert all(getattr(scan, f.name) is not None for f in fields(scan))
     assert scan.visibility == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fringe_scan_projector_equal_to_first_arm():
     psi1, psi2 = random_pure_state(4, 9), random_pure_state(4, 10)
-    scan = fringe_scan(psi1, psi2, psi1, EraserConfig(grid_size=256))
+    projected, plain = fringe_pair(psi1, psi2, psi1, EraserConfig(grid_size=256))
     # first overlap factor is real positive, so delta_f collapses onto delta_m
-    assert scan.delta_f == pytest.approx(scan.delta_m, abs=1e-12)
-    assert scan.gamma == pytest.approx(0.0, abs=1e-12)
+    assert projected.center == pytest.approx(plain.center, abs=1e-12)
+    assert wrap_angle(projected.center - plain.center) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(seeds, seeds, seeds, st.integers(min_value=2, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_fringe_scan_grid_argmax_matches_closed_form(s1, s2, s3, dim):
     psi1, psi2, psi3 = (random_pure_state(dim, s) for s in (s1, s2, s3))
-    cfg = EraserConfig(grid_size=4096, extraction_mode="both")
+    cfg = EraserConfig(grid_size=4096)
     try:
         scan = fringe_scan(psi1, psi2, psi3, cfg)
     except FringeUndefinedError:
         return
-    assert abs(wrap_angle(scan.delta_f_grid - scan.delta_f)) <= TWO_PI / cfg.grid_size
+    assert abs(wrap_angle(scan.peak - scan.center)) <= TWO_PI / cfg.grid_size
     assert np.all(scan.probabilities >= 0.0) and np.all(scan.probabilities <= 1.0)
     assert abs(scan.probabilities.mean() - 0.5) <= 2.0 / cfg.grid_size
     contrast = float(scan.probabilities.max() - scan.probabilities.min())
@@ -198,8 +200,6 @@ def test_fringe_scan_errors_name_the_missing_overlap():
 def test_eraser_config_validation():
     with pytest.raises(ValueError):
         EraserConfig(grid_size=8)
-    with pytest.raises(ValueError):
-        EraserConfig(extraction_mode="fastest")
     # validation only: a grid at the cap is never sampled here
     assert EraserConfig(grid_size=MAX_GRID_SIZE).grid_size == MAX_GRID_SIZE
     with pytest.raises(ValueError):
@@ -217,7 +217,7 @@ def test_extract_trivial_and_quarter_turn():
 @settings(max_examples=30, deadline=None)
 def test_extract_matches_direct_phase_dim5(s1, s2, s3):
     psi1, psi2, psi3 = (random_pure_state(5, s) for s in (s1, s2, s3))
-    cfg = EraserConfig(grid_size=512, extraction_mode="closed_form")
+    cfg = EraserConfig(grid_size=512)
     try:
         got = extract_geometric_phase(psi1, psi2, psi3, cfg)
     except FringeUndefinedError:
@@ -230,11 +230,12 @@ def test_extract_matches_direct_phase_dim5(s1, s2, s3):
 @settings(max_examples=15, deadline=None)
 def test_extract_grid_mode_resolution(seed):
     psi1, psi2, psi3 = (random_pure_state(3, seed + k) for k in range(3))
-    cfg = EraserConfig(grid_size=4096, extraction_mode="grid_argmax")
+    cfg = EraserConfig(grid_size=4096)
     try:
-        got = extract_geometric_phase(psi1, psi2, psi3, cfg)
+        projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
     except FringeUndefinedError:
         return
+    got = wrap_angle(projected.peak - plain.peak)
     want = three_vertex_phase(psi1, psi2, psi3)
     assert abs(wrap_angle(got - want)) <= TWO_PI / cfg.grid_size
 
