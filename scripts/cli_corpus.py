@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Run every triphase command on seeded inputs and record what it prints.
+
+    python scripts/cli_corpus.py OUTDIR [--cases N]
+
+Each case gets a directory under OUTDIR holding its input files, the files
+the command wrote, and `exit`, `stdout` and `stderr`. Commands run
+in-process through `triphase.cli.main`, from inside the case directory and
+with relative paths, so two runs of the same code give identical trees and
+`diff -r` between the trees of two versions shows every byte the CLI
+changed. Only `triphase.cli` and numpy are imported, so any version with
+the same command line can be compared.
+
+The corpus covers all five commands in text, `--json` and `--degrees` output,
+eraser's three `--mode`s with `--scan-csv`, sweep CSVs with their sidecars
+(one sweep doubles its grid), and requests that exit with code 1 or 2. N
+seeded Haar triples (dims 2-20) run through phase, canonicalize, eraser and
+majorana; fixed triples, states and point sets cover the special cases.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+from pathlib import Path
+
+import numpy as np
+
+from triphase import cli
+
+S = 1 / math.sqrt(2.0)
+QUARTER_TURN = ([S, S], [1, 0], [S, S * 1j])  # phase pi/4
+
+
+def state_obj(vec) -> dict:
+    vec = np.asarray(vec, dtype=complex)
+    return {"dim": int(vec.size), "amplitudes": [[float(z.real), float(z.imag)] for z in vec]}
+
+
+def triple_obj(psi1, psi2, psi3) -> dict:
+    return {"psi1": state_obj(psi1), "psi2": state_obj(psi2), "psi3": state_obj(psi3)}
+
+
+def haar(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def faint_triple(rng: np.random.Generator, dim: int, overlap: float):
+    """Haar psi1, psi2 and a psi3 with |<psi3|psi2>| ~ overlap: a faint
+    projected fringe."""
+    psi1, psi2 = haar(rng, dim), haar(rng, dim)
+    perp = psi1 - np.vdot(psi2, psi1) * psi2
+    psi3 = perp / np.linalg.norm(perp) + overlap * psi2
+    return psi1, psi2, psi3 / np.linalg.norm(psi3)
+
+
+class Corpus:
+    def __init__(self, root: Path):
+        self.root = root
+        self.count = 0
+
+    def run(self, name: str, argv: list[str], files: dict | None = None) -> None:
+        """Write the input files (name -> JSON object, or text) into a fresh
+        case directory, run the command there and record its results."""
+        case = self.root / f"{self.count:04d}-{name}"
+        self.count += 1
+        case.mkdir(parents=True)
+        for fname, obj in (files or {}).items():
+            text = obj if isinstance(obj, str) else json.dumps(obj) + "\n"
+            (case / fname).write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(case)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+        for fname, text in (("exit", f"{code}\n"), ("stdout", out.getvalue()), ("stderr", err.getvalue())):
+            (case / fname).write_text(text, encoding="utf-8", newline="")
+
+    def triple(self, name: str, triple: dict, grid: int) -> None:
+        """phase, canonicalize and eraser on one triple, in every output mode."""
+        for flags in ([], ["--json"], ["--degrees"]):
+            self.run(f"{name}-phase", ["phase", "triple.json", *flags], {"triple.json": triple})
+        for flags in ([], ["--json"]):
+            self.run(f"{name}-canonicalize", ["canonicalize", "triple.json", *flags], {"triple.json": triple})
+        base = ["eraser", "triple.json", "--grid", str(grid)]
+        for mode in ("closed_form", "grid_argmax", "both"):
+            self.run(f"{name}-eraser-{mode}", [*base, "--mode", mode, "--scan-csv", "scan.csv"],
+                     {"triple.json": triple})
+        for flags in (["--json"], ["--degrees", "--mode", "grid_argmax"]):
+            self.run(f"{name}-eraser", [*base, *flags], {"triple.json": triple})
+
+    def majorana(self, name: str, state: dict) -> None:
+        for flags in ([], ["--json"], ["--degrees"]):
+            self.run(f"{name}-majorana", ["majorana", "state.json", *flags], {"state.json": state})
+
+    def from_points(self, name: str, points: list) -> None:
+        for flags in ([], ["--json"]):
+            self.run(f"{name}-from-points", ["majorana", "--from-points", "points.json", *flags],
+                     {"points.json": {"points": points}})
+
+    def sweep(self, name: str, theta: float, phi: float, steps: int, *flags: str) -> None:
+        self.run(f"{name}-sweep", ["sweep", "--theta", repr(theta), "--phi", repr(phi),
+                                   "--steps", str(steps), "--out", "sweep.csv", *flags])
+
+
+def build(root: Path, cases: int) -> None:
+    rng = np.random.default_rng(20111)
+    corpus = Corpus(root)
+
+    for i in range(cases):
+        dim = 2 + i % 19
+        triple = triple_obj(*(haar(rng, dim) for _ in range(3)))
+        corpus.triple(f"haar{i}", triple, grid=256)
+        corpus.majorana(f"haar{i}", triple["psi1"])
+        points = [[math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)] for _ in range(dim - 1)]
+        corpus.from_points(f"haar{i}", points)
+
+    psi = haar(rng, 4)
+    special = {
+        "quarter-turn": QUARTER_TURN,
+        "parallel": (haar(rng, 4), psi, np.exp(0.3j) * psi),
+        "repeated": (psi, psi, haar(rng, 4)),
+        "orthogonal": ([1, 0, 0], [0, 1, 0], [S, S, 0]),
+        "faint": faint_triple(rng, 5, 1e-9),
+    }
+    for name, states in special.items():
+        corpus.triple(name, triple_obj(*states), grid=4096)
+
+    quarter = triple_obj(*QUARTER_TURN)
+    corpus.run("tolerance-product", ["phase", "triple.json", "--tolerance", "0.9"], {"triple.json": quarter})
+    corpus.run("tolerance-canonicalize", ["canonicalize", "triple.json", "--tolerance", "0.9"],
+               {"triple.json": quarter})
+    corpus.run("tolerance-eraser", ["eraser", "triple.json", "--tolerance", "0.75"], {"triple.json": quarter})
+    off_norm = triple_obj(np.array(QUARTER_TURN[0]) * 1.0005, *QUARTER_TURN[1:])
+    corpus.run("norm-rejected", ["phase", "triple.json"], {"triple.json": off_norm})
+    corpus.run("norm-renormalized", ["phase", "triple.json", "--renormalize"], {"triple.json": off_norm})
+
+    for name, state in (("north", [1, 0, 0]), ("south", [0, 0, 1]), ("deficient", [0, S, S * 1j]),
+                        ("qubit", [S, -S * 1j])):
+        corpus.majorana(name, state_obj(state))
+    corpus.from_points("poles", [[0.0, 1.0], [math.pi, 2.0], [1.0, -0.5]])
+    corpus.from_points("coincident", [[1.1, 2.2]] * 4)
+
+    corpus.sweep("plain", math.pi / 6, math.pi / 4, 500)
+    corpus.sweep("json", math.pi / 3, math.pi / 4, 64, "--json")
+    corpus.sweep("degrees", -math.pi / 6, 1.0, 128, "--degrees")
+    corpus.sweep("doubling", 0.02, math.pi / 4, 256)
+    corpus.sweep("too-coarse", 1e-7, math.pi / 4, 64)
+
+    # requests that exit with code 1
+    corpus.run("missing-file", ["phase", "absent.json"])
+    corpus.run("bad-json", ["phase", "triple.json"], {"triple.json": "{not json\n"})
+    corpus.run("short-state", ["phase", "triple.json"],
+               {"triple.json": {"psi1": {"dim": 3, "amplitudes": [[1, 0]]}}})
+    corpus.run("non-finite", ["eraser", "triple.json"],
+               {"triple.json": '{"psi1": {"dim": 2, "amplitudes": [[NaN, 0], [1, 0]]}}\n'})
+    for tolerance in ("-1", "nan", "inf"):
+        corpus.run("bad-tolerance", ["phase", "triple.json", "--tolerance", tolerance], {"triple.json": quarter})
+    corpus.run("unread-flag", ["majorana", "state.json", "--tolerance", "0.5"],
+               {"state.json": state_obj([1, 0])})
+    corpus.run("grid-cap", ["eraser", "triple.json", "--grid", str(2 ** 20 + 1)], {"triple.json": quarter})
+    corpus.run("grid-small", ["eraser", "triple.json", "--grid", "8"], {"triple.json": quarter})
+    corpus.run("steps-cap", ["sweep", "--theta", "0.5", "--phi", "1", "--steps", str(2 ** 20 + 1),
+                             "--out", "sweep.csv"])
+    corpus.run("theta-zero", ["sweep", "--theta", "0", "--phi", "1", "--steps", "64", "--out", "sweep.csv"])
+    corpus.run("bad-points", ["majorana", "--from-points", "points.json"],
+               {"points.json": {"points": [[4.0, 0.0]]}})
+    corpus.run("no-state", ["majorana"])
+    corpus.run("no-command", [])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", help="directory to create; must not exist yet")
+    parser.add_argument("--cases", type=int, default=200, help="number of seeded Haar triples (default 200)")
+    args = parser.parse_args()
+    root = Path(args.outdir).resolve()
+    root.mkdir(parents=True)
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines at the terminal width
+    build(root, args.cases)
+
+
+if __name__ == "__main__":
+    main()

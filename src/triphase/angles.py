@@ -14,8 +14,3 @@ def wrap_angle(x):
     # np.rint ties to even, so odd multiples of pi can land on -pi
     w = np.where(w <= -np.pi, w + TWO_PI, w)
     return float(w) if w.ndim == 0 else w
-
-
-def angle_dist(a, b):
-    """Wrapped angular distance between a and b, in [0, pi]."""
-    return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))

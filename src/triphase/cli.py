@@ -19,12 +19,12 @@ import numpy as np
 
 from .angles import wrap_angle
 from .eraser import EraserConfig, FringeScan, FringeUndefinedError, fringe_pair
-from .majorana import MajoranaSet, points_to_state, state_to_points
+from .majorana import points_to_state, state_to_points
 from .phases import (
     EPS_NULL,
     DegenerateGeodesicError,
     UndefinedPhaseError,
-    bargmann,
+    bargmann_phases,
     canonicalize_triple,
     three_vertex_phase,
 )
@@ -145,23 +145,18 @@ def _state_obj(s: PureState) -> dict:
     return {"dim": s.dim, "amplitudes": _state_pairs(s)}
 
 
-def _overlap_entry(a: PureState, b: PureState) -> dict:
-    v = inner_product(a, b)
-    return {"abs": abs(v), "arg": float(np.angle(v))}
-
-
 def cmd_phase(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
+    o13, o32, o21 = inner_product(psi1, psi3), inner_product(psi3, psi2), inner_product(psi2, psi1)
+    b = o13 * o32 * o21  # the Bargmann product, in bargmann_products' order
     try:
-        gamma = three_vertex_phase(psi1, psi2, psi3, eps_null=args.tolerance)
+        gamma = bargmann_phases(b, eps_null=args.tolerance)
     except UndefinedPhaseError as exc:
         raise UndefinedPhaseError(f"undefined phase: {exc}") from None
     overlaps = {
-        "psi1_psi3": _overlap_entry(psi1, psi3),
-        "psi3_psi2": _overlap_entry(psi3, psi2),
-        "psi2_psi1": _overlap_entry(psi2, psi1),
+        name: {"abs": abs(v), "arg": float(np.angle(v))}
+        for name, v in (("psi1_psi3", o13), ("psi3_psi2", o32), ("psi2_psi1", o21))
     }
-    b = bargmann(psi1, psi2, psi3)
     if args.json:
         _emit_json({"gamma": gamma, "bargmann_abs": abs(b), "overlaps": overlaps})
         return EXIT_OK
@@ -173,7 +168,7 @@ def cmd_phase(args) -> int:
     return EXIT_OK
 
 
-def _parse_points(path: str) -> MajoranaSet:
+def _parse_points(path: str) -> tuple[BlochPoint, ...]:
     obj = _load_json(path)
     pts = obj.get("points") if isinstance(obj, dict) else None
     if not isinstance(pts, list) or not pts:
@@ -185,7 +180,7 @@ def _parse_points(path: str) -> MajoranaSet:
             points.append(BlochPoint(polar, azimuth))
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{path}: point {i}: {exc}") from None
-    return MajoranaSet(tuple(points))
+    return tuple(points)
 
 
 def cmd_majorana(args) -> int:
@@ -201,7 +196,7 @@ def cmd_majorana(args) -> int:
     if not args.state:
         raise CliInputError("majorana needs a state file or --from-points")
     state = _parse_state(_load_json(args.state), renormalize=args.renormalize, label=args.state)
-    points = state_to_points(state).sorted_points()
+    points = state_to_points(state)
     if args.json:
         _emit_json({
             "dim": state.dim,

@@ -6,9 +6,12 @@ the internal part onto psi3 and scanning the path phase delta produces a
 fringe whose constructive point, relative to the unprojected fringe's, is
 shifted by exactly the geometric phase of (psi1, psi2, psi3).
 
-Two computation routes are kept deliberately separate: explicit state
-algebra (composite vectors, projectors, partial traces) and the factored
-fringe law P = (1 + V cos(phase - delta))/2. Tests require them to agree.
+The samples come from explicit state algebra (composite vectors,
+projectors, partial traces); the factored fringe law
+P = (1 + V cos(phase - delta))/2 lives in the tests' reference module, and
+the tests require the two to agree. The projected scan's visibility and
+constructive point come in closed form from the two overlaps with psi3,
+each computed once.
 
 Sampling costs O(N + grid), never O(N * grid). The plain fringe is read off
 the path qubit's reduced density matrix, P(delta) = <delta|rho_path|delta>
@@ -54,7 +57,11 @@ class FringeScan:
     """One sampled fringe and its constructive point.
 
     center is the closed-form constructive point, peak the refined grid
-    argmax (within 2pi/grid_size of center); both lie in (-pi, pi].
+    argmax; both lie in (-pi, pi]. peak lies within 2pi/grid_size of center
+    while the fringe's curvature over one grid step, about
+    visibility * (2pi/grid_size)^2, stands well above the float64 rounding
+    of the samples (~1e-16); the tests check this down to 1e-14. A fainter
+    fringe can put peak several grid steps off.
     """
 
     deltas: np.ndarray
@@ -100,8 +107,7 @@ def output_probability(psi1: PureState, psi2: PureState, psi3: PureState,
     Explicit state algebra end to end, the same route as fringe_scan: build
     the composite vector, apply the internal projector |psi3><psi3| x I,
     which leaves psi3 times a path qubit, renormalize, then take the
-    expectation of I x |delta><delta|. The factored law lives in
-    output_probability_closed_form.
+    expectation of I x |delta><delta|.
     """
     if psi3.dim != psi1.dim:
         raise DimensionMismatchError(f"state dimensions differ: {psi3.dim} != {psi1.dim}")
@@ -111,14 +117,6 @@ def output_probability(psi1: PureState, psi2: PureState, psi3: PureState,
     return float(_projected_fringe(path_spinor, np.exp(-1j * delta)))
 
 
-def output_probability_closed_form(psi1: PureState, psi2: PureState, psi3: PureState,
-                                   delta: float, *, eps_null: float = EPS_NULL) -> float:
-    """Fringe law P = (1 + V cos(arg(<psi1|psi3><psi3|psi2>) - delta))/2."""
-    v = visibility(psi1, psi2, psi3, eps_null=eps_null)
-    center = np.angle(inner_product(psi1, psi3) * inner_product(psi3, psi2))
-    return 0.5 * (1.0 + v * math.cos(float(center) - delta))
-
-
 def visibility(psi1: PureState, psi2: PureState, psi3: PureState,
                *, eps_null: float = EPS_NULL) -> float:
     """Fringe contrast 2|<1|3><3|2>| / (|<3|1>|^2 + |<3|2>|^2), in [0, 1].
@@ -126,11 +124,15 @@ def visibility(psi1: PureState, psi2: PureState, psi3: PureState,
     Equals 1 exactly when the two overlaps with psi3 have equal nonzero
     modulus; errors when both vanish.
     """
-    o31 = abs(inner_product(psi3, psi1))
-    o32 = abs(inner_product(psi3, psi2))
-    if max(o31, o32) <= eps_null:
+    return _contrast(inner_product(psi3, psi1), inner_product(psi3, psi2), eps_null)
+
+
+def _contrast(o31: complex, o32: complex, eps_null: float) -> float:
+    """Fringe contrast from the overlaps <psi3|psi1> and <psi3|psi2>."""
+    a, b = abs(o31), abs(o32)
+    if max(a, b) <= eps_null:
         raise FringeUndefinedError("both overlaps with psi3 vanish")
-    return min(1.0, 2.0 * o31 * o32 / (o31 * o31 + o32 * o32))
+    return min(1.0, 2.0 * a * b / (a * a + b * b))
 
 
 def _refine_argmax(deltas: np.ndarray, probs: np.ndarray) -> float:
@@ -185,8 +187,8 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
             if abs(val) <= eps_null:
                 raise FringeUndefinedError(f"{name} vanishes; constructive point undefined")
         probs = _projected_fringe(_path_spinor(psi1, psi2, psi3), phase_factors)
-        vis = visibility(psi1, psi2, psi3, eps_null=eps_null)
-        center = wrap_angle(float(np.angle(inner_product(psi1, psi3) * o32)))
+        vis = _contrast(o31, o32, eps_null)
+        center = wrap_angle(float(np.angle(o31.conjugate() * o32)))
 
     drift = max(float(-probs.min()), float(probs.max() - 1.0))
     if drift > 1e-12:
@@ -217,7 +219,8 @@ def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState,
     projection, and differences the two closed-form constructive points,
     delta_f of the projected fringe and delta_m of the plain one. Agrees
     with three_vertex_phase on the same triple; the grid readout, the
-    difference of the two scans' peaks, is within 2pi/grid_size of it.
+    difference of the two scans' peaks, is within 2pi/grid_size of it
+    while both fringes are resolved on the grid (see FringeScan).
     """
     projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=eps_null)
     return wrap_angle(projected.center - plain.center)

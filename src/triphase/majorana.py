@@ -1,5 +1,5 @@
 """Conversion between N-dimensional pure states and their Bloch-sphere point
-constellations, plus brute-force oracles in the full multi-qubit space.
+constellations.
 
 Basis convention: the k-th amplitude c_k of a dimension-N state sits on the
 permutation-symmetric (N-1)-qubit basis state with k excitations, so
@@ -17,19 +17,20 @@ inverts state_to_points; the basis states pin it down: (1, 0, ..., 0) maps to
 N-1 points at (0, 0) and (0, ..., 0, 1) to N-1 points at (pi, 0).
 
 Roots are taken as eigenvalues of companion matrices, stacked so that one
-numpy.linalg.eigvals call serves a whole batch of states; at degree
-N-1 <= 12 this is accurate to ~1e-12 on well-conditioned inputs. The array
-kernels (constellation_qubits, symmetric_amplitudes) carry the arithmetic;
-state_to_points and points_to_state wrap them for single states.
+numpy.linalg.eigvals call serves a whole batch of states. On Haar-random
+states the round trip points_to_state(state_to_points(s)) keeps
+1 - |<s|s'>| below 1e-12 at every tested dim up to 61; coincident points
+are less accurate, since eigvals spreads a k-fold root over ~eps^(1/k).
+The array kernels (constellation_qubits, symmetric_amplitudes) carry the
+arithmetic; state_to_points and points_to_state wrap them for single
+states.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,56 +42,7 @@ from .states import (
     bloch_qubits,
 )
 
-MAX_ORACLE_QUBITS = 12     # factorial permutation sum; resource guard
 DEFICIENCY_REL_TOL = 1e-12  # leading coefficients below this (relative) are zero
-
-
-@dataclass(frozen=True)
-class MajoranaSet:
-    """Unordered multiset of Bloch points representing a symmetric state."""
-
-    points: tuple[BlochPoint, ...]
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
-            raise ValueError("a point set must hold at least one point")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def sorted_points(self) -> tuple[BlochPoint, ...]:
-        """Points in (polar, azimuth) order, for stable display."""
-        return tuple(sorted(self.points, key=lambda p: (p.polar, p.azimuth)))
-
-    def matches(self, other: "MajoranaSet", tol: float = 1e-8) -> bool:
-        """Permutation-invariant equality within an angular tolerance.
-
-        True when the points of the two sets can be paired one to one with
-        every pair at most tol apart on the sphere (a perfect matching, found
-        by augmenting paths), so the result does not depend on the arbitrary
-        output order of a root finder.
-        """
-        if len(self) != len(other):
-            return False
-        near = [[j for j, b in enumerate(other.points) if a.sphere_distance(b) <= tol]
-                for a in self.points]
-        owner = [-1] * len(other)  # owner[j]: the point of self paired with other's j
-
-        def augment(i: int, seen: set[int]) -> bool:
-            for j in near[i]:
-                if j not in seen:
-                    seen.add(j)
-                    if owner[j] < 0 or augment(owner[j], seen):
-                        owner[j] = i
-                        return True
-            return False
-
-        return all(augment(i, set()) for i in range(len(self)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,11 +91,13 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
     return out
 
 
-def state_to_points(s: PureState) -> MajoranaSet:
+def state_to_points(s: PureState) -> tuple[BlochPoint, ...]:
     """Point constellation of a state: the N-1 roots (with multiplicity) of
-    its polynomial, mapped to the sphere under the module convention."""
+    its polynomial, mapped to the sphere under the module convention and
+    sorted by (polar, azimuth)."""
     polar, azimuth = bloch_angles(constellation_qubits(s.amplitudes[None, :])[0])
-    return MajoranaSet(tuple(BlochPoint(t, p) for t, p in zip(polar.tolist(), azimuth.tolist())))
+    points = (BlochPoint(t, p) for t, p in zip(polar.tolist(), azimuth.tolist()))
+    return tuple(sorted(points, key=lambda p: (p.polar, p.azimuth)))
 
 
 def symmetric_amplitudes(qubits: np.ndarray) -> np.ndarray:
@@ -163,7 +117,7 @@ def symmetric_amplitudes(qubits: np.ndarray) -> np.ndarray:
     return poly / _binomial_weights(n)
 
 
-def points_to_state(points: Iterable[BlochPoint] | MajoranaSet) -> PureState:
+def points_to_state(points: Iterable[BlochPoint]) -> PureState:
     """Normalized symmetrized product of the qubits at the given points
     (symmetric_amplitudes); the overall normalization is absorbed at the end.
     """
@@ -187,44 +141,3 @@ def product_state(q: PureState, n: int) -> PureState:
     a, b = q.amplitudes
     amps = np.array([math.sqrt(math.comb(n, k)) * a ** (n - k) * b ** k for k in range(n + 1)])
     return PureState.normalized(amps)
-
-
-def symmetrize_full(qubits: Sequence[PureState]) -> np.ndarray:
-    """Average of all coordinate-permuted tensor products, as a raw 2**n vector.
-
-    Brute-force oracle for the symmetric-subspace identification: cost grows
-    as n! * 2**n, guarded at n <= MAX_ORACLE_QUBITS. The result is left
-    unnormalized on purpose, for exact inner-product comparisons.
-    """
-    n = len(qubits)
-    if not 1 <= n <= MAX_ORACLE_QUBITS:
-        raise ValueError(f"oracle supports 1..{MAX_ORACLE_QUBITS} qubits, got {n}")
-    vecs = []
-    for q in qubits:
-        if q.dim != 2:
-            raise DimensionMismatchError(f"expected qubits, got dim {q.dim}")
-        vecs.append(q.amplitudes)
-    acc = np.zeros(2 ** n, dtype=complex)
-    for order in itertools.permutations(range(n)):
-        term = np.ones(1, dtype=complex)
-        for i in order:
-            term = np.kron(term, vecs[i])
-        acc += term
-    return acc / math.factorial(n)
-
-
-def dicke_embed(s: PureState) -> np.ndarray:
-    """Isometric image of a state in the full (N-1)-qubit space.
-
-    Amplitude c_k spreads uniformly over the C(n, k) weight-k bitstrings with
-    coefficient c_k / sqrt(C(n, k)), which preserves inner products exactly.
-    """
-    n = s.dim - 1
-    if s.dim > MAX_ORACLE_QUBITS + 1:
-        raise ValueError(f"embedding supports dim <= {MAX_ORACLE_QUBITS + 1}, got {s.dim}")
-    weights = _binomial_weights(n)
-    out = np.empty(2 ** n, dtype=complex)
-    for idx in range(2 ** n):
-        k = idx.bit_count()
-        out[idx] = s.amplitudes[k] / weights[k]
-    return out

@@ -127,7 +127,7 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState,
     """
     if q2.dim != 2 or q3.dim != 2:
         raise DimensionMismatchError("q2 and q3 must be qubits")
-    points = state_to_points(sym1).sorted_points()
+    points = state_to_points(sym1)
     qubits = bloch_qubits([p.polar for p in points], [p.azimuth for p in points])
     products = bargmann_products(qubits, q2.amplitudes, q3.amplitudes)
     phases = bargmann_phases(products, eps_null=eps_null).tolist()

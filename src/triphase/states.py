@@ -1,7 +1,7 @@
 """Pure states, Bloch points, unitaries, and the linear algebra between them.
 
 All angles are radians. States are rays: a global phase is never stored as
-data, and ray equality is checked through |<a|b>| = 1.
+data, and two states are the same ray when |<a|b>| = 1.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ class BlochPoint:
         st = math.sin(self.polar)
         return np.array([st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)])
 
-    def sphere_distance(self, other: "BlochPoint") -> float:
-        """Geodesic angle to another point, in [0, pi]."""
-        a, b = self.to_cartesian(), other.to_cartesian()
-        return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
-
 
 @dataclass(frozen=True, eq=False)
 class Unitary:
@@ -131,11 +126,6 @@ def inner_product(a: PureState, b: PureState) -> complex:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dimensions differ: {a.dim} != {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """Ray equality: |<a|b>| = 1 within tol."""
-    return abs(abs(inner_product(a, b)) - 1.0) <= tol
 
 
 def bloch_angles(qubits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

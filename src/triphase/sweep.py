@@ -22,7 +22,7 @@ import numpy as np
 from .angles import TWO_PI, wrap_angle
 from .majorana import constellation_qubits, points_to_state, product_state, symmetric_amplitudes
 from .phases import bargmann_phases, bargmann_products
-from .states import PureState, bloch_angles, bloch_qubits, qubit_to_bloch
+from .states import PureState, qubit_to_bloch
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
@@ -104,17 +104,20 @@ def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> tuple[n
 def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
     """Wrapped family phase at every alpha through the constellation route.
 
-    Per block of samples: moving qubits -> Bloch points -> symmetrized
-    product state -> companion-matrix roots -> per-point qubit phases against
-    (q2, q3) -> wrapped sum. The closed forms are not consulted.
+    Per block of samples: moving qubits -> symmetrized product state ->
+    companion-matrix roots as unit qubit rows -> per-point qubit phases
+    against (q2, q3) -> wrapped sum. Rows pass between stages without Bloch
+    angles, which would change only their global phases, and those cancel in
+    the Bargmann products. The closed forms are not consulted.
     """
     _, _, q2, q3 = family_qubits(FamilyParams(theta, phi))
     out = np.empty(alphas.shape)
     for start in range(0, alphas.size, _BLOCK):
         block = np.mod(alphas[start:start + _BLOCK], TWO_PI)
-        psi1 = symmetric_amplitudes(bloch_qubits(*bloch_angles(_moving_qubits(phi, block))))
+        psi1 = symmetric_amplitudes(_moving_qubits(phi, block))
         psi1 /= np.linalg.norm(psi1, axis=-1, keepdims=True)
-        points = bloch_qubits(*bloch_angles(constellation_qubits(psi1)))
+        points = constellation_qubits(psi1)
+        points /= np.linalg.norm(points, axis=-1, keepdims=True)
         phases = bargmann_phases(bargmann_products(points, q2.amplitudes, q3.amplitudes))
         out[start:start + _BLOCK] = wrap_angle(phases.sum(axis=-1))
     return out
@@ -128,8 +131,9 @@ class SweepResult:
     gamma_wrapped its principal value. gamma_pipeline_wrapped re-derives the
     wrapped total through the constellation + triangle route at every sample,
     as an independent cross-check on the closed forms. It is computed for
-    all samples in batched array passes and agrees with decompose_phase on
-    the same family state within 1e-12.
+    all samples in batched array passes that hand qubit rows from stage to
+    stage without Bloch angles, and agrees with decompose_phase on the same
+    family state within 1e-12.
     """
 
     alphas: np.ndarray
@@ -254,20 +258,3 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         gamma_pipeline_wrapped=_pipeline_wrapped(theta, phi, alphas),
         singular_alphas=_locate_steep(alphas, [g1, g2]),
     )
-
-
-def slope_profile(theta_list, phi: float, steps: int) -> list[float]:
-    """Maximum per-component finite-difference slope |d gamma / d alpha| for
-    each theta in (0, pi/2).
-
-    The peak sits at the tangent pole of one component, where the analytic
-    slope is 1/tan(theta/2); it grows without bound as theta shrinks and
-    flattens toward 1 as theta approaches pi/2.
-    """
-    out = []
-    for theta in theta_list:
-        theta = float(theta)
-        if not 0.0 < theta < math.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
-        out.append(sweep_alpha(theta, phi, steps).peak_slope)
-    return out

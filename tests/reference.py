@@ -1,0 +1,118 @@
+"""Reference code and shared inputs for the tests.
+
+Brute-force oracles in the full multi-qubit space, the factored fringe law,
+the comparisons the tests need between angles, rays and point sets, an
+overlap counter, and the textbook qubit triple (|+>, |0>, |y+>), whose phase
+is pi/4. None of it is on a production path.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from triphase import PureState, inner_product, visibility, wrap_angle
+
+MAX_ORACLE_QUBITS = 12  # factorial permutation sum; resource guard
+
+SQRT2 = math.sqrt(2.0)
+ZERO = PureState.basis(2, 0)
+PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
+YPLUS = PureState(np.array([1.0, 1.0j]) / SQRT2)
+
+
+def angle_dist(a, b):
+    """Wrapped angular distance between a and b, in [0, pi]."""
+    return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
+    """Ray equality: |<a|b>| = 1 within tol."""
+    return abs(abs(inner_product(a, b)) - 1.0) <= tol
+
+
+def sphere_distance(a, b) -> float:
+    """Geodesic angle between two BlochPoints, in [0, pi]."""
+    u, v = a.to_cartesian(), b.to_cartesian()
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+
+
+def matches(points, others, tol: float = 1e-8) -> bool:
+    """Permutation-invariant equality of two point multisets: True when the
+    points pair up one to one with every pair at most tol apart on the sphere
+    (a perfect matching, found by augmenting paths), so the result does not
+    depend on the output order of a root finder."""
+    points, others = tuple(points), tuple(others)
+    if len(points) != len(others):
+        return False
+    near = [[j for j, b in enumerate(others) if sphere_distance(a, b) <= tol] for a in points]
+    owner = [-1] * len(others)  # owner[j]: the point paired with others[j]
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(points)))
+
+
+def symmetrize_full(qubits) -> np.ndarray:
+    """Average of all coordinate-permuted tensor products, as a raw 2**n vector.
+
+    Brute-force oracle for the symmetric-subspace identification: cost grows
+    as n! * 2**n, guarded at n <= MAX_ORACLE_QUBITS. The result is left
+    unnormalized on purpose, for exact inner-product comparisons.
+    """
+    n = len(qubits)
+    if not 1 <= n <= MAX_ORACLE_QUBITS:
+        raise ValueError(f"oracle supports 1..{MAX_ORACLE_QUBITS} qubits, got {n}")
+    vecs = [q.amplitudes for q in qubits]
+    acc = np.zeros(2 ** n, dtype=complex)
+    for order in itertools.permutations(range(n)):
+        term = np.ones(1, dtype=complex)
+        for i in order:
+            term = np.kron(term, vecs[i])
+        acc += term
+    return acc / math.factorial(n)
+
+
+def dicke_embed(s: PureState) -> np.ndarray:
+    """Isometric image of a state in the full (N-1)-qubit space.
+
+    Amplitude c_k spreads uniformly over the C(n, k) weight-k bitstrings with
+    coefficient c_k / sqrt(C(n, k)), which preserves inner products exactly.
+    """
+    n = s.dim - 1
+    if s.dim > MAX_ORACLE_QUBITS + 1:
+        raise ValueError(f"embedding supports dim <= {MAX_ORACLE_QUBITS + 1}, got {s.dim}")
+    out = np.empty(2 ** n, dtype=complex)
+    for idx in range(2 ** n):
+        k = idx.bit_count()
+        out[idx] = s.amplitudes[k] / math.sqrt(math.comb(n, k))
+    return out
+
+
+def output_probability_closed_form(psi1: PureState, psi2: PureState, psi3: PureState,
+                                   delta: float) -> float:
+    """Fringe law P = (1 + V cos(arg(<psi1|psi3><psi3|psi2>) - delta))/2, the
+    factored counterpart of the library's explicit state algebra."""
+    v = visibility(psi1, psi2, psi3)
+    center = np.angle(inner_product(psi1, psi3) * inner_product(psi3, psi2))
+    return 0.5 * (1.0 + v * math.cos(float(center) - delta))
+
+
+def count_overlaps(monkeypatch) -> list:
+    """Record each np.vdot and np.vecdot call, i.e. each overlap (or stack of
+    overlaps) the library evaluates, in the returned list."""
+    calls = []
+    for name in ("vdot", "vecdot"):
+        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls

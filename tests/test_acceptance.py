@@ -13,6 +13,7 @@ import sys
 import mpmath
 import numpy as np
 
+from reference import angle_dist, dicke_embed, symmetrize_full
 from triphase import (
     EraserConfig,
     PureState,
@@ -20,7 +21,6 @@ from triphase import (
     bloch_to_qubit,
     canonicalize_triple,
     decompose_phase,
-    dicke_embed,
     extract_geometric_phase,
     fringe_pair,
     fringe_scan,
@@ -29,11 +29,9 @@ from triphase import (
     qubit_to_bloch,
     random_pure_state,
     random_unitary,
-    slope_profile,
     solid_angle_triangle,
     state_to_points,
     sweep_alpha,
-    symmetrize_full,
     three_vertex_phase,
     visibility,
     wrap_angle,
@@ -55,10 +53,6 @@ def criterion(number, label):
             print(f"[acceptance] criterion {number} PASS: {label}")
         return wrapper
     return decorate
-
-
-def wrapped_dist(a, b):
-    return abs(wrap_angle(a - b))
 
 
 def direct_phase_highprec(sym, q2, q3):
@@ -96,7 +90,7 @@ def test_c1_phase_sum_law():
             q3 = random_pure_state(2, seed + 700_000)
             total = decompose_phase(sym, q2, q3).total
             direct = direct_phase_highprec(sym, q2, q3)
-            worst = max(worst, wrapped_dist(total, direct))
+            worst = max(worst, angle_dist(total, direct))
     assert worst <= 1e-9, worst
 
 
@@ -109,7 +103,7 @@ def test_c2_solid_angle_law():
             rng.standard_normal(2) + 1j * rng.standard_normal(2))) for _ in range(3)]
         gamma = three_vertex_phase(*(bloch_to_qubit(p) for p in pts))
         omega = solid_angle_triangle(*pts)
-        worst = max(worst, wrapped_dist(gamma, -omega / 2.0))
+        worst = max(worst, angle_dist(gamma, -omega / 2.0))
     assert worst <= 1e-9, worst
 
 
@@ -123,7 +117,7 @@ def test_c3_unitary_invariance():
             u = random_unitary(dim, seed + 77)
             before = three_vertex_phase(*states)
             after = three_vertex_phase(*(apply_unitary(u, s) for s in states))
-            worst = max(worst, wrapped_dist(before, after))
+            worst = max(worst, angle_dist(before, after))
     assert worst <= 1e-9, worst
 
 
@@ -145,7 +139,7 @@ def test_c4_canonicalization():
                     worst_gram = max(worst_gram, abs(after - before))
             worst_overlap = max(worst_overlap, abs(
                 inner_product(big2, big3) - inner_product(phi2, phi3)))
-            worst_phase = max(worst_phase, wrapped_dist(
+            worst_phase = max(worst_phase, angle_dist(
                 three_vertex_phase(*transformed), three_vertex_phase(*originals)))
     assert worst_gram <= 1e-9, worst_gram
     assert worst_phase <= 1e-9, worst_phase
@@ -187,10 +181,10 @@ def test_c6_eraser_protocol():
             seed = 6_000_000 + 1000 * dim + k
             psi1, psi2, psi3 = (random_pure_state(dim, seed + j) for j in range(3))
             direct = three_vertex_phase(psi1, psi2, psi3)
-            worst_closed = max(worst_closed, wrapped_dist(
+            worst_closed = max(worst_closed, angle_dist(
                 extract_geometric_phase(psi1, psi2, psi3, cfg), direct))
             projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
-            worst_grid = max(worst_grid, wrapped_dist(projected.peak - plain.peak, direct))
+            worst_grid = max(worst_grid, angle_dist(projected.peak - plain.peak, direct))
             scan = fringe_scan(psi1, psi2, psi3, cfg)
             assert np.all(scan.probabilities >= 0.0) and np.all(scan.probabilities <= 1.0)
             contrast = float(scan.probabilities.max() - scan.probabilities.min())
@@ -211,7 +205,7 @@ def test_c7_family_quantitative():
     assert abs(result.winding - 4 * PI) <= 1e-6
 
     thetas = [PI / 3, PI / 6, PI / 12]
-    slopes = slope_profile(thetas, PI / 4, 4096)
+    slopes = [sweep_alpha(theta, PI / 4, 4096).peak_slope for theta in thetas]
     assert slopes[0] < slopes[1] < slopes[2], slopes
     for theta, slope in zip(thetas, slopes):
         assert abs(slope - 1.0 / math.tan(theta / 2)) <= 1e-3, (theta, slope)

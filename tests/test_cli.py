@@ -8,13 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+from reference import SQRT2, count_overlaps
 from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
 from triphase.sweep import MAX_SWEEP_INTERVALS
 from triphase.states import BlochPoint
-
-SQRT2 = math.sqrt(2.0)
 
 
 def state_obj(amplitudes):
@@ -30,11 +29,20 @@ def quarter_turn_triple():
     }
 
 
+def haar_triple(seed, dim):
+    rng = np.random.default_rng(seed)
+    vecs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(3)]
+    return {f"psi{k + 1}": state_obj(list(v / np.linalg.norm(v))) for k, v in enumerate(vecs)}
+
+
+def write_json(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 @pytest.fixture
 def triple_file(tmp_path):
-    path = tmp_path / "triple.json"
-    path.write_text(json.dumps(quarter_turn_triple()))
-    return str(path)
+    return write_json(tmp_path / "triple.json", quarter_turn_triple())
 
 
 def run_cli(args, capsys):
@@ -54,12 +62,18 @@ def test_phase_human_and_json(triple_file, capsys):
     assert set(payload["overlaps"]) == {"psi1_psi3", "psi3_psi2", "psi2_psi1"}
 
 
+def test_phase_evaluates_each_overlap_once(triple_file, capsys, monkeypatch):
+    calls = count_overlaps(monkeypatch)
+    code, out, _ = run_cli(["phase", triple_file], capsys)
+    assert code == 0 and out.startswith("gamma = 0.785398163397")
+    assert len(calls) == 3
+
+
 def test_phase_repeated_state_gives_zero(tmp_path, capsys):
     obj = quarter_turn_triple()
     obj["psi2"] = obj["psi1"]
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, out, _ = run_cli(["phase", str(path), "--json"], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, out, _ = run_cli(["phase", path, "--json"], capsys)
     assert code == 0
     assert json.loads(out)["gamma"] == pytest.approx(0.0, abs=1e-12)
 
@@ -68,9 +82,8 @@ def test_phase_orthogonal_pair_exits_2(tmp_path, capsys):
     obj = quarter_turn_triple()
     obj["psi1"] = state_obj([1 + 0j, 0j])
     obj["psi2"] = state_obj([0j, 1 + 0j])
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, _, err = run_cli(["phase", str(path)], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, _, err = run_cli(["phase", path], capsys)
     assert code == 2
     assert "undefined phase" in err
 
@@ -82,9 +95,8 @@ def test_phase_tolerance_error_reports_the_product(tmp_path, capsys):
         "psi2": state_obj(list(np.array([1, -0.2 + 0j]) / math.sqrt(1.04))),
         "psi3": state_obj([1 + 0j, 0j]),
     }
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run_cli(["phase", str(path), "--tolerance", "0.9"], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, out, err = run_cli(["phase", path, "--tolerance", "0.9"], capsys)
     assert code == 2 and out == ""
     assert err == "error: undefined phase: overlap product modulus 0.888 <= 0.9; phase undefined\n"
 
@@ -95,29 +107,26 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(["phase", str(bad)], capsys)[0] == 1
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"psi1": state_obj([1 + 0j, 0j])}))
-    assert run_cli(["phase", str(wrong)], capsys)[0] == 1
+    wrong = write_json(tmp_path / "wrong.json", {"psi1": state_obj([1 + 0j, 0j])})
+    assert run_cli(["phase", wrong], capsys)[0] == 1
     assert run_cli(["nonsense-command"], capsys)[0] == 1
 
 
 def test_norm_gate_and_renormalize_flag(tmp_path, capsys):
     obj = quarter_turn_triple()
     obj["psi1"] = {"dim": 2, "amplitudes": [[0.7072, 0.0], [0.7072, 0.0]]}  # off by ~1e-4
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, _, err = run_cli(["phase", str(path)], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, _, err = run_cli(["phase", path], capsys)
     assert code == 1 and "--renormalize" in err
-    code, out, _ = run_cli(["phase", str(path), "--renormalize", "--json"], capsys)
+    code, out, _ = run_cli(["phase", path, "--renormalize", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["gamma"] == pytest.approx(math.pi / 4, abs=1e-9)
 
 
 def test_majorana_points_and_roundtrip(tmp_path, capsys):
-    state_path = tmp_path / "s.json"
     s = 1 / SQRT2
-    state_path.write_text(json.dumps(state_obj([s + 0j, 0j, s + 0j])))
-    code, out, _ = run_cli(["majorana", str(state_path), "--json"], capsys)
+    state_path = write_json(tmp_path / "s.json", state_obj([s + 0j, 0j, s + 0j]))
+    code, out, _ = run_cli(["majorana", state_path, "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["dim"] == 3 and "convention" in payload
@@ -136,22 +145,15 @@ def test_majorana_points_and_roundtrip(tmp_path, capsys):
 
 
 def test_majorana_pole_state(tmp_path, capsys):
-    state_path = tmp_path / "s.json"
-    state_path.write_text(json.dumps(state_obj([1 + 0j, 0j, 0j])))
-    code, out, _ = run_cli(["majorana", str(state_path), "--json"], capsys)
+    state_path = write_json(tmp_path / "s.json", state_obj([1 + 0j, 0j, 0j]))
+    code, out, _ = run_cli(["majorana", state_path, "--json"], capsys)
     assert code == 0
     assert json.loads(out)["points"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_canonicalize_json_passes_verification(tmp_path, capsys):
-    rng = np.random.default_rng(17)
-    obj = {}
-    for key in ("psi1", "psi2", "psi3"):
-        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        obj[key] = state_obj(list(vec / np.linalg.norm(vec)))
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, out, _ = run_cli(["canonicalize", str(path), "--json"], capsys)
+    path = write_json(tmp_path / "t.json", haar_triple(17, 4))
+    code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["verification"]["gram_delta"] < 1e-9
@@ -171,9 +173,8 @@ def test_canonicalize_parallel_inputs_note(tmp_path, capsys):
         "psi2": state_obj(list(vec)),
         "psi3": state_obj(list(np.exp(0.4j) * vec)),
     }
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, out, _ = run_cli(["canonicalize", str(path), "--json"], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
     assert code == 0
     assert json.loads(out)["degenerate_frame"] is True
 
@@ -192,17 +193,11 @@ def test_eraser_reports_quarter_turn_and_scan(tmp_path, triple_file, capsys):
 
 
 def test_eraser_grid_resolution_contract(tmp_path, capsys):
-    rng = np.random.default_rng(31)
-    obj = {}
-    for key in ("psi1", "psi2", "psi3"):
-        vec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        obj[key] = state_obj(list(vec / np.linalg.norm(vec)))
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
+    path = write_json(tmp_path / "t.json", haar_triple(31, 3))
 
     def gamma_for(grid, mode):
         code, out, _ = run_cli(
-            ["eraser", str(path), "--grid", str(grid), "--mode", mode, "--json"], capsys)
+            ["eraser", path, "--grid", str(grid), "--mode", mode, "--json"], capsys)
         assert code == 0
         return json.loads(out)["gamma"]
 
@@ -219,13 +214,12 @@ def test_eraser_mode_reads_scan_landmarks(tmp_path, capsys, dim):
     rng = np.random.default_rng(70 + dim)
     vecs = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
     states = [PureState.normalized(v) for v in vecs]
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({f"psi{k + 1}": state_obj(list(s.amplitudes))
-                                for k, s in enumerate(states)}))
+    path = write_json(tmp_path / "t.json", {f"psi{k + 1}": state_obj(list(s.amplitudes))
+                                            for k, s in enumerate(states)})
 
     def eraser(mode, *flags):
         scan = tmp_path / f"{mode}.csv"
-        code, out, _ = run_cli(["eraser", str(path), "--grid", "64", "--mode", mode,
+        code, out, _ = run_cli(["eraser", path, "--grid", "64", "--mode", mode,
                                 "--scan-csv", str(scan), *flags], capsys)
         assert code == 0
         return out.replace(str(scan), "SCAN"), scan.read_bytes()
@@ -245,9 +239,8 @@ def test_eraser_repeated_state(tmp_path, capsys):
     obj = quarter_turn_triple()
     obj["psi2"] = obj["psi1"]
     obj["psi3"] = obj["psi1"]
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, out, _ = run_cli(["eraser", str(path), "--grid", "64", "--json"], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, out, _ = run_cli(["eraser", path, "--grid", "64", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["gamma"] == 0.0
@@ -305,10 +298,9 @@ def test_grid_caps_exit_1(tmp_path, triple_file, capsys):
 def test_non_finite_amplitude_exits_1(tmp_path, capsys, command, bad):
     obj = quarter_turn_triple()
     obj["psi2"]["amplitudes"][0][1] = bad  # written as a bare NaN / Infinity token
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
+    path = write_json(tmp_path / "t.json", obj)
     # even the lax --renormalize norm gate must reject it
-    code, out, err = run_cli([command, str(path), "--json", "--renormalize"], capsys)
+    code, out, err = run_cli([command, path, "--json", "--renormalize"], capsys)
     assert code == 1
     assert out == "" and "norm" in err and "Traceback" not in err
 
@@ -319,9 +311,8 @@ def test_bad_tolerance_exits_1(tmp_path, capsys, command, tolerance):
     obj = quarter_turn_triple()
     obj["psi1"] = state_obj([1 + 0j, 0j])
     obj["psi2"] = state_obj([0j, 1 + 0j])  # orthogonal: no phase, no reference fringe
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(obj))
-    code, out, err = run_cli([command, str(path), "--json", "--tolerance", tolerance], capsys)
+    path = write_json(tmp_path / "t.json", obj)
+    code, out, err = run_cli([command, path, "--json", "--tolerance", tolerance], capsys)
     assert code == 1
     assert out == "" and "--tolerance" in err and "Traceback" not in err
 
@@ -333,12 +324,11 @@ def test_bad_tolerance_exits_1(tmp_path, capsys, command, tolerance):
     ("canonicalize", "--degrees"),
 ])
 def test_flag_the_command_does_not_read_exits_1(tmp_path, triple_file, capsys, command, flag):
-    state = tmp_path / "s.json"
-    state.write_text(json.dumps(quarter_turn_triple()["psi1"]))
+    state = write_json(tmp_path / "s.json", quarter_turn_triple()["psi1"])
     out_csv = tmp_path / "x.csv"
     argv = {
         "sweep": ["sweep", "--theta", "0.5", "--phi", "0.2", "--steps", "64", "--out", str(out_csv)],
-        "majorana": ["majorana", str(state)],
+        "majorana": ["majorana", state],
         "canonicalize": ["canonicalize", triple_file],
     }[command]
     code, out, err = run_cli(argv + [flag], capsys)
@@ -430,9 +420,8 @@ def test_points_file_validation(tmp_path, capsys):
     assert run_cli(["majorana", "--from-points", str(bad)], capsys)[0] == 1
     bad.write_text(json.dumps({"points": [[5.0, 0.0]]}))  # polar out of range
     assert run_cli(["majorana", "--from-points", str(bad)], capsys)[0] == 1
-    good = tmp_path / "ok.json"
-    good.write_text(json.dumps({"points": [[math.pi / 2, 1.0], [0.3, 4.0]]}))
-    code, out, _ = run_cli(["majorana", "--from-points", str(good), "--json"], capsys)
+    good = write_json(tmp_path / "ok.json", {"points": [[math.pi / 2, 1.0], [0.3, 4.0]]})
+    code, out, _ = run_cli(["majorana", "--from-points", good, "--json"], capsys)
     assert code == 0
     vec = np.array([complex(re, im) for re, im in json.loads(out)["amplitudes"]])
     want = points_to_state([BlochPoint(math.pi / 2, 1.0), BlochPoint(0.3, 4.0)])

@@ -8,31 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import PLUS, SQRT2, YPLUS, ZERO, count_overlaps, output_probability_closed_form
 from triphase import (
     EraserConfig,
     FringeUndefinedError,
     PureState,
-    composite_intermediate,
     extract_geometric_phase,
     fringe_pair,
     fringe_scan,
     output_probability,
-    output_probability_closed_form,
     random_pure_state,
     three_vertex_phase,
     visibility,
     wrap_angle,
 )
-from triphase.eraser import MAX_GRID_SIZE
+from triphase.eraser import MAX_GRID_SIZE, composite_intermediate
 
-SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 
 seeds = st.integers(min_value=0, max_value=10**9)
-
-ZERO = PureState.basis(2, 0)
-PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
-YPLUS = PureState(np.array([1.0, 1.0j]) / SQRT2)
 
 
 def test_composite_factorizes_for_equal_arms():
@@ -110,6 +104,44 @@ def test_visibility_never_exceeds_one():
         for row in block:
             states = [PureState.normalized(v) for v in row]
             assert visibility(*states) <= 1.0
+
+
+def faint_triple(seed, dim, overlap):
+    """Haar psi1 and psi2, and a psi3 with |<psi3|psi2>| ~ overlap, so the
+    projected fringe has visibility ~ 2 overlap / |<psi3|psi1>|."""
+    psi1, psi2 = (random_pure_state(dim, seed + k).amplitudes for k in range(2))
+    perp = psi1 - np.vdot(psi2, psi1) * psi2
+    psi3 = perp / np.linalg.norm(perp) + overlap * psi2
+    return PureState(psi1), PureState(psi2), PureState.normalized(psi3)
+
+
+# the peak contract holds while the curvature visibility * step^2 stays
+# above this; measured peak - center at 1e-14 is 0.1 of a step at most
+PEAK_CURVATURE_FLOOR = 1e-14
+
+
+@pytest.mark.parametrize("grid", [256, 4096])
+def test_faint_fringe_peak_within_a_grid_step(grid):
+    cfg = EraserConfig(grid_size=grid)
+    step = TWO_PI / grid
+    faintest = 1.0
+    for seed in range(40):
+        for overlap in np.logspace(-2, -11, 19):
+            scan = fringe_scan(*faint_triple(seed, 2 + seed % 5, overlap), cfg)
+            if scan.visibility * step ** 2 < PEAK_CURVATURE_FLOOR:
+                continue
+            assert abs(wrap_angle(scan.peak - scan.center)) <= step, (seed, overlap)
+            faintest = min(faintest, scan.visibility)
+    # the checked fringes reach down to within 10x of the floor
+    assert faintest * step ** 2 < 10 * PEAK_CURVATURE_FLOOR
+
+
+def test_projected_scan_evaluates_each_overlap_once(monkeypatch):
+    calls = count_overlaps(monkeypatch)
+    fringe_scan(PLUS, ZERO, YPLUS, EraserConfig(grid_size=64))
+    assert len(calls) == 2  # <psi3|psi1> and <psi3|psi2>
+    extract_geometric_phase(PLUS, ZERO, YPLUS, EraserConfig(grid_size=64))
+    assert len(calls) == 2 + 3  # the same two, and <psi1|psi2> for the plain scan
 
 
 def test_fringe_scan_plain_reference():

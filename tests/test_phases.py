@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import PLUS, YPLUS, ZERO, angle_dist, sphere_distance
 from triphase import (
     BlochPoint,
     DegenerateGeodesicError,
@@ -25,20 +26,9 @@ from triphase import (
     random_unitary,
     solid_angle_triangle,
     three_vertex_phase,
-    wrap_angle,
 )
 
-SQRT2 = math.sqrt(2.0)
-
 seeds = st.integers(min_value=0, max_value=10**9)
-
-ZERO = PureState.basis(2, 0)
-PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
-YPLUS = PureState(np.array([1.0, 1.0j]) / SQRT2)
-
-
-def wrapped_close(a, b, tol):
-    return abs(wrap_angle(a - b)) <= tol
 
 
 # --- bargmann product --------------------------------------------------------
@@ -98,7 +88,7 @@ def test_phase_cyclic_and_antisymmetric(s1, s2, s3, dim):
     assert three_vertex_phase(b, c, a) == pytest.approx(gamma, abs=1e-12)
     assert three_vertex_phase(c, a, b) == pytest.approx(gamma, abs=1e-12)
     assert bargmann(b, a, c) == pytest.approx(np.conj(bargmann(a, b, c)), abs=1e-14)
-    assert wrapped_close(three_vertex_phase(b, a, c), -gamma, 1e-12)
+    assert angle_dist(three_vertex_phase(b, a, c), -gamma) <= 1e-12
 
 
 # --- solid angle -------------------------------------------------------------
@@ -134,7 +124,7 @@ def test_qubit_phase_is_minus_half_solid_angle(seed):
     except UndefinedPhaseError:
         return
     omega = solid_angle_triangle(*pts)
-    assert wrapped_close(gamma, -omega / 2.0, 1e-9)
+    assert angle_dist(gamma, -omega / 2.0) <= 1e-9
 
 
 # --- decomposition -----------------------------------------------------------
@@ -156,7 +146,7 @@ def test_decompose_component_with_repeated_vertex_is_zero():
     pts = [qubit_to_bloch(q2), BlochPoint(0.4, 1.0), BlochPoint(2.2, 4.0)]
     result = decompose_phase(points_to_state(pts), q2, q3)
     matching = [g for tri, g in zip(result.triangles, result.qubit_phases)
-                if tri[0].sphere_distance(qubit_to_bloch(q2)) < 1e-8]
+                if sphere_distance(tri[0], qubit_to_bloch(q2)) < 1e-8]
     assert len(matching) == 1
     assert abs(matching[0]) < 1e-9
 
@@ -169,7 +159,7 @@ def test_decompose_reports_component_phases_and_triangles():
     assert len(result.triangles) == 3
     assert all(tri[1] == qubit_to_bloch(q2) and tri[2] == qubit_to_bloch(q3)
                for tri in result.triangles)
-    assert wrapped_close(result.total, math.fsum(result.qubit_phases), 1e-12)
+    assert angle_dist(result.total, math.fsum(result.qubit_phases)) <= 1e-12
     assert all(-math.pi < g <= math.pi for g in result.qubit_phases)
 
 
@@ -194,7 +184,7 @@ def test_decompose_total_matches_direct_phase(s1, s2, s3, dim):
     # the direct route loses precision when the overlap product nearly
     # cancels; its arg error scales like eps over the product modulus
     tol = 1e-9 + 1e-14 / abs(bargmann(sym, big2, big3))
-    assert wrapped_close(total, direct, tol)
+    assert angle_dist(total, direct) <= tol
 
 
 # --- canonicalization --------------------------------------------------------
@@ -225,7 +215,7 @@ def check_canonical(phi1, phi2, phi3, tol=1e-9):
         before = three_vertex_phase(*originals)
     except UndefinedPhaseError:
         return result
-    assert wrapped_close(three_vertex_phase(*transformed), before, tol)
+    assert angle_dist(three_vertex_phase(*transformed), before) <= tol
     return result
 
 
@@ -270,4 +260,4 @@ def test_phase_invariant_under_unitaries(seed, useed, dim):
     except UndefinedPhaseError:
         return
     after = three_vertex_phase(*(apply_unitary(u, s) for s in states))
-    assert wrapped_close(after, before, 1e-9)
+    assert angle_dist(after, before) <= 1e-9

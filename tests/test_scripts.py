@@ -33,3 +33,14 @@ def test_run_family_sweep_writes_one_csv_per_theta(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped"
         assert len(lines) == 66
+
+
+def test_cli_corpus_runs_are_identical(tmp_path):
+    trees = []
+    for name in ("first", "second"):
+        root = tmp_path / name
+        proc = run_script("cli_corpus.py", str(root), "--cases", "3")
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+    assert {trees[0][p] for p in trees[0] if p.name == "exit"} == {b"0\n", b"1\n", b"2\n"}

