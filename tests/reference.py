@@ -1,9 +1,10 @@
 """Reference code and shared inputs for the tests.
 
 Brute-force oracles in the full multi-qubit space, the factored fringe law,
-the comparisons the tests need between angles, rays and point sets, an
-overlap counter, and the textbook qubit triple (|+>, |0>, |y+>), whose phase
-is pi/4. None of it is on a production path.
+the comparisons the tests need between angles, rays and point sets, the
+companion-matrix root finder, overlap and eigvals counters, and the textbook
+qubit triple (|+>, |0>, |y+>), whose phase is pi/4. None of it is on a
+production path.
 """
 
 import itertools
@@ -115,4 +116,30 @@ def count_overlaps(monkeypatch) -> list:
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def companion_roots(coeffs) -> np.ndarray:
+    """Roots of the polynomial with descending coefficients `coeffs` (nonzero
+    leading one), as the eigenvalues of its companion matrix: the route
+    constellation_qubits takes for degree >= 3, here at any degree."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    degree = coeffs.size - 1
+    companion = np.zeros((degree, degree), dtype=complex)
+    companion[0] = -coeffs[1:] / coeffs[0]
+    companion[np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def count_eigvals(monkeypatch) -> list:
+    """Record each np.linalg.eigvals call, i.e. each (stacked) companion-matrix
+    root solve the library makes, in the returned list."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     return calls

@@ -12,6 +12,7 @@ from reference import SQRT2, count_overlaps
 from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
+from triphase.majorana import MAX_DIM
 from triphase.sweep import MAX_SWEEP_INTERVALS
 from triphase.states import BlochPoint
 
@@ -291,6 +292,16 @@ def test_grid_caps_exit_1(tmp_path, triple_file, capsys):
     assert not (tmp_path / "x.csv").exists()
     code, _, err = run_cli(["eraser", triple_file, "--grid", str(MAX_GRID_SIZE + 1)], capsys)
     assert code == 1 and "grid_size" in err
+
+
+def test_constellation_cap_exits_1(tmp_path, capsys):
+    # validation only: a state one dim past the cap, and MAX_DIM points
+    state = write_json(tmp_path / "state.json", state_obj([1.0 + 0j] + [0j] * MAX_DIM))
+    code, out, err = run_cli(["majorana", state], capsys)
+    assert code == 1 and out == "" and "MAX_DIM" in err and "Traceback" not in err
+    points = write_json(tmp_path / "points.json", {"points": [[0.5, 1.0]] * MAX_DIM})
+    code, out, err = run_cli(["majorana", "--from-points", points], capsys)
+    assert code == 1 and out == "" and "MAX_DIM" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

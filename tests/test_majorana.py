@@ -1,13 +1,23 @@
 """Constellation conversions against the brute-force symmetrization oracle."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SQRT2, dicke_embed, matches, sphere_distance, symmetrize_full
+from reference import (
+    SQRT2,
+    companion_roots,
+    count_eigvals,
+    dicke_embed,
+    matches,
+    sphere_distance,
+    symmetrize_full,
+)
 from triphase import (
     BlochPoint,
     PureState,
@@ -19,7 +29,7 @@ from triphase import (
     random_pure_state,
     state_to_points,
 )
-from triphase.majorana import constellation_qubits
+from triphase.majorana import MAX_DIM, constellation_qubits
 from triphase.states import bloch_angles
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -197,9 +207,10 @@ def test_degenerate_root_cluster_survives_roundtrip():
     assert fidelity >= 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("dim", [2, 5, 13, 21, 41, 61])
+@pytest.mark.parametrize("dim", [2, 5, 13, 21, 41, 61, *range(62, MAX_DIM + 1)])
 def test_haar_roundtrip_accuracy_up_to_dim_61(dim):
-    # the accuracy the module docstring states; measured worst 2.2e-16
+    # the accuracy the module docstring states, at every dim up to MAX_DIM;
+    # measured worst 2.2e-16 up to dim 76, 1.3e-4 at dim 78
     for seed in range(20):
         s = random_pure_state(dim, 1000 * dim + seed)
         assert 1.0 - abs(inner_product(s, points_to_state(state_to_points(s)))) <= 1e-12
@@ -213,10 +224,15 @@ def stacked_sets(amplitudes):
             for row_t, row_p in zip(polar.tolist(), azimuth.tolist())]
 
 
+def polynomial(amplitudes):
+    """Descending coefficients of the state's polynomial, in float."""
+    n = len(amplitudes) - 1
+    return np.array([(-1) ** k * math.sqrt(math.comb(n, k)) for k in range(n + 1)]) * amplitudes
+
+
 def roots_reference(s):
     """Constellation through numpy.roots, stripping exact leading zeros."""
-    n = s.dim - 1
-    coeffs = np.array([(-1) ** k * math.sqrt(math.comb(n, k)) for k in range(n + 1)]) * s.amplitudes
+    coeffs = polynomial(s.amplitudes)
     lead = int(np.flatnonzero(coeffs)[0])
     pts = [BlochPoint(math.pi, 0.0)] * lead
     pts += [BlochPoint(2 * math.atan(abs(z)), float(np.angle(z))) for z in np.roots(coeffs[lead:])]
@@ -258,6 +274,111 @@ def test_stacked_kernel_rejects_non_finite_and_zero_rows():
     for bad in ([[np.nan, 1.0, 0.0]], [[np.inf, 0.0, 0.0]], [[0.0, 0.0, 0.0]]):
         with pytest.raises(ValueError):
             constellation_qubits(np.vstack([good, bad]))
+
+
+# --- closed-form roots of degree <= 2 --------------------------------------
+
+EPS = 2.0 ** -52
+MP_DIGITS = 50
+
+
+def exact_roots(amplitudes):
+    """Finite roots of the polynomial of the float amplitudes, taken as exact,
+    to MP_DIGITS digits."""
+    n = len(amplitudes) - 1
+    coeffs = [(-1) ** k * mpmath.sqrt(math.comb(n, k)) * mpmath.mpc(c.real, c.imag)
+              for k, c in enumerate(amplitudes)]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return mpmath.polyroots(coeffs, maxsteps=500, extraprec=500)
+
+
+def root_error(roots, exact):
+    """Largest sphere distance between paired roots, paired up to permutation."""
+    def dist(z, w):  # sin(half the sphere distance) between z and w
+        z = mpmath.mpc(complex(z).real, complex(z).imag)
+        return abs(z - w) / mpmath.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2))
+
+    return min(max(2 * float(mpmath.asin(dist(z, w))) for z, w in zip(order, exact))
+               for order in itertools.permutations(roots))
+
+
+def closed_form_and_eigvals_errors(amplitudes):
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    rows = constellation_qubits(amplitudes[None, :])[0]
+    coeffs = polynomial(amplitudes)
+    lead = int(np.flatnonzero(coeffs)[0])
+    assert np.all(rows[:lead] == [0, 1])  # south-pole rows
+    with mpmath.workdps(MP_DIGITS):
+        exact = exact_roots(amplitudes)
+        return root_error(rows[lead:, 1], exact), root_error(companion_roots(coeffs[lead:]), exact)
+
+
+def distinct_root_cases():
+    rng = np.random.default_rng(11)
+
+    def draw(k):
+        return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+    def near_antipodes(p, nudge):
+        azimuth = (p.azimuth + math.pi + nudge) % (2 * math.pi)
+        return [p, BlochPoint(math.pi - p.polar + nudge, azimuth)]
+
+    for dim in (2, 3):
+        for seed in range(60):
+            yield random_pure_state(dim, 31 * dim + seed).amplitudes
+    for _ in range(10):
+        # deficient rows that leave degree 1 or 2
+        yield np.concatenate([[0], draw(2)])
+        yield np.concatenate([[0], draw(3)])
+        yield np.concatenate([[0, 0], draw(2)])
+        yield np.concatenate([[0, 0], draw(3)])
+        yield np.concatenate([[0, 0, 0], draw(2)])
+        # b = 0, and a root at z = 0 (a north-pole point)
+        a, c = draw(2)
+        yield np.array([a, 0, c])
+        p = random_points(rng, 1)[0]
+        yield points_to_state([BlochPoint(0.0, 0.0), p]).amplitudes
+        for nudge in (0.0, 1e-9, 1e-5):
+            yield points_to_state(near_antipodes(p, nudge)).amplitudes
+
+
+def test_closed_form_roots_match_mpmath_as_well_as_eigvals():
+    for amplitudes in distinct_root_cases():
+        closed, eig = closed_form_and_eigvals_errors(amplitudes)
+        assert closed <= eig + 4 * EPS, (amplitudes, closed, eig)
+
+
+def test_closed_form_double_root_within_cluster_bound():
+    # the eps^(1/k) bound of test_product_state_collapses_to_coincident_points
+    for seed in range(20):
+        double = product_state(random_pure_state(2, seed), 2)
+        closed, _ = closed_form_and_eigvals_errors(double.amplitudes)
+        assert closed <= max(1e-6, 20 * 2.2e-16 ** (1 / 2))
+
+
+def test_closed_form_roots_do_not_depend_on_amplitude_scale():
+    # the roots come from coefficient ratios, so huge or tiny finite rows
+    # neither overflow nor underflow
+    for dim in (2, 3):
+        row = random_pure_state(dim, dim).amplitudes[None, :]
+        base = constellation_qubits(row)
+        for scale in (1e200, 1e-200):
+            assert np.allclose(constellation_qubits(scale * row), base, rtol=1e-14, atol=0.0)
+
+
+def test_eigvals_runs_only_for_degree_3_and_up(monkeypatch):
+    calls = count_eigvals(monkeypatch)
+    for dim in (2, 3):
+        state_to_points(random_pure_state(dim, dim))
+    assert calls == []
+    # dim 6: deficiencies 0..5 leave degrees 5, 4, 3, 2, 1 and none
+    rng = np.random.default_rng(6)
+    amps = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+    for row in range(12):
+        amps[row, :row % 6] = 0.0
+    constellation_qubits(amps)
+    assert sorted(calls) == [(2, 3, 3), (2, 4, 4), (2, 5, 5)]
 
 
 # --- multiset matching -------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import angle_dist, dicke_embed, symmetrize_full
+from reference import angle_dist, count_eigvals, dicke_embed, symmetrize_full
 from triphase import (
     FamilyParams,
     GridTooCoarseError,
@@ -136,6 +136,14 @@ def test_batched_pipeline_matches_scalar_decomposition():
     for i in (0, 4095, 4096, 4500):
         scalar = scalar_pipeline(PI / 6, 1.0, result.alphas[i])
         assert angle_dist(result.gamma_pipeline_wrapped[i], scalar) <= 1e-12, i
+
+
+def test_sweep_cross_check_takes_quadratic_roots_in_closed_form(monkeypatch):
+    # the family state is a qutrit: its two points come from the quadratic
+    # formula, never from a companion-matrix eigvals call
+    calls = count_eigvals(monkeypatch)
+    result = sweep_alpha(PI / 3, PI / 4, 1024)
+    assert result.alphas.size == 1025 and calls == []
 
 
 def test_sweep_grid_too_coarse_for_extreme_theta():
