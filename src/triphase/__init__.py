@@ -9,8 +9,6 @@ from .eraser import (
     extract_geometric_phase,
     fringe_pair,
     fringe_scan,
-    output_probability,
-    visibility,
 )
 from .majorana import (
     points_to_state,
@@ -77,7 +75,6 @@ __all__ = [
     "fringe_pair",
     "fringe_scan",
     "inner_product",
-    "output_probability",
     "points_to_state",
     "product_state",
     "qubit_to_bloch",
@@ -87,6 +84,5 @@ __all__ = [
     "state_to_points",
     "sweep_alpha",
     "three_vertex_phase",
-    "visibility",
     "wrap_angle",
 ]

@@ -28,7 +28,7 @@ from .phases import (
     canonicalize_triple,
     three_vertex_phase,
 )
-from .states import BlochPoint, PureState, inner_product
+from .states import NORM_TOL, BlochPoint, PureState, inner_product
 from .sweep import GridTooCoarseError, SweepResult, sweep_alpha
 
 EXIT_OK = 0
@@ -115,7 +115,7 @@ def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
     except (TypeError, ValueError):
         raise CliInputError(f"{label}: amplitudes must be [re, im] number pairs") from None
     norm = float(np.linalg.norm(vec))
-    tol = 1e-3 if renormalize else 1e-6
+    tol = 1e-3 if renormalize else NORM_TOL
     if not abs(norm - 1.0) <= tol:  # also rejects NaN and inf
         hint = "" if renormalize else "; pass --renormalize to accept up to 1e-3"
         raise CliInputError(f"{label}: norm is {norm:.9g}, not 1 within {tol:g}{hint}")

@@ -19,6 +19,12 @@ the path qubit's reduced density matrix, P(delta) = <delta|rho_path|delta>
 projected one off the path qubit left after the projection onto psi3. The
 delta grid and its phase factors are built once per grid size and shared,
 read-only, by every scan at that size.
+
+One rule decides when there is no fringe to read: each overlap a fringe
+needs must have modulus above eps_null (default EPS_NULL), <psi1|psi2> for
+the plain fringe and <psi3|psi1>, <psi3|psi2> for the projected one.
+fringe_scan applies it and raises FringeUndefinedError naming the overlap;
+fringe_pair and extract_geometric_phase go through fringe_scan.
 """
 
 from __future__ import annotations
@@ -99,42 +105,6 @@ def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
-def output_probability(psi1: PureState, psi2: PureState, psi3: PureState,
-                       delta: float, *, eps_null: float = EPS_NULL) -> float:
-    """Detection probability at path offset delta after projecting the
-    internal state onto psi3.
-
-    Explicit state algebra end to end, the same route as fringe_scan: build
-    the composite vector, apply the internal projector |psi3><psi3| x I,
-    which leaves psi3 times a path qubit, renormalize, then take the
-    expectation of I x |delta><delta|.
-    """
-    if psi3.dim != psi1.dim:
-        raise DimensionMismatchError(f"state dimensions differ: {psi3.dim} != {psi1.dim}")
-    path_spinor = _path_spinor(psi1, psi2, psi3)
-    if np.max(np.abs(path_spinor)) <= eps_null:
-        raise FringeUndefinedError("projection onto psi3 annihilates the state")
-    return float(_projected_fringe(path_spinor, np.exp(-1j * delta)))
-
-
-def visibility(psi1: PureState, psi2: PureState, psi3: PureState,
-               *, eps_null: float = EPS_NULL) -> float:
-    """Fringe contrast 2|<1|3><3|2>| / (|<3|1>|^2 + |<3|2>|^2), in [0, 1].
-
-    Equals 1 exactly when the two overlaps with psi3 have equal nonzero
-    modulus; errors when both vanish.
-    """
-    return _contrast(inner_product(psi3, psi1), inner_product(psi3, psi2), eps_null)
-
-
-def _contrast(o31: complex, o32: complex, eps_null: float) -> float:
-    """Fringe contrast from the overlaps <psi3|psi1> and <psi3|psi2>."""
-    a, b = abs(o31), abs(o32)
-    if max(a, b) <= eps_null:
-        raise FringeUndefinedError("both overlaps with psi3 vanish")
-    return min(1.0, 2.0 * a * b / (a * a + b * b))
-
-
 def _refine_argmax(deltas: np.ndarray, probs: np.ndarray) -> float:
     """Peak location by cyclic quadratic interpolation around the argmax."""
     j = int(np.argmax(probs))
@@ -165,7 +135,9 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     With psi3 the projected (eraser) fringe is scanned, without it the plain
     two-path fringe. Sampling always goes through the explicit state
     algebra, at O(N + grid) cost; the scan carries both the closed-form
-    constructive point and the refined grid argmax.
+    constructive point and the refined grid argmax. Raises
+    FringeUndefinedError when an overlap the fringe needs has modulus at
+    most eps_null.
     """
     deltas, phase_factors = _delta_grid(cfg.grid_size)
 
@@ -187,7 +159,8 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
             if abs(val) <= eps_null:
                 raise FringeUndefinedError(f"{name} vanishes; constructive point undefined")
         probs = _projected_fringe(_path_spinor(psi1, psi2, psi3), phase_factors)
-        vis = _contrast(o31, o32, eps_null)
+        a, b = abs(o31), abs(o32)
+        vis = min(1.0, 2.0 * a * b / (a * a + b * b))
         center = wrap_angle(float(np.angle(o31.conjugate() * o32)))
 
     drift = max(float(-probs.min()), float(probs.max() - 1.0))
@@ -211,8 +184,7 @@ def fringe_pair(psi1: PureState, psi2: PureState, psi3: PureState,
 
 
 def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState,
-                            cfg: EraserConfig = EraserConfig(),
-                            *, eps_null: float = EPS_NULL) -> float:
+                            cfg: EraserConfig = EraserConfig()) -> float:
     """Geometric phase as the fringe shift delta_f - delta_m, in (-pi, pi].
 
     Runs the scan twice (fringe_pair), with and without the final
@@ -222,5 +194,5 @@ def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState,
     difference of the two scans' peaks, is within 2pi/grid_size of it
     while both fringes are resolved on the grid (see FringeScan).
     """
-    projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=eps_null)
+    projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
     return wrap_angle(projected.center - plain.center)

@@ -50,6 +50,7 @@ from .states import (
 
 DEFICIENCY_REL_TOL = 1e-12  # leading coefficients below this (relative) are zero
 MAX_DIM = 64  # largest dimension on the constellation path, in both directions
+MAX_POWER = 1029  # largest product_state power: C(n, n/2) overflows float64 from n = 1030
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,12 +167,14 @@ def product_state(q: PureState, n: int) -> PureState:
     """n-fold tensor power of a qubit, written in the excitation basis.
 
     Amplitude on k excitations is sqrt(C(n, k)) a^(n-k) b^k; equals
-    points_to_state of n coincident points.
+    points_to_state of n coincident points. Raises ValueError for n outside
+    [1, MAX_POWER].
     """
     if q.dim != 2:
         raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_POWER:
+        raise ValueError(f"n must lie in [1, MAX_POWER = {MAX_POWER}], got {n}")
     a, b = q.amplitudes
-    amps = np.array([math.sqrt(math.comb(n, k)) * a ** (n - k) * b ** k for k in range(n + 1)])
+    weights = _binomial_weights(n)
+    amps = np.array([weights[k] * a ** (n - k) * b ** k for k in range(n + 1)])
     return PureState.normalized(amps)

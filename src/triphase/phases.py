@@ -117,8 +117,7 @@ class PhaseDecomposition:
     triangles: tuple[tuple[BlochPoint, BlochPoint, BlochPoint], ...]
 
 
-def decompose_phase(sym1: PureState, q2: PureState, q3: PureState,
-                    *, eps_null: float = EPS_NULL) -> PhaseDecomposition:
+def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecomposition:
     """Split the phase of (sym1, q2^(N-1), q3^(N-1)) into N-1 qubit phases.
 
     Each constellation point of sym1 contributes the phase of the qubit
@@ -130,7 +129,7 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState,
     points = state_to_points(sym1)
     qubits = bloch_qubits([p.polar for p in points], [p.azimuth for p in points])
     products = bargmann_products(qubits, q2.amplitudes, q3.amplitudes)
-    phases = bargmann_phases(products, eps_null=eps_null).tolist()
+    phases = bargmann_phases(products).tolist()
     b2, b3 = qubit_to_bloch(q2), qubit_to_bloch(q3)
     triangles = tuple((point, b2, b3) for point in points)
     return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), triangles)
@@ -179,7 +178,8 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     of the two tensor powers, both orthonormalized the same way (second
     vector is the Gram-Schmidt remainder scaled by its positive norm), and is
     completed deterministically on the orthogonal complement. All pairwise
-    overlaps, and hence the phase, are preserved.
+    overlaps, and hence the phase, are preserved. Takes dims up to
+    MAX_POWER + 1 = 1030 (product_state's cap); above, raises ValueError.
     """
     if not (phi1.dim == phi2.dim == phi3.dim):
         raise DimensionMismatchError(

@@ -208,11 +208,13 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
 
     Per-qubit phase series are unwrapped by nearest-branch continuation. The
     grid doubles automatically, up to 2**20 intervals, while the analytic
-    slope bound 2/|tan(theta/2)| predicts inter-sample jumps above pi/2 or an
-    observed unwrapped jump exceeds 0.9 pi; past the cap the sweep raises
-    GridTooCoarseError rather than silently alias a branch. The constellation
-    cross-check runs batched in fixed-size blocks, so memory stays flat and
-    even a 2**20-interval sweep takes seconds.
+    slope bound 2/|tan(theta/2)| predicts inter-sample jumps above pi/2;
+    past the cap the sweep raises GridTooCoarseError rather than silently
+    alias a branch. Each component's true slope is at most half that bound,
+    so no step of the chosen grid exceeds pi/4. A post-check raises
+    GridTooCoarseError should an unwrapped jump still exceed 0.9 pi. The
+    constellation cross-check runs batched in fixed-size blocks, so memory
+    stays flat and even a 2**20-interval sweep takes seconds.
 
     Raises ValueError for steps outside [64, 2**20], theta outside
     (-pi/2, pi/2) or zero, and non-finite phi.
@@ -235,18 +237,13 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
             f"the phase moves up to {max_slope:.3g} rad per unit alpha"
         )
 
-    while True:
-        alphas = np.linspace(0.0, TWO_PI, intervals + 1)
-        raw1, raw2 = _closed_form_arrays(theta, phi, alphas)
-        g1, g2 = np.unwrap(raw1), np.unwrap(raw2)
-        jump = max(float(np.max(np.abs(np.diff(g1)))), float(np.max(np.abs(np.diff(g2)))))
-        if jump <= _JUMP_LIMIT:
-            break
-        if intervals * 2 > MAX_SWEEP_INTERVALS:
-            raise GridTooCoarseError(
-                f"unwrapped jump {jump:.3g} rad persists at {intervals} intervals"
-            )
-        intervals *= 2
+    alphas = np.linspace(0.0, TWO_PI, intervals + 1)
+    raw1, raw2 = _closed_form_arrays(theta, phi, alphas)
+    g1, g2 = np.unwrap(raw1), np.unwrap(raw2)
+    # post-check only: the grid above already bounds every step by pi/4
+    jump = max(float(np.max(np.abs(np.diff(g1)))), float(np.max(np.abs(np.diff(g2)))))
+    if jump > _JUMP_LIMIT:
+        raise GridTooCoarseError(f"unwrapped jump {jump:.3g} rad at {intervals} intervals")
 
     total = g1 + g2
     return SweepResult(

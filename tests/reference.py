@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from triphase import PureState, inner_product, visibility, wrap_angle
+from triphase import PureState, inner_product, wrap_angle
 
 MAX_ORACLE_QUBITS = 12  # factorial permutation sum; resource guard
 
@@ -99,9 +99,11 @@ def dicke_embed(s: PureState) -> np.ndarray:
 
 def output_probability_closed_form(psi1: PureState, psi2: PureState, psi3: PureState,
                                    delta: float) -> float:
-    """Fringe law P = (1 + V cos(arg(<psi1|psi3><psi3|psi2>) - delta))/2, the
-    factored counterpart of the library's explicit state algebra."""
-    v = visibility(psi1, psi2, psi3)
+    """Fringe law P = (1 + V cos(arg(<psi1|psi3><psi3|psi2>) - delta))/2 with
+    V = 2|o31||o32| / (|o31|^2 + |o32|^2), o3k = <psi3|psik>: the factored
+    counterpart of the library's explicit state algebra."""
+    a, b = abs(inner_product(psi3, psi1)), abs(inner_product(psi3, psi2))
+    v = 2.0 * a * b / (a * a + b * b)
     center = np.angle(inner_product(psi1, psi3) * inner_product(psi3, psi2))
     return 0.5 * (1.0 + v * math.cos(float(center) - delta))
 

@@ -33,7 +33,6 @@ from triphase import (
     state_to_points,
     sweep_alpha,
     three_vertex_phase,
-    visibility,
     wrap_angle,
 )
 
@@ -188,8 +187,7 @@ def test_c6_eraser_protocol():
             scan = fringe_scan(psi1, psi2, psi3, cfg)
             assert np.all(scan.probabilities >= 0.0) and np.all(scan.probabilities <= 1.0)
             contrast = float(scan.probabilities.max() - scan.probabilities.min())
-            worst_contrast = max(worst_contrast, abs(
-                contrast - visibility(psi1, psi2, psi3)))
+            worst_contrast = max(worst_contrast, abs(contrast - scan.visibility))
     assert worst_closed <= 1e-9, worst_closed
     assert worst_grid <= TWO_PI / grid, worst_grid
     assert worst_contrast <= (PI / grid) ** 2 + 1e-12, worst_contrast

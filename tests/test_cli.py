@@ -12,7 +12,7 @@ from reference import SQRT2, count_overlaps
 from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
-from triphase.majorana import MAX_DIM
+from triphase.majorana import MAX_DIM, MAX_POWER
 from triphase.sweep import MAX_SWEEP_INTERVALS
 from triphase.states import BlochPoint
 
@@ -302,6 +302,16 @@ def test_constellation_cap_exits_1(tmp_path, capsys):
     points = write_json(tmp_path / "points.json", {"points": [[0.5, 1.0]] * MAX_DIM})
     code, out, err = run_cli(["majorana", "--from-points", points], capsys)
     assert code == 1 and out == "" and "MAX_DIM" in err and "Traceback" not in err
+
+
+def test_canonicalize_power_cap_exits_1(tmp_path, capsys):
+    # validation only: one dim past the cap fails before any tensor power is built
+    dim = MAX_POWER + 2
+    basis = [[1.0 + 0j if k == i else 0j for k in range(dim)] for i in range(3)]
+    triple = write_json(tmp_path / "triple.json",
+                        {f"psi{i + 1}": state_obj(v) for i, v in enumerate(basis)})
+    code, out, err = run_cli(["canonicalize", triple], capsys)
+    assert code == 1 and out == "" and "MAX_POWER" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

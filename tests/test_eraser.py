@@ -1,6 +1,8 @@
 """Interferometric protocol: fringes, visibility, and phase extraction."""
 
+import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -16,17 +18,23 @@ from triphase import (
     extract_geometric_phase,
     fringe_pair,
     fringe_scan,
-    output_probability,
+    inner_product,
     random_pure_state,
     three_vertex_phase,
-    visibility,
     wrap_angle,
 )
-from triphase.eraser import MAX_GRID_SIZE, composite_intermediate
+from triphase.cli import main
+from triphase.eraser import MAX_GRID_SIZE, _path_spinor, _projected_fringe, composite_intermediate
 
 TWO_PI = 2.0 * math.pi
 
 seeds = st.integers(min_value=0, max_value=10**9)
+
+
+def output_probability(psi1, psi2, psi3, delta):
+    """Detection probability of the projected fringe at one delta, on or off
+    any scan grid, through the same state algebra as fringe_scan."""
+    return float(_projected_fringe(_path_spinor(psi1, psi2, psi3), np.exp(-1j * delta)))
 
 
 def test_composite_factorizes_for_equal_arms():
@@ -59,8 +67,9 @@ def test_output_probability_extremes():
 
 
 def test_output_probability_annihilation():
+    # psi3 orthogonal to both arms: the projection leaves nothing to scan
     with pytest.raises(FringeUndefinedError):
-        output_probability(ZERO, ZERO, PureState.basis(2, 1), 0.3)
+        fringe_scan(ZERO, ZERO, PureState.basis(2, 1), EraserConfig(grid_size=16))
 
 
 @given(seeds, seeds, seeds, st.floats(min_value=0.0, max_value=TWO_PI),
@@ -89,21 +98,22 @@ def test_peak_probability_pins_the_projection_normalization(seed, dim):
 
 
 def test_visibility_examples():
+    cfg = EraserConfig(grid_size=16)
     psi = random_pure_state(5, 3)
     other = random_pure_state(5, 4)
-    assert visibility(psi, psi, other) == pytest.approx(1.0, abs=1e-12)
-    assert visibility(PureState.basis(2, 1), PLUS, ZERO) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(FringeUndefinedError):
-        visibility(ZERO, ZERO, PureState.basis(2, 1))
+    assert fringe_scan(psi, psi, other, cfg).visibility == pytest.approx(1.0, abs=1e-12)
+    # |<0|0>| = 1 and |<0|+>| = 1/sqrt(2): V = 2 (1/sqrt(2)) / (3/2)
+    assert fringe_scan(ZERO, PLUS, ZERO, cfg).visibility == pytest.approx(2 * SQRT2 / 3, abs=1e-12)
 
 
 def test_visibility_never_exceeds_one():
+    cfg = EraserConfig(grid_size=16)
     rng = np.random.default_rng(7)
     for dim in (2, 3, 5):
         block = rng.standard_normal((10_000 // 3, 3, dim)) + 1j * rng.standard_normal((10_000 // 3, 3, dim))
         for row in block:
             states = [PureState.normalized(v) for v in row]
-            assert visibility(*states) <= 1.0
+            assert fringe_scan(*states, cfg).visibility <= 1.0
 
 
 def faint_triple(seed, dim, overlap):
@@ -227,6 +237,40 @@ def test_fringe_scan_errors_name_the_missing_overlap():
         fringe_scan(ZERO, PLUS, PureState.basis(2, 1), EraserConfig(grid_size=64))
     with pytest.raises(FringeUndefinedError, match="plain fringe"):
         fringe_scan(ZERO, PureState.basis(2, 1), None, EraserConfig(grid_size=64))
+
+
+TINY = [1e-9, 1.0]  # unnormalized; overlap ~1e-9 with |0>
+S = 1.0 / SQRT2
+# each triple makes one overlap ~1e-9 and the other two ~0.7
+BOUNDARY_TRIPLES = {
+    "<psi1|psi2>": (([1.0, 0.0], TINY, [S, S]), (0, 1),
+                    "<psi1|psi2> vanishes; the plain fringe is flat"),
+    "<psi3|psi1>": ((TINY, [S, S], [1.0, 0.0]), (2, 0),
+                    "<psi3|psi1> vanishes; constructive point undefined"),
+    "<psi3|psi2>": (([S, S], TINY, [1.0, 0.0]), (2, 1),
+                    "<psi3|psi2> vanishes; constructive point undefined"),
+}
+
+
+@pytest.mark.parametrize("overlap", list(BOUNDARY_TRIPLES))
+def test_each_needed_overlap_vanishes_at_eps_null(overlap, tmp_path, capsys):
+    vecs, (i, j), message = BOUNDARY_TRIPLES[overlap]
+    # the same float64 states the CLI parses from the file
+    states = [PureState.normalized(np.array(v, dtype=complex)) for v in vecs]
+    modulus = abs(inner_product(states[i], states[j]))
+    just_below = float(np.nextafter(modulus, 0.0))
+    cfg = EraserConfig(grid_size=16)
+    with pytest.raises(FringeUndefinedError, match=f"^{re.escape(message)}$"):
+        fringe_pair(*states, cfg, eps_null=modulus)
+    fringe_pair(*states, cfg, eps_null=just_below)
+
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps({f"psi{k + 1}": {"dim": 2, "amplitudes": [[x, 0.0] for x in v]}
+                                  for k, v in enumerate(vecs)}))
+    argv = ["eraser", str(triple), "--grid", "16", "--tolerance"]
+    assert main([*argv, repr(modulus)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main([*argv, repr(just_below)]) == 0
 
 
 def test_eraser_config_validation():

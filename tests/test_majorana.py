@@ -29,7 +29,7 @@ from triphase import (
     random_pure_state,
     state_to_points,
 )
-from triphase.majorana import MAX_DIM, constellation_qubits
+from triphase.majorana import MAX_DIM, MAX_POWER, constellation_qubits
 from triphase.states import bloch_angles
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -134,6 +134,15 @@ def test_product_state_collapses_to_coincident_points(seed, n):
     # n-fold root into a cluster of radius ~eps^(1/n)
     pts = state_to_points(product_state(q, n))
     assert matches(pts, [qubit_to_bloch(q)] * n, tol=max(1e-6, 20 * 2.2e-16 ** (1 / n)))
+
+
+def test_product_state_power_cap():
+    q = random_pure_state(2, 0)
+    # the binomial weights of the largest power still fit in float64
+    assert np.isfinite(product_state(q, MAX_POWER).amplitudes).all()
+    for n in (0, MAX_POWER + 1):
+        with pytest.raises(ValueError, match="MAX_POWER"):
+            product_state(q, n)
 
 
 # --- oracles -----------------------------------------------------------------

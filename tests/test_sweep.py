@@ -151,6 +151,17 @@ def test_sweep_grid_too_coarse_for_extreme_theta():
         sweep_alpha(1e-7, PI / 4, 64)
 
 
+@pytest.mark.parametrize("theta", [0.02, -0.3, 1.0, 1.5])
+def test_sweep_grid_bounds_every_step_by_a_quarter_turn(theta):
+    # the analytic doubling rule alone keeps each unwrapped step <= pi/4,
+    # well inside the 0.9 pi post-check
+    for phi in (0.0, PI / 4, PI, 2 * PI - 1e-12):
+        for steps in (64, 1000):
+            result = sweep_alpha(theta, phi, steps)
+            for series in (result.gamma1, result.gamma2):
+                assert np.max(np.abs(np.diff(series))) <= PI / 4 + 1e-12
+
+
 def test_sweep_dual_path_and_invariants():
     result = sweep_alpha(PI / 6, PI / 4, 512)
     assert result.alphas.size == 513
