@@ -5,7 +5,6 @@ from .angles import wrap_angle
 from .eraser import (
     EraserConfig,
     FringeScan,
-    FringeUndefinedError,
     extract_geometric_phase,
     fringe_pair,
     fringe_scan,
@@ -43,7 +42,6 @@ from .sweep import (
     GridTooCoarseError,
     SweepResult,
     build_family_states,
-    closed_form_phase,
     family_qubits,
     sweep_alpha,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "EraserConfig",
     "FamilyParams",
     "FringeScan",
-    "FringeUndefinedError",
     "GridTooCoarseError",
     "PhaseDecomposition",
     "PureState",
@@ -68,7 +65,6 @@ __all__ = [
     "bloch_to_qubit",
     "build_family_states",
     "canonicalize_triple",
-    "closed_form_phase",
     "decompose_phase",
     "extract_geometric_phase",
     "family_qubits",

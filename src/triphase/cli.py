@@ -2,7 +2,7 @@
 constellations, canonical form, eraser fringes, and family sweeps out.
 
 Exit codes: 0 success, 1 I/O / parse / usage error, 2 mathematically
-undefined request (vanishing overlap, degenerate geodesic, unresolvable
+undefined request (vanishing overlap or overlap product, unresolvable
 sweep grid). Emitted angles are radians (--degrees changes human output
 only, never JSON or files); floats are formatted with 12 significant digits
 and lowercase exponents, lines end with \\n, so repeated invocations are
@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from .angles import wrap_angle
-from .eraser import EraserConfig, FringeScan, FringeUndefinedError, fringe_pair
+from .eraser import EraserConfig, FringeScan, fringe_pair
 from .majorana import points_to_state, state_to_points
 from .phases import (
     EPS_NULL,
-    DegenerateGeodesicError,
     UndefinedPhaseError,
     bargmann_phases,
     canonicalize_triple,
@@ -40,7 +39,7 @@ MAJORANA_CONVENTION = (
     "z = e^{i azimuth} tan(polar/2); deficient leading coefficients -> (pi, 0)"
 )
 
-_MATH_ERRORS = (UndefinedPhaseError, DegenerateGeodesicError, FringeUndefinedError, GridTooCoarseError)
+_MATH_ERRORS = (UndefinedPhaseError, GridTooCoarseError)
 
 _DEG = 180.0 / np.pi
 
@@ -97,7 +96,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
         raise CliInputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -112,9 +111,10 @@ def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
         raise CliInputError(f"{label}: expected {dim} amplitude pairs")
     try:
         vec = np.array([complex(float(re), float(im)) for re, im in pairs])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
         raise CliInputError(f"{label}: amplitudes must be [re, im] number pairs") from None
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # a huge amplitude gives norm inf, rejected below
+        norm = float(np.linalg.norm(vec))
     tol = 1e-3 if renormalize else NORM_TOL
     if not abs(norm - 1.0) <= tol:  # also rejects NaN and inf
         hint = "" if renormalize else "; pass --renormalize to accept up to 1e-3"
@@ -178,13 +178,16 @@ def _parse_points(path: str) -> tuple[BlochPoint, ...]:
         try:
             polar, azimuth = (float(v) for v in pair)
             points.append(BlochPoint(polar, azimuth))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliInputError(f"{path}: point {i}: {exc}") from None
     return tuple(points)
 
 
 def cmd_majorana(args) -> int:
     if args.from_points:
+        if args.state or args.degrees or args.renormalize:
+            raise CliInputError("--from-points reads only the points file; "
+                                "it takes no state file, --degrees or --renormalize")
         state = points_to_state(_parse_points(args.from_points))
         if args.json:
             _emit_json(_state_obj(state))

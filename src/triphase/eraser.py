@@ -23,7 +23,7 @@ read-only, by every scan at that size.
 One rule decides when there is no fringe to read: each overlap a fringe
 needs must have modulus above eps_null (default EPS_NULL), <psi1|psi2> for
 the plain fringe and <psi3|psi1>, <psi3|psi2> for the projected one.
-fringe_scan applies it and raises FringeUndefinedError naming the overlap;
+fringe_scan applies it and raises UndefinedPhaseError naming the overlap;
 fringe_pair and extract_geometric_phase go through fringe_scan.
 """
 
@@ -36,15 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .phases import EPS_NULL
+from .phases import EPS_NULL, UndefinedPhaseError
 from .states import DimensionMismatchError, PureState, inner_product
 
 _SQRT2 = math.sqrt(2.0)
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
-
-
-class FringeUndefinedError(ValueError):
-    """A required overlap vanishes: there is no fringe to read."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     two-path fringe. Sampling always goes through the explicit state
     algebra, at O(N + grid) cost; the scan carries both the closed-form
     constructive point and the refined grid argmax. Raises
-    FringeUndefinedError when an overlap the fringe needs has modulus at
+    UndefinedPhaseError when an overlap the fringe needs has modulus at
     most eps_null.
     """
     deltas, phase_factors = _delta_grid(cfg.grid_size)
@@ -144,7 +140,7 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     if psi3 is None:
         o12 = inner_product(psi1, psi2)
         if abs(o12) <= eps_null:
-            raise FringeUndefinedError("<psi1|psi2> vanishes; the plain fringe is flat")
+            raise UndefinedPhaseError("<psi1|psi2> vanishes; the plain fringe is flat")
         # trace out the internal state: rho[p, q] = sum_i c_ip conj(c_iq), and
         # <delta|rho|delta> with |delta> = (|0> + e^{i delta}|1>)/sqrt(2)
         composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
@@ -157,7 +153,7 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
         o32 = inner_product(psi3, psi2)
         for name, val in (("<psi3|psi1>", o31), ("<psi3|psi2>", o32)):
             if abs(val) <= eps_null:
-                raise FringeUndefinedError(f"{name} vanishes; constructive point undefined")
+                raise UndefinedPhaseError(f"{name} vanishes; constructive point undefined")
         probs = _projected_fringe(_path_spinor(psi1, psi2, psi3), phase_factors)
         a, b = abs(o31), abs(o32)
         vis = min(1.0, 2.0 * a * b / (a * a + b * b))

@@ -27,7 +27,7 @@ _PARALLEL_TOL = 1e-12
 
 
 class UndefinedPhaseError(ValueError):
-    """The overlap product vanishes, so no geometric phase is defined."""
+    """A needed overlap or overlap product vanishes: no phase is defined."""
 
 
 class DegenerateGeodesicError(ValueError):

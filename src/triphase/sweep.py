@@ -82,19 +82,9 @@ def build_family_states(p: FamilyParams) -> tuple[PureState, PureState, PureStat
     return psi1, product_state(q2, 2), product_state(q3, 2)
 
 
-def closed_form_phase(p: FamilyParams) -> tuple[float, float, float]:
-    """Analytic per-qubit phases (gamma1, gamma2) and their plain sum.
-
-    Each term is a principal value in (-pi, pi). At the tangent poles
-    (phi +- alpha)/2 = pi/2 + k pi the huge-but-finite float tangent makes
-    atan return the one-sided limit +-pi/2, so the terms approach +-pi
-    continuously instead of leaving a gap.
-    """
-    g1, g2 = (float(g) for g in _closed_form_arrays(p.theta, p.phi, np.asarray(p.alpha)))
-    return g1, g2, g1 + g2
-
-
 def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # principal values in (-pi, pi); at a tangent pole the huge-but-finite
+    # float tan makes atan return +-pi/2, so a term approaches +-pi, no gap
     t = math.tan(theta / 2.0)
     g1 = 2.0 * np.arctan(t * np.tan((phi + alphas) / 2.0))
     g2 = -2.0 * np.arctan(t * np.tan((phi - alphas) / 2.0))

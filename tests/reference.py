@@ -3,8 +3,8 @@
 Brute-force oracles in the full multi-qubit space, the factored fringe law,
 the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
-qubit triple (|+>, |0>, |y+>), whose phase is pi/4. None of it is on a
-production path.
+qubit triple (|+>, |0>, |y+>), whose phase is pi/4, and a JSON integer
+beyond float range. None of it is on a production path.
 """
 
 import itertools
@@ -20,6 +20,7 @@ SQRT2 = math.sqrt(2.0)
 ZERO = PureState.basis(2, 0)
 PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
 YPLUS = PureState(np.array([1.0, 1.0j]) / SQRT2)
+BEYOND_FLOAT = 10 ** 400  # a JSON integer float() cannot convert
 
 
 def angle_dist(a, b):

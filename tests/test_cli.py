@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from reference import SQRT2, count_overlaps
+from reference import BEYOND_FLOAT, SQRT2, count_overlaps
 from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
@@ -447,3 +447,38 @@ def test_points_file_validation(tmp_path, capsys):
     vec = np.array([complex(re, im) for re, im in json.loads(out)["amplitudes"]])
     want = points_to_state([BlochPoint(math.pi / 2, 1.0), BlochPoint(0.3, 4.0)])
     assert abs(inner_product(PureState.normalized(vec), want)) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("command", ["phase", "eraser", "canonicalize", "majorana", "from-points"])
+def test_integer_beyond_float_range_exits_1(tmp_path, capsys, command):
+    if command == "from-points":
+        path = write_json(tmp_path / "p.json", {"points": [[BEYOND_FLOAT, 0.0]]})
+        argv, message = ["majorana", "--from-points", path], f"{path}: point 0: "
+    else:
+        state = {"dim": 2, "amplitudes": [[BEYOND_FLOAT, 0.0], [0.0, 0.0]]}
+        if command == "majorana":
+            path = label = write_json(tmp_path / "s.json", state)
+        else:
+            obj = quarter_turn_triple()
+            obj["psi2"] = state
+            path = write_json(tmp_path / "t.json", obj)
+            label = f"{path}:psi2"
+        argv = [command, path]
+        message = f"{label}: amplitudes must be [re, im] number pairs\n"
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", ["STATE", "--degrees", "--renormalize"])
+def test_majorana_from_points_refuses_inputs_it_never_reads(tmp_path, capsys, extra):
+    state = write_json(tmp_path / "s3.json", state_obj([0.6 + 0j, 0j, 0.8 + 0j]))
+    points = write_json(tmp_path / "p1.json", {"points": [[0.5, 1.0]]})
+    argv = ["majorana", "--from-points", points, state if extra == "STATE" else extra]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: --from-points reads only the points file; "
+                   "it takes no state file, --degrees or --renormalize\n")
+    # --json is the one flag this mode reads
+    code, out, _ = run_cli(["majorana", "--from-points", points, "--json"], capsys)
+    assert code == 0 and json.loads(out)["dim"] == 2

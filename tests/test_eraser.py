@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from reference import PLUS, SQRT2, YPLUS, ZERO, count_overlaps, output_probability_closed_form
 from triphase import (
     EraserConfig,
-    FringeUndefinedError,
     PureState,
+    UndefinedPhaseError,
     extract_geometric_phase,
     fringe_pair,
     fringe_scan,
@@ -68,7 +68,7 @@ def test_output_probability_extremes():
 
 def test_output_probability_annihilation():
     # psi3 orthogonal to both arms: the projection leaves nothing to scan
-    with pytest.raises(FringeUndefinedError):
+    with pytest.raises(UndefinedPhaseError):
         fringe_scan(ZERO, ZERO, PureState.basis(2, 1), EraserConfig(grid_size=16))
 
 
@@ -91,7 +91,7 @@ def test_peak_probability_pins_the_projection_normalization(seed, dim):
     psi1, psi2, psi3 = (random_pure_state(dim, seed + k) for k in range(3))
     try:
         scan = fringe_scan(psi1, psi2, psi3, EraserConfig(grid_size=64))
-    except FringeUndefinedError:
+    except UndefinedPhaseError:
         return
     peak = output_probability(psi1, psi2, psi3, scan.center)
     assert peak == pytest.approx((1.0 + scan.visibility) / 2.0, abs=1e-12)
@@ -177,7 +177,7 @@ def test_fringe_scan_grid_argmax_matches_closed_form(s1, s2, s3, dim):
     cfg = EraserConfig(grid_size=4096)
     try:
         scan = fringe_scan(psi1, psi2, psi3, cfg)
-    except FringeUndefinedError:
+    except UndefinedPhaseError:
         return
     assert abs(wrap_angle(scan.peak - scan.center)) <= TWO_PI / cfg.grid_size
     assert np.all(scan.probabilities >= 0.0) and np.all(scan.probabilities <= 1.0)
@@ -233,9 +233,9 @@ def test_alternating_grid_sizes():
 
 
 def test_fringe_scan_errors_name_the_missing_overlap():
-    with pytest.raises(FringeUndefinedError, match="psi3"):
+    with pytest.raises(UndefinedPhaseError, match="psi3"):
         fringe_scan(ZERO, PLUS, PureState.basis(2, 1), EraserConfig(grid_size=64))
-    with pytest.raises(FringeUndefinedError, match="plain fringe"):
+    with pytest.raises(UndefinedPhaseError, match="plain fringe"):
         fringe_scan(ZERO, PureState.basis(2, 1), None, EraserConfig(grid_size=64))
 
 
@@ -260,7 +260,7 @@ def test_each_needed_overlap_vanishes_at_eps_null(overlap, tmp_path, capsys):
     modulus = abs(inner_product(states[i], states[j]))
     just_below = float(np.nextafter(modulus, 0.0))
     cfg = EraserConfig(grid_size=16)
-    with pytest.raises(FringeUndefinedError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(UndefinedPhaseError, match=f"^{re.escape(message)}$"):
         fringe_pair(*states, cfg, eps_null=modulus)
     fringe_pair(*states, cfg, eps_null=just_below)
 
@@ -296,7 +296,7 @@ def test_extract_matches_direct_phase_dim5(s1, s2, s3):
     cfg = EraserConfig(grid_size=512)
     try:
         got = extract_geometric_phase(psi1, psi2, psi3, cfg)
-    except FringeUndefinedError:
+    except UndefinedPhaseError:
         return
     want = three_vertex_phase(psi1, psi2, psi3)
     assert abs(wrap_angle(got - want)) <= 1e-9
@@ -309,7 +309,7 @@ def test_extract_grid_mode_resolution(seed):
     cfg = EraserConfig(grid_size=4096)
     try:
         projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
-    except FringeUndefinedError:
+    except UndefinedPhaseError:
         return
     got = wrap_angle(projected.peak - plain.peak)
     want = three_vertex_phase(psi1, psi2, psi3)
@@ -317,5 +317,5 @@ def test_extract_grid_mode_resolution(seed):
 
 
 def test_extract_requires_reference_overlap():
-    with pytest.raises(FringeUndefinedError):
+    with pytest.raises(UndefinedPhaseError):
         extract_geometric_phase(ZERO, PureState.basis(2, 1), PLUS)

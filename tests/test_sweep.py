@@ -10,14 +10,13 @@ from triphase import (
     FamilyParams,
     GridTooCoarseError,
     build_family_states,
-    closed_form_phase,
     decompose_phase,
     family_qubits,
     state_to_points,
     sweep_alpha,
     three_vertex_phase,
 )
-from triphase.sweep import MAX_SWEEP_INTERVALS
+from triphase.sweep import MAX_SWEEP_INTERVALS, _closed_form_arrays
 
 PI = math.pi
 
@@ -67,38 +66,42 @@ def test_rotation_consistency_against_permutation_oracle():
 
 def test_closed_form_zero_rotation_cancels_exactly():
     for theta, phi in [(0.3, 0.9), (-0.7, 2.0), (1.2, 5.5)]:
-        g1, g2, total = closed_form_phase(FamilyParams(theta, phi, 0.0))
+        p = FamilyParams(theta, phi, 0.0)
+        g1, g2 = _closed_form_arrays(p.theta, p.phi, p.alpha)
         assert g1 == -g2
-        assert total == 0.0
+        assert g1 + g2 == 0.0
 
 
 def test_closed_form_specific_value_against_pipeline():
     p = FamilyParams(theta=PI / 3, phi=PI / 4, alpha=PI / 2)
-    g1, g2, total = closed_form_phase(p)
+    g1, g2 = _closed_form_arrays(p.theta, p.phi, p.alpha)
     assert g1 == pytest.approx(2 * math.atan(math.tan(PI / 6) * math.tan(3 * PI / 8)))
     assert g2 == pytest.approx(2 * math.atan(math.tan(PI / 6) * math.tan(PI / 8)))
     psi1, psi2, psi3 = build_family_states(p)
-    assert angle_dist(total, three_vertex_phase(psi1, psi2, psi3)) < 1e-12
+    assert angle_dist(float(g1 + g2), three_vertex_phase(psi1, psi2, psi3)) < 1e-12
 
 
 def test_closed_form_vanishes_with_theta():
     for alpha in np.linspace(0, 2 * PI, 7):
-        assert closed_form_phase(FamilyParams(0.0, 1.0, float(alpha)))[2] == 0.0
+        p = FamilyParams(0.0, 1.0, float(alpha))
+        assert sum(_closed_form_arrays(p.theta, p.phi, p.alpha)) == 0.0
 
 
 def test_closed_form_pole_reaches_plus_minus_pi():
     # (phi + alpha)/2 lands on the float closest to pi/2
     p = FamilyParams(theta=0.8, phi=PI / 2, alpha=PI / 2)
-    g1, _, _ = closed_form_phase(p)
+    g1, _ = _closed_form_arrays(p.theta, p.phi, p.alpha)
     assert abs(g1) == pytest.approx(PI, abs=1e-9)
 
 
 def test_closed_form_odd_in_alpha_and_theta():
     for theta, phi, alpha in [(0.5, 1.0, 0.7), (0.9, 2.4, 2.9), (-0.2, 0.3, 4.4)]:
-        plus = closed_form_phase(FamilyParams(theta, phi, alpha))[2]
-        minus = closed_form_phase(FamilyParams(theta, phi, -alpha))[2]
+        plus, minus, flipped = (
+            float(sum(_closed_form_arrays(p.theta, p.phi, p.alpha)))
+            for p in (FamilyParams(theta, phi, alpha), FamilyParams(theta, phi, -alpha),
+                      FamilyParams(-theta, phi, alpha))
+        )
         assert angle_dist(plus, -minus) < 1e-9
-        flipped = closed_form_phase(FamilyParams(-theta, phi, alpha))[2]
         assert angle_dist(plus, -flipped) < 1e-9
 
 
