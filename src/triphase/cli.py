@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -40,6 +41,7 @@ MAJORANA_CONVENTION = (
 )
 
 _MATH_ERRORS = (UndefinedPhaseError, GridTooCoarseError)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _DEG = 180.0 / np.pi
 
@@ -49,6 +51,12 @@ class CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern (Python 3.10-3.13) takes -1 and -1.5 for
+        # numbers but -1e-07 for a flag, leaving `--theta -1e-07` without a value
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with 2 on usage errors; 2 is reserved for undefined math
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -30,6 +30,14 @@ spread a k-fold root over ~eps^(1/k).
 The array kernels (constellation_qubits, symmetric_amplitudes) carry the
 arithmetic; state_to_points and points_to_state wrap them for single
 states.
+
+Stack layout (committed once, here): the kernels take and return stacks with
+the sample axis first, as (S, N) amplitudes and (S, n, 2) qubit rows, but
+work on component-major memory, in which each amplitude or qubit component
+of all S samples is one contiguous row, and return views of it. So every
+pass runs over whole rows of samples, never over a trailing axis of length
+2 or 3, and one kernel's result feeds the next without a copy. No
+arithmetic crosses samples: each row of a stack gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
     number of vanishing leading coefficients form one group. A group whose
     remaining polynomial has degree 1 or 2 gets its roots in closed form;
     a higher-degree group shares one stacked eigvals call on companion
-    matrices. Raises ValueError for N > MAX_DIM.
+    matrices. The result is a view of component-major memory (the stack
+    layout of the module docstring). Raises ValueError for N > MAX_DIM.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] < 2:
@@ -81,45 +90,48 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
                          f"MAX_DIM = {MAX_DIM}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
-    n = amps.shape[1] - 1
+    amps = np.ascontiguousarray(amps.T)  # (N, S): no copy for a component-major stack
+    n = amps.shape[0] - 1
     # descending powers: coefficient of z^(n-k) is (-1)^k sqrt(C(n,k)) c_k
-    coeffs = (-1.0) ** np.arange(n + 1) * _binomial_weights(n) * amps
+    coeffs = ((-1.0) ** np.arange(n + 1) * _binomial_weights(n))[:, None] * amps
     magnitude = np.abs(coeffs)
-    scale = magnitude.max(axis=1)
+    scale = magnitude.max(axis=0)
     if not scale.min() > 0.0:
         raise ValueError("a state has only zero amplitudes")
-    small = magnitude <= DEFICIENCY_REL_TOL * scale[:, None]
+    small = magnitude <= DEFICIENCY_REL_TOL * scale
     # leading small coefficients: the index of the first large one, which
     # exists since the largest coefficient is not small
-    deficiency = np.argmin(small, axis=1)
-    out = np.zeros((amps.shape[0], n, 2), dtype=complex)
-    out[..., 1] = 1.0
-    for d in set(deficiency.tolist()) - {n}:
-        rows = deficiency == d
+    deficiency = np.argmin(small, axis=0)
+    counts = np.bincount(deficiency, minlength=n + 1)
+    out = np.zeros((2, n, amps.shape[1]), dtype=complex)
+    upper, lower = out  # the |0> and |1> components, each (n, S)
+    lower[...] = 1.0
+    for d in np.flatnonzero(counts[:n]).tolist():
+        cols = slice(None) if counts[d] == amps.shape[1] else deficiency == d
         degree = n - d
         # monic: z^degree + tail[0] z^(degree-1) + ... + tail[-1]; every
         # |tail| <= 1 / DEFICIENCY_REL_TOL, so squaring it cannot overflow
-        tail = coeffs[rows, d + 1:] / coeffs[rows, d:d + 1]
-        out[rows, d:, 0] = 1.0
+        tail = coeffs[d + 1:, cols] / coeffs[d, cols]
+        upper[d:, cols] = 1.0
         if degree == 1:
-            out[rows, d, 1] = -tail[:, 0]
+            lower[d, cols] = -tail[0]
         elif degree == 2:
             # cancellation-free quadratic formula (Higham, Accuracy and
             # Stability of Numerical Algorithms, sec. 1.8): disc, the square
             # root of the discriminant, takes the sign that keeps b + disc
             # free of cancellation
-            b, c = tail[:, 0], tail[:, 1]
+            b, c = tail
             disc = np.sqrt(b * b - 4.0 * c)
-            disc[(b.conj() * disc).real < 0.0] *= -1.0
+            disc = np.where((b.conj() * disc).real < 0.0, -1.0 * disc, disc)
             q = -0.5 * (b + disc)  # zero only for the double root z = 0
-            out[rows, d, 1] = q
-            out[rows, d + 1, 1] = np.divide(c, q, out=np.zeros_like(q), where=q != 0)
+            lower[d, cols] = q
+            lower[d + 1, cols] = np.divide(c, q, out=np.zeros_like(q), where=q != 0)
         else:
-            companion = np.zeros((tail.shape[0], degree, degree), dtype=complex)
-            companion[:, 0, :] = -tail
+            companion = np.zeros((tail.shape[1], degree, degree), dtype=complex)
+            companion[:, 0, :] = -tail.T
             companion.reshape(-1, degree * degree)[:, degree::degree + 1] = 1.0  # subdiagonal
-            out[rows, d:, 1] = np.linalg.eigvals(companion)
-    return out
+            lower[d:, cols] = np.linalg.eigvals(companion).T
+    return out.T
 
 
 def state_to_points(s: PureState) -> tuple[BlochPoint, ...]:
@@ -133,19 +145,21 @@ def state_to_points(s: PureState) -> tuple[BlochPoint, ...]:
 
 def symmetric_amplitudes(qubits: np.ndarray) -> np.ndarray:
     """Symmetrized products of stacked qubit rows (..., n, 2), unnormalized,
-    shape (..., n + 1).
+    shape (..., n + 1), as a view of component-major memory.
 
     Expands the product polynomial prod_i (a_i + b_i w), whose w^k
     coefficient divided by sqrt(C(n, k)) is the amplitude on k excitations.
     """
+    a, b = qubits[..., 0], qubits[..., 1]
     n = qubits.shape[-2]
-    poly = np.ones(qubits.shape[:-2] + (1,), dtype=complex)
+    poly = np.ones((1,) + qubits.shape[:-2], dtype=complex)
     for i in range(n):
-        nxt = np.zeros(poly.shape[:-1] + (poly.shape[-1] + 1,), dtype=complex)
-        nxt[..., :-1] = poly * qubits[..., i, 0:1]
-        nxt[..., 1:] += poly * qubits[..., i, 1:2]
+        nxt = np.zeros((poly.shape[0] + 1,) + poly.shape[1:], dtype=complex)
+        nxt[:-1] = poly * a[..., i]
+        nxt[1:] += poly * b[..., i]
         poly = nxt
-    return poly / _binomial_weights(n)
+    weights = _binomial_weights(n).reshape((-1,) + (1,) * (poly.ndim - 1))
+    return np.moveaxis(poly / weights, 0, -1)
 
 
 def points_to_state(points: Iterable[BlochPoint]) -> PureState:

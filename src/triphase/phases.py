@@ -40,6 +40,8 @@ def bargmann_products(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray):
     The inputs broadcast against each other over all but the last axis,
     which holds the amplitudes; one-dimensional inputs give a scalar.
     """
+    # np.vecdot, not an elementwise sum: on 1-D inputs it is BLAS zdotc, and
+    # those bits reach CLI output (canonicalize's phase_delta)
     return np.vecdot(a1, a3) * np.vecdot(a3, a2) * np.vecdot(a2, a1)
 
 

@@ -57,13 +57,12 @@ class FamilyParams:
 
 
 def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
-    """Qubit rows of the two rotated constellation points, shape (..., 2, 2)."""
-    x = (phi + alphas) / 2.0
-    y = (phi - alphas) / 2.0
-    out = np.empty(np.shape(alphas) + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = np.exp(-1j * x), np.exp(1j * x)
-    out[..., 1, 0], out[..., 1, 1] = np.exp(1j * y), np.exp(-1j * y)
-    return out / math.sqrt(2.0)
+    """Qubit rows of the two rotated constellation points, shape (..., 2, 2),
+    as a view of component-major memory (majorana's stack layout)."""
+    ex = np.exp(1j * ((phi + alphas) / 2.0)) / math.sqrt(2.0)
+    ey = np.exp(1j * ((phi - alphas) / 2.0)) / math.sqrt(2.0)
+    # exp(-1j * x) is conj(exp(1j * x)), bit for bit
+    return np.moveaxis(np.array([[ex.conj(), ey], [ex, ey.conj()]]), (0, 1), (-1, -2))
 
 
 def family_qubits(p: FamilyParams) -> tuple[PureState, PureState, PureState, PureState]:
@@ -94,19 +93,21 @@ def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> tuple[n
 def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
     """Wrapped family phase at every alpha through the constellation route.
 
-    Per block of samples: moving qubits -> symmetrized product state ->
-    companion-matrix roots as unit qubit rows -> per-point qubit phases
-    against (q2, q3) -> wrapped sum. Rows pass between stages without Bloch
-    angles, which would change only their global phases, and those cancel in
-    the Bargmann products. The closed forms are not consulted.
+    Per block of samples: moving qubits -> symmetrized product state
+    (unnormalized: the roots depend only on coefficient ratios) -> roots as
+    qubit rows, normalized -> per-point qubit phases against (q2, q3) ->
+    wrapped sum. Every stage hands the next a view of component-major
+    memory (majorana's stack layout), so each pass, the row normalizations
+    and per-sample phase sums included, runs over whole rows of samples.
+    Rows pass between stages without Bloch angles, which would change only
+    their global phases, and those cancel in the Bargmann products. The
+    closed forms are not consulted.
     """
     _, _, q2, q3 = family_qubits(FamilyParams(theta, phi))
     out = np.empty(alphas.shape)
     for start in range(0, alphas.size, _BLOCK):
-        block = np.mod(alphas[start:start + _BLOCK], TWO_PI)
-        psi1 = symmetric_amplitudes(_moving_qubits(phi, block))
-        psi1 /= np.linalg.norm(psi1, axis=-1, keepdims=True)
-        points = constellation_qubits(psi1)
+        block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
+        points = constellation_qubits(symmetric_amplitudes(_moving_qubits(phi, block)))
         points /= np.linalg.norm(points, axis=-1, keepdims=True)
         phases = bargmann_phases(bargmann_products(points, q2.amplitudes, q3.amplitudes))
         out[start:start + _BLOCK] = wrap_angle(phases.sum(axis=-1))
@@ -121,9 +122,12 @@ class SweepResult:
     gamma_wrapped its principal value. gamma_pipeline_wrapped re-derives the
     wrapped total through the constellation + triangle route at every sample,
     as an independent cross-check on the closed forms. It is computed for
-    all samples in batched array passes that hand qubit rows from stage to
-    stage without Bloch angles, and agrees with decompose_phase on the same
-    family state within 1e-12.
+    all samples in batched array passes over sample-contiguous stacks that
+    hand qubit rows from stage to stage without Bloch angles, and agrees with
+    decompose_phase on the same family state within 1e-12 for |theta| >=
+    0.02. Below, the gap grows with the phase's slope 2/|tan(theta/2)|
+    (measured worst over phi in {0, pi/4, 3}: 1.3e-12 at theta = 0.01,
+    1.4e-11 at 0.005, 1.8e-10 at 0.001).
     """
 
     alphas: np.ndarray
@@ -203,8 +207,9 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     alias a branch. Each component's true slope is at most half that bound,
     so no step of the chosen grid exceeds pi/4. A post-check raises
     GridTooCoarseError should an unwrapped jump still exceed 0.9 pi. The
-    constellation cross-check runs batched in fixed-size blocks, so memory
-    stays flat and even a 2**20-interval sweep takes seconds.
+    constellation cross-check runs batched in fixed-size blocks of
+    sample-contiguous stacks, so memory stays flat and a 2**20-interval
+    sweep takes about 0.6 s (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
 
     Raises ValueError for steps outside [64, 2**20], theta outside
     (-pi/2, pi/2) or zero, and non-finite phi.

@@ -283,6 +283,19 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_negative_exponent_value_is_a_number(tmp_path, capsys):
+    # argparse's own negative-number pattern takes "-1e-07" for a flag, which
+    # exits 1 with "expected one argument"
+    out = str(tmp_path / "x.csv")
+    rest = ["--phi", "0.2", "--steps", "64", "--out", out]
+    spaced = run_cli(["sweep", "--theta", "-1e-07", *rest], capsys)
+    joined = run_cli(["sweep", "--theta=-1e-07", *rest], capsys)
+    assert spaced == joined
+    assert spaced[0] == 2 and "theta = -1e-07" in spaced[2]
+    code, _, _ = run_cli(["sweep", "--theta", "0.5", "--phi", "-1e-3", "--steps", "64", "--out", out], capsys)
+    assert code == 0
+
+
 def test_grid_caps_exit_1(tmp_path, triple_file, capsys):
     # validation only: both requests fail before any grid is allocated
     code, _, err = run_cli(["sweep", "--theta", "0.5", "--phi", "0.2",

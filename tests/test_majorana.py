@@ -29,7 +29,7 @@ from triphase import (
     random_pure_state,
     state_to_points,
 )
-from triphase.majorana import MAX_DIM, MAX_POWER, constellation_qubits
+from triphase.majorana import MAX_DIM, MAX_POWER, constellation_qubits, symmetric_amplitudes
 from triphase.states import bloch_angles
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -278,11 +278,57 @@ def test_stacked_kernel_handles_deficient_rows():
     assert matches(pair[0], sets[0], tol=1e-12) and matches(pair[1], sets[4], tol=0.0)
 
 
+def haar_rows(rng, rows, dim):
+    amps = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def assert_rows_bitwise_alone(kernel, stack):
+    """Each row of kernel(stack) has the bits kernel gives the row alone."""
+    out = kernel(stack)
+    for i in range(stack.shape[0]):
+        assert out[i].tobytes() == kernel(stack[i:i + 1])[0].tobytes(), i
+
+
 def test_stacked_kernel_rejects_non_finite_and_zero_rows():
     good = np.array([[1.0, 0.0, 0.0]])
-    for bad in ([[np.nan, 1.0, 0.0]], [[np.inf, 0.0, 0.0]], [[0.0, 0.0, 0.0]]):
-        with pytest.raises(ValueError):
-            constellation_qubits(np.vstack([good, bad]))
+    bads = (([np.nan, 1.0, 0.0], "amplitudes must be finite"),
+            ([np.inf, 0.0, 0.0], "amplitudes must be finite"),
+            ([0.0, 0.0, 0.0], "a state has only zero amplitudes"))
+    for bad, message in bads:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            constellation_qubits(np.vstack([good, [bad]]))
+    # the same messages wherever the row sits in a long stack
+    stack = haar_rows(np.random.default_rng(4), 1025, 3)
+    for row in (0, 512, 1024):
+        for bad, message in bads:
+            amps = stack.copy()
+            amps[row] = bad
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                constellation_qubits(amps)
+
+
+def test_stacked_kernels_are_bitwise_row_invariant():
+    # no arithmetic crosses rows, whatever the layout or the grouping by
+    # deficiency: a stack mixing groups of degree 1, 2 and >= 3 (and rows
+    # with no finite root), and single-group stacks taking the whole-stack path
+    rng = np.random.default_rng(12)
+    for dim in range(2, MAX_DIM + 1):
+        n = dim - 1
+        leads = [d for d in (0, n // 2, n - 3, n - 2, n - 1, n) if d >= 0] * 2
+        amps = haar_rows(rng, len(leads) + 1, dim)
+        for row, d in zip(rng.permutation(len(leads)), leads):
+            amps[row, :d] = 0.0
+        amps[-1, 0] *= 1e-13  # deficient by DEFICIENCY_REL_TOL, not by an exact zero
+        assert_rows_bitwise_alone(constellation_qubits, amps)
+        qubits = rng.standard_normal((12, n, 2)) + 1j * rng.standard_normal((12, n, 2))
+        qubits[1, :, 0] = 0.0  # south poles
+        qubits[2, :, 1] = 0.0  # north poles
+        assert_rows_bitwise_alone(symmetric_amplitudes, qubits)
+    for dim in (2, 3, 5):
+        assert_rows_bitwise_alone(constellation_qubits, haar_rows(rng, 1025, dim))
+        qubits = rng.standard_normal((1025, dim - 1, 2)) + 1j * rng.standard_normal((1025, dim - 1, 2))
+        assert_rows_bitwise_alone(symmetric_amplitudes, qubits)
 
 
 # --- closed-form roots of degree <= 2 --------------------------------------
