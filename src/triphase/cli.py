@@ -319,22 +319,21 @@ def _sidecar_path(out: str) -> str:
     return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
 
 
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """CSV text: the header line, then one line of _fmt values per row."""
+    cells = (map(_fmt, column.tolist()) for column in columns)
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 def sweep_csv(result: SweepResult) -> str:
     """CSV text of a sweep: header plus one row per alpha sample."""
-    lines = ["alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped"]
-    for i in range(result.alphas.size):
-        lines.append(",".join(_fmt(v) for v in (
-            result.alphas[i], result.gamma1[i], result.gamma2[i],
-            result.gamma_wrapped[i], result.gamma_total[i],
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv("alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped", result.alphas, result.gamma1,
+                result.gamma2, result.gamma_wrapped, result.gamma_total)
 
 
 def scan_csv(scan: FringeScan) -> str:
     """CSV text of a fringe scan: header plus one row per delta sample."""
-    lines = ["delta,probability"]
-    lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in zip(scan.deltas, scan.probabilities)]
-    return "\n".join(lines) + "\n"
+    return _csv("delta,probability", scan.deltas, scan.probabilities)
 
 
 def cmd_sweep(args) -> int:

@@ -15,8 +15,8 @@ from .states import (
     DimensionMismatchError,
     PureState,
     Unitary,
-    apply_unitary,
     bloch_qubits,
+    check_unitary,
     inner_product,
     qubit_to_bloch,
 )
@@ -137,19 +137,32 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
     return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), triangles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalTriple:
-    """Unitary reduction of a state triple to (anything, power, power) form."""
+    """Unitary reduction of a state triple to (anything, power, power) form.
+
+    The unitary U = I + W (R - I) W^dagger is the identity off span(W): W
+    (N x k, k = min(N, 4)) has orthonormal columns spanning phi2, phi3 and
+    their targets, and R (k x k) rotates within it. Only W and R are stored,
+    so the reduction costs O(N); `transform` builds U as an N x N matrix,
+    O(N^3) with its unitarity check, only on request.
+    """
 
     psi1: PureState
     psi2_qubit: PureState
     psi3_qubit: PureState
-    transform: Unitary
+    span: np.ndarray      # W
+    rotation: np.ndarray  # R
     degenerate_frame: bool = False
 
     @property
     def dim(self) -> int:
         return self.psi1.dim
+
+    @property
+    def transform(self) -> Unitary:
+        w = self.span
+        return Unitary(np.eye(self.dim) + w @ (self.rotation - np.eye(w.shape[1])) @ w.conj().T)
 
     def psi2(self) -> PureState:
         """Transformed second state, as the tensor power of its qubit."""
@@ -159,58 +172,36 @@ class CanonicalTriple:
         return product_state(self.psi3_qubit, self.dim - 1)
 
 
-def _orthonormal_complement(frame: list[np.ndarray]) -> list[np.ndarray]:
-    # the rows of vh past the (orthonormal) frame's rank span the null space
-    # of the conjugated frame rows; conjugated, they complete the frame
-    return list(np.linalg.svd(np.conj(frame))[2][len(frame):].conj())
-
-
-def _frame_matching_unitary(src: list[np.ndarray], tgt: list[np.ndarray]) -> np.ndarray:
-    b_src = np.column_stack(src + _orthonormal_complement(src))
-    b_tgt = np.column_stack(tgt + _orthonormal_complement(tgt))
-    return b_tgt @ b_src.conj().T
-
-
 def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> CanonicalTriple:
     """Rotate a triple so the last two states become tensor powers of qubits.
 
     The qubit pair is fixed by <psi2|psi3> = g^(1/(N-1)) with the principal
     root of g = <phi2|phi3> (orthogonal qubits for g = 0, parallel ones for
-    |g| = 1); the unitary matches the orthonormal frames of (phi2, phi3) and
-    of the two tensor powers, both orthonormalized the same way (second
-    vector is the Gram-Schmidt remainder scaled by its positive norm), and is
-    completed deterministically on the orthogonal complement. All pairwise
-    overlaps, and hence the phase, are preserved. Takes dims up to
-    MAX_POWER + 1 = 1030 (product_state's cap); above, raises ValueError.
+    |g| = 1). W is the reduced QR basis of (phi2, phi3, psi2, psi3), and R
+    the orthogonal-Procrustes polar factor u vh of the SVD of
+    (W^dagger tgt)(W^dagger src)^dagger (Schoenemann 1966): exact when the
+    pairs' Gram matrices agree, as they do here, with no special case for
+    parallel or orthogonal pairs. R and W^dagger W are checked to be
+    unitary; psi1 = phi1 + W (R - I) W^dagger phi1. All pairwise overlaps,
+    and hence the phase, are preserved. degenerate_frame reports the input
+    condition 1 - |g| < 1e-12. Takes dims up to MAX_POWER + 1 = 1030
+    (product_state's cap); above, raises ValueError.
     """
     if not (phi1.dim == phi2.dim == phi3.dim):
-        raise DimensionMismatchError(
-            f"dimensions differ: {phi1.dim}, {phi2.dim}, {phi3.dim}"
-        )
+        raise DimensionMismatchError(f"dimensions differ: {phi1.dim}, {phi2.dim}, {phi3.dim}")
     n = phi1.dim - 1
     g = inner_product(phi2, phi3)
     w = g ** (1.0 / n)
     q2 = PureState(np.array([1.0, 0.0], dtype=complex))
     q3 = PureState.normalized(np.array([w, math.sqrt(max(0.0, 1.0 - abs(w) ** 2))], dtype=complex))
-    big2 = product_state(q2, n)
-    big3 = product_state(q3, n)
 
-    degenerate = 1.0 - abs(g) < _PARALLEL_TOL
-    if degenerate:
-        src, tgt = [phi2.amplitudes], [big2.amplitudes]
-    else:
-        def gram_pair(first, second):
-            rem = second - np.vdot(first, second) * first
-            return [first, rem / np.linalg.norm(rem)]
-
-        src = gram_pair(phi2.amplitudes, phi3.amplitudes)
-        tgt = gram_pair(big2.amplitudes, big3.amplitudes)
-
-    transform = Unitary(_frame_matching_unitary(src, tgt))
-    return CanonicalTriple(
-        psi1=apply_unitary(transform, phi1),
-        psi2_qubit=q2,
-        psi3_qubit=q3,
-        transform=transform,
-        degenerate_frame=degenerate,
-    )
+    columns = np.column_stack([phi2.amplitudes, phi3.amplitudes,
+                               product_state(q2, n).amplitudes, product_state(q3, n).amplitudes])
+    span, coords = np.linalg.qr(columns)  # coords = W^dagger columns
+    u, _, vh = np.linalg.svd(coords[:, 2:] @ coords[:, :2].conj().T)
+    rotation = u @ vh
+    check_unitary(span)
+    check_unitary(rotation)
+    c1 = span.conj().T @ phi1.amplitudes
+    psi1 = PureState.normalized(phi1.amplitudes + span @ (rotation @ c1 - c1))
+    return CanonicalTriple(psi1, q2, q3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)

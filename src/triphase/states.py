@@ -97,6 +97,15 @@ class BlochPoint:
         return np.array([st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)])
 
 
+def check_unitary(m: np.ndarray) -> None:
+    """Raise ValueError unless M^dagger M = I entrywise within UNITARY_TOL."""
+    gram = m.conj().T @ m
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    defect = np.abs(gram).max()
+    if not defect <= UNITARY_TOL:  # also rejects NaN
+        raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
+
+
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """Square complex matrix with U^dagger U = I within UNITARY_TOL."""
@@ -109,9 +118,7 @@ class Unitary:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if defect > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
+        check_unitary(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

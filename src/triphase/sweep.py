@@ -65,13 +65,16 @@ def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array([[ex.conj(), ey], [ex, ey.conj()]]), (0, 1), (-1, -2))
 
 
+def _fixed_qubits(theta: float) -> np.ndarray:
+    """Rows q2, q3 of the fixed real qubit pair at half angle theta, shape (2, 2)."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c - s, c + s], [c + s, c - s]], dtype=complex) / math.sqrt(2.0)
+
+
 def family_qubits(p: FamilyParams) -> tuple[PureState, PureState, PureState, PureState]:
     """The two rotated constellation qubits and the fixed pair (q2, q3)."""
-    q11, q12 = (PureState(row) for row in _moving_qubits(p.phi, np.asarray(p.alpha)))
-    c, s = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
-    q2 = PureState(np.array([c - s, c + s]) / math.sqrt(2.0))
-    q3 = PureState(np.array([c + s, c - s]) / math.sqrt(2.0))
-    return q11, q12, q2, q3
+    rows = (*_moving_qubits(p.phi, np.asarray(p.alpha)), *_fixed_qubits(p.theta))
+    return tuple(PureState(row) for row in rows)
 
 
 def build_family_states(p: FamilyParams) -> tuple[PureState, PureState, PureState]:
@@ -103,13 +106,13 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
     their global phases, and those cancel in the Bargmann products. The
     closed forms are not consulted.
     """
-    _, _, q2, q3 = family_qubits(FamilyParams(theta, phi))
+    q2, q3 = _fixed_qubits(theta)
     out = np.empty(alphas.shape)
     for start in range(0, alphas.size, _BLOCK):
         block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
         points = constellation_qubits(symmetric_amplitudes(_moving_qubits(phi, block)))
         points /= np.linalg.norm(points, axis=-1, keepdims=True)
-        phases = bargmann_phases(bargmann_products(points, q2.amplitudes, q3.amplitudes))
+        phases = bargmann_phases(bargmann_products(points, q2, q3))
         out[start:start + _BLOCK] = wrap_angle(phases.sum(axis=-1))
     return out
 

@@ -3,8 +3,9 @@
 Brute-force oracles in the full multi-qubit space, the factored fringe law,
 the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
-qubit triple (|+>, |0>, |y+>), whose phase is pi/4, and a JSON integer
-beyond float range. None of it is on a production path.
+qubit triple (|+>, |0>, |y+>), whose phase is pi/4, a JSON integer
+beyond float range, and the conditioning bounds of a canonicalized triple.
+None of it is on a production path.
 """
 
 import itertools
@@ -21,6 +22,16 @@ ZERO = PureState.basis(2, 0)
 PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
 YPLUS = PureState(np.array([1.0, 1.0j]) / SQRT2)
 BEYOND_FLOAT = 10 ** 400  # a JSON integer float() cannot convert
+
+
+def canonical_bounds(phi1: PureState, phi2: PureState, phi3: PureState) -> tuple[float, float]:
+    """Bounds on the gram and phase deltas of canonicalizing a triple:
+    4 eps / c and 10 eps / (c m), with c = sqrt(max(1 - |<phi2|phi3>|, eps))
+    the frame's conditioning and m = min(|<phi1|phi2>|, |<phi1|phi3>|)."""
+    eps = float(np.finfo(float).eps)
+    c = math.sqrt(max(1.0 - abs(inner_product(phi2, phi3)), eps))
+    m = min(abs(inner_product(phi1, phi2)), abs(inner_product(phi1, phi3)))
+    return 4.0 * eps / c, 10.0 * eps / (c * m) if m > 0.0 else math.inf
 
 
 def angle_dist(a, b):

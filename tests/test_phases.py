@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import PLUS, YPLUS, ZERO, angle_dist, sphere_distance
+from reference import PLUS, YPLUS, ZERO, angle_dist, canonical_bounds, sphere_distance
 from triphase import (
     BlochPoint,
     DegenerateGeodesicError,
@@ -194,6 +194,14 @@ def gram_moduli(triple):
             for i in range(3) for j in range(i + 1, 3)]
 
 
+def canonical_deltas(originals, result):
+    """Worst pairwise overlap-modulus change and phase change, as the CLI's
+    gram_delta and phase_delta."""
+    transformed = (result.psi1, result.psi2(), result.psi3())
+    gram = max(abs(a - b) for a, b in zip(gram_moduli(originals), gram_moduli(transformed)))
+    return gram, angle_dist(three_vertex_phase(*transformed), three_vertex_phase(*originals))
+
+
 def check_canonical(phi1, phi2, phi3, tol=1e-9):
     result = canonicalize_triple(phi1, phi2, phi3)
     n = phi1.dim - 1
@@ -248,6 +256,40 @@ def test_canonicalize_parallel_pair_degenerates_gracefully():
         inner_product(phi2, phi3), abs=1e-10)
     assert abs(inner_product(apply_unitary(result.transform, phi2), result.psi2())) == \
         pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [13, 41, 100, 1030])
+def test_canonicalize_haar_triples_above_c4_dims(dim):
+    # C4's tolerances; the N x N transform is built only up to dim 100
+    for k in range(5 if dim <= 100 else 2):
+        phis = [random_pure_state(dim, 11_000_000 + 100 * dim + 10 * k + j) for j in range(3)]
+        result = canonicalize_triple(*phis)
+        big2, big3 = result.psi2(), result.psi3()
+        gram, phase = canonical_deltas(phis, result)
+        assert gram <= 1e-9 and phase <= 1e-9
+        assert abs(inner_product(big2, big3) - inner_product(phis[1], phis[2])) <= 1e-10
+        if dim <= 100:
+            u = result.transform.matrix  # Unitary checks U^dagger U = I within UNITARY_TOL
+            for before, after in zip(phis, (result.psi1, big2, big3)):
+                assert np.abs(u @ before.amplitudes - after.amplitudes).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [3, 5, 13, 41])
+def test_canonicalize_near_parallel_pair_within_conditioning_bound(dim):
+    # psi3 = psi2 + e z with log-uniform e puts 1 - |<psi2|psi3>| anywhere
+    # from below eps (parallel to rounding) to about 1e-7; the bounds grow
+    # as the frame's conditioning 1 / sqrt(1 - |g|) worsens
+    rng = np.random.default_rng(12_000 + dim)
+    gaps = []
+    for _ in range(100):
+        phi1, phi2, z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(3))
+        phi1, phi2 = PureState.normalized(phi1), PureState.normalized(phi2)
+        phi3 = PureState.normalized(phi2.amplitudes + 10.0 ** rng.uniform(-10, -4) * z)
+        gaps.append(1.0 - abs(inner_product(phi2, phi3)))
+        gram, phase = canonical_deltas((phi1, phi2, phi3), canonicalize_triple(phi1, phi2, phi3))
+        gram_bound, phase_bound = canonical_bounds(phi1, phi2, phi3)
+        assert gram <= gram_bound and phase <= phase_bound, (gaps[-1], gram, phase)
+    assert min(gaps) < np.finfo(float).eps and max(gaps) > 1e-9
 
 
 @given(seeds, seeds, st.integers(min_value=2, max_value=6))
