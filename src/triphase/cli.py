@@ -156,7 +156,7 @@ def _state_obj(s: PureState) -> dict:
 def cmd_phase(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     o13, o32, o21 = inner_product(psi1, psi3), inner_product(psi3, psi2), inner_product(psi2, psi1)
-    b = o13 * o32 * o21  # the Bargmann product, in bargmann_products' order
+    b = o13 * o32 * o21  # bargmann()'s product, from the overlaps printed below
     try:
         gamma = bargmann_phases(b, eps_null=args.tolerance)
     except UndefinedPhaseError as exc:
@@ -265,7 +265,7 @@ def cmd_canonicalize(args) -> int:
         return EXIT_OK
     print(f"dim = {result.dim}")
     if result.degenerate_frame:
-        print("note: psi2 and psi3 are parallel; frame degenerates to one vector")
+        print("note: psi2 and psi3 are parallel (1 - |<psi2|psi3>| < 1e-12)")
     for name, q in (("psi2_qubit", result.psi2_qubit), ("psi3_qubit", result.psi3_qubit)):
         a, b = q.amplitudes
         print(f"{name}: [{_fmt(a.real)} {_fmt(a.imag)}] [{_fmt(b.real)} {_fmt(b.imag)}]")

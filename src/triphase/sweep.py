@@ -59,10 +59,12 @@ class FamilyParams:
 def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
     """Qubit rows of the two rotated constellation points, shape (..., 2, 2),
     as a view of component-major memory (majorana's stack layout)."""
-    ex = np.exp(1j * ((phi + alphas) / 2.0)) / math.sqrt(2.0)
-    ey = np.exp(1j * ((phi - alphas) / 2.0)) / math.sqrt(2.0)
+    half = np.array([phi + alphas, alphas - phi]) / 2.0
+    out = np.empty((2,) + half.shape, dtype=complex)
+    out[1] = np.exp(1j * half) / math.sqrt(2.0)
     # exp(-1j * x) is conj(exp(1j * x)), bit for bit
-    return np.moveaxis(np.array([[ex.conj(), ey], [ex, ey.conj()]]), (0, 1), (-1, -2))
+    out[0] = out[1].conj()
+    return out.T
 
 
 def _fixed_qubits(theta: float) -> np.ndarray:
@@ -96,22 +98,22 @@ def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> tuple[n
 def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
     """Wrapped family phase at every alpha through the constellation route.
 
-    Per block of samples: moving qubits -> symmetrized product state
-    (unnormalized: the roots depend only on coefficient ratios) -> roots as
-    qubit rows, normalized -> per-point qubit phases against (q2, q3) ->
-    wrapped sum. Every stage hands the next a view of component-major
-    memory (majorana's stack layout), so each pass, the row normalizations
-    and per-sample phase sums included, runs over whole rows of samples.
-    Rows pass between stages without Bloch angles, which would change only
-    their global phases, and those cancel in the Bargmann products. The
-    closed forms are not consulted.
+    Per block of samples: moving qubits (one complex exp) -> symmetrized
+    product state (unnormalized: the roots depend only on coefficient
+    ratios) -> roots as qubit rows, normalized -> per-point qubit phases
+    against (q2, q3) -> wrapped sum. Every stage hands the next a view of
+    component-major memory (majorana's stack layout), so each pass, the row
+    norms, elementwise overlaps and per-sample phase sums included, runs
+    over whole rows of samples. Rows pass between stages without Bloch
+    angles, which would change only their global phases, and those cancel
+    in the Bargmann products. The closed forms are not consulted.
     """
     q2, q3 = _fixed_qubits(theta)
     out = np.empty(alphas.shape)
     for start in range(0, alphas.size, _BLOCK):
         block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
         points = constellation_qubits(symmetric_amplitudes(_moving_qubits(phi, block)))
-        points /= np.linalg.norm(points, axis=-1, keepdims=True)
+        points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
         phases = bargmann_phases(bargmann_products(points, q2, q3))
         out[start:start + _BLOCK] = wrap_angle(phases.sum(axis=-1))
     return out
@@ -121,16 +123,16 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
 class SweepResult:
     """Sweep of the family phase over alpha on a uniform closed grid.
 
-    gamma1/gamma2 are the unwrapped per-qubit series, gamma_total their sum,
-    gamma_wrapped its principal value. gamma_pipeline_wrapped re-derives the
-    wrapped total through the constellation + triangle route at every sample,
-    as an independent cross-check on the closed forms. It is computed for
-    all samples in batched array passes over sample-contiguous stacks that
-    hand qubit rows from stage to stage without Bloch angles, and agrees with
-    decompose_phase on the same family state within 1e-12 for |theta| >=
-    0.02. Below, the gap grows with the phase's slope 2/|tan(theta/2)|
-    (measured worst over phi in {0, pi/4, 3}: 1.3e-12 at theta = 0.01,
-    1.4e-11 at 0.005, 1.8e-10 at 0.001).
+    gamma1/gamma2 are the unwrapped per-qubit series (the rows of one
+    (2, S) stack), gamma_total their sum, gamma_wrapped its principal value.
+    gamma_pipeline_wrapped re-derives the wrapped total through the
+    constellation + triangle route at every sample, as an independent
+    cross-check on the closed forms, in batched passes over
+    sample-contiguous stacks. It agrees with decompose_phase on the same
+    family state within 1e-12 for |theta| >= 0.02 (measured 4.5e-13).
+    Below, the gap grows with the phase's slope 2/|tan(theta/2)| (measured
+    worst over every sample, phi in {0, pi/4, 3}: 2.4e-12 at theta = 0.01,
+    1.4e-11 at 0.005, 1.9e-10 at 0.001).
     """
 
     alphas: np.ndarray
@@ -171,19 +173,19 @@ def _merge_peak_runs(peaks: np.ndarray, alphas: np.ndarray) -> list[float]:
     return out
 
 
-def _locate_steep(alphas: np.ndarray, components: list[np.ndarray]) -> tuple[float, ...]:
-    """Steep-slope loci: cyclic local maxima of the finite-difference slope of
-    each unwrapped component, at least _SLOPE_FACTOR times its median."""
+def _locate_steep(alphas: np.ndarray, jumps: np.ndarray) -> tuple[float, ...]:
+    """Steep-slope loci: cyclic local maxima of the finite-difference slope
+    (jumps: absolute steps, one row per unwrapped component) of each
+    component, at least _SLOPE_FACTOR times its median."""
     step = float(alphas[1] - alphas[0])
+    slope = jumps / step
+    median = np.median(slope, axis=-1, keepdims=True)
+    cyclic = np.concatenate([slope[:, -1:], slope, slope[:, :1]], axis=-1)
+    is_peak = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
+    is_peak &= (slope > _SLOPE_FACTOR * median) & (median != 0.0)
     found: list[float] = []
-    for series in components:
-        slope = np.abs(np.diff(series)) / step
-        median = float(np.median(slope))
-        if median == 0.0:
-            continue
-        is_peak = (slope >= np.roll(slope, 1)) & (slope >= np.roll(slope, -1))
-        is_peak &= slope > _SLOPE_FACTOR * median
-        found.extend(_merge_peak_runs(np.flatnonzero(is_peak), alphas))
+    for peaks in is_peak:
+        found.extend(_merge_peak_runs(np.flatnonzero(peaks), alphas))
     found.sort()
     merged: list[float] = []
     for a in found:
@@ -209,10 +211,11 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     past the cap the sweep raises GridTooCoarseError rather than silently
     alias a branch. Each component's true slope is at most half that bound,
     so no step of the chosen grid exceeds pi/4. A post-check raises
-    GridTooCoarseError should an unwrapped jump still exceed 0.9 pi. The
-    constellation cross-check runs batched in fixed-size blocks of
-    sample-contiguous stacks, so memory stays flat and a 2**20-interval
-    sweep takes about 0.6 s (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
+    GridTooCoarseError should an unwrapped jump still exceed 0.9 pi. Both
+    components pass these steps as one (2, S) stack. The constellation
+    cross-check runs batched in fixed-size blocks of sample-contiguous
+    stacks, so memory stays flat and a 2**20-interval sweep takes about
+    0.37 s (2-vCPU x86-64 VM, Python 3.11, numpy 2.4).
 
     Raises ValueError for steps outside [64, 2**20], theta outside
     (-pi/2, pi/2) or zero, and non-finite phi.
@@ -236,13 +239,14 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         )
 
     alphas = np.linspace(0.0, TWO_PI, intervals + 1)
-    raw1, raw2 = _closed_form_arrays(theta, phi, alphas)
-    g1, g2 = np.unwrap(raw1), np.unwrap(raw2)
+    gammas = np.unwrap(_closed_form_arrays(theta, phi, alphas))
+    jumps = np.abs(np.diff(gammas))
     # post-check only: the grid above already bounds every step by pi/4
-    jump = max(float(np.max(np.abs(np.diff(g1)))), float(np.max(np.abs(np.diff(g2)))))
+    jump = float(jumps.max())
     if jump > _JUMP_LIMIT:
         raise GridTooCoarseError(f"unwrapped jump {jump:.3g} rad at {intervals} intervals")
 
+    g1, g2 = gammas
     total = g1 + g2
     return SweepResult(
         alphas=alphas,
@@ -251,5 +255,5 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         gamma_total=total,
         gamma_wrapped=wrap_angle(total),
         gamma_pipeline_wrapped=_pipeline_wrapped(theta, phi, alphas),
-        singular_alphas=_locate_steep(alphas, [g1, g2]),
+        singular_alphas=_locate_steep(alphas, jumps),
     )

@@ -4,8 +4,9 @@ Brute-force oracles in the full multi-qubit space, the factored fringe law,
 the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
 qubit triple (|+>, |0>, |y+>), whose phase is pi/4, a JSON integer
-beyond float range, and the conditioning bounds of a canonicalized triple.
-None of it is on a production path.
+beyond float range, the conditioning bounds of a canonicalized triple, and
+a sweep's printed series computed one component at a time. None of it is on
+a production path.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import math
 import numpy as np
 
 from triphase import PureState, inner_product, wrap_angle
+from triphase.angles import TWO_PI
+from triphase.sweep import _closed_form_arrays
 
 MAX_ORACLE_QUBITS = 12  # factorial permutation sum; resource guard
 
@@ -121,15 +124,17 @@ def output_probability_closed_form(psi1: PureState, psi2: PureState, psi3: PureS
 
 
 def count_overlaps(monkeypatch) -> list:
-    """Record each np.vdot and np.vecdot call, i.e. each overlap (or stack of
-    overlaps) the library evaluates, in the returned list."""
+    """Record each np.vdot call, i.e. each overlap of two single states the
+    library evaluates (inner_product), in the returned list. Stacked overlaps
+    (bargmann_products) are elementwise sums and are not counted."""
     calls = []
-    for name in ("vdot", "vecdot"):
-        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    original = np.vdot
 
-        monkeypatch.setattr(np, name, counted)
+    def counted(*args, **kwargs):
+        calls.append("vdot")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vdot", counted)
     return calls
 
 
@@ -157,3 +162,39 @@ def count_eigvals(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     return calls
+
+
+def sweep_series_per_component(theta: float, phi: float, alphas: np.ndarray) -> tuple:
+    """sweep_alpha's printed series on the grid `alphas`, one component at a
+    time: (gamma1, gamma2, gamma_total, gamma_wrapped, singular_alphas). Each
+    closed-form series gets its own np.unwrap, and the steep-slope search its
+    own np.median and np.roll neighbours: the per-component form of the
+    library's one (2, S) pass."""
+    g1, g2 = (np.unwrap(raw) for raw in _closed_form_arrays(theta, phi % TWO_PI, alphas))
+    step = float(alphas[1] - alphas[0])
+    found = []
+    for series in (g1, g2):
+        slope = np.abs(np.diff(series)) / step
+        median = float(np.median(slope))
+        if median == 0.0:
+            continue
+        is_peak = (slope >= np.roll(slope, 1)) & (slope >= np.roll(slope, -1))
+        is_peak &= slope > 5.0 * median
+        peaks = np.flatnonzero(is_peak).tolist()
+        # runs of consecutive peak intervals collapse to their center alpha
+        starts = [j for j in peaks if j - 1 not in peaks]
+        ends = [j for j in peaks if j + 1 not in peaks]
+        found.extend(0.5 * float(alphas[a] + alphas[b + 1]) for a, b in zip(starts, ends))
+    found.sort()
+    merged = []
+    for a in found:
+        if merged and a - merged[-1] <= step:
+            merged[-1] = 0.5 * (merged[-1] + a)
+        else:
+            merged.append(a)
+    if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= step:
+        first = merged.pop(0)
+        merged[-1] = (0.5 * (first + merged[-1] + TWO_PI)) % TWO_PI
+        merged.sort()
+    total = g1 + g2
+    return g1, g2, total, wrap_angle(total), tuple(merged)

@@ -178,6 +178,9 @@ def test_canonicalize_parallel_inputs_note(tmp_path, capsys):
     code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
     assert code == 0
     assert json.loads(out)["degenerate_frame"] is True
+    code, out, _ = run_cli(["canonicalize", path], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "note: psi2 and psi3 are parallel (1 - |<psi2|psi3>| < 1e-12)"
 
 
 def test_eraser_reports_quarter_turn_and_scan(tmp_path, triple_file, capsys):

@@ -27,6 +27,7 @@ from triphase import (
     solid_angle_triangle,
     three_vertex_phase,
 )
+from triphase.phases import bargmann_products
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -39,6 +40,53 @@ def test_bargmann_values():
     # full complex arithmetic: <+|y+> <y+|0> <0|+> = (1+i)/2 * 1/sqrt2 * 1/sqrt2
     assert bargmann(PLUS, ZERO, YPLUS) == pytest.approx((1 + 1j) / 4)
     assert bargmann(ZERO, PureState.basis(2, 1), PLUS) == pytest.approx(0.0)
+
+
+def unit_rows(rng, shape):
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def test_bargmann_takes_state_overlaps_from_inner_product():
+    # single states keep BLAS zdotc's bits, the ones canonicalize's g has
+    for dim in (2, 3, 7, 20, 64, 257, 1030):
+        for seed in range(5):
+            s1, s2, s3 = (random_pure_state(dim, 100 * dim + 3 * seed + k) for k in range(3))
+            product = inner_product(s1, s3) * inner_product(s3, s2) * inner_product(s2, s1)
+            assert bargmann(s1, s2, s3) == product, (dim, seed)
+
+
+def test_stacked_bargmann_products_match_per_row_vdot():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    q2, q3 = unit_rows(rng, (2, 2))
+    tail = np.vdot(q3, q2)
+    row_major = unit_rows(rng, (50, 2))
+    component_major = np.ascontiguousarray(unit_rows(rng, (300, 2, 2)).T).T
+    assert not component_major.flags.c_contiguous
+    for stack in (row_major, component_major):
+        want = np.zeros(stack.shape[:-1], dtype=complex)
+        for i in np.ndindex(want.shape):
+            want[i] = np.vdot(stack[i], q3) * tail * np.vdot(q2, stack[i])
+        assert np.abs(bargmann_products(stack, q2, q3) - want).max() <= 4 * eps
+
+
+def test_canonicalize_keeps_the_phase_of_faint_triples():
+    # |<psi2|psi3>| down to 1e-11: the phase of the original triple must
+    # take the same bits of <psi2|psi3> as canonicalize's g, or it moves by
+    # about eps / |g|; eps_null = 0 so that no product counts as vanishing
+    rng = np.random.default_rng(12_345)
+    for _ in range(200):
+        dim = int(rng.integers(2, 21))
+        psi1, psi2, z = unit_rows(rng, (3, dim))
+        perp = z - np.vdot(psi2, z) * psi2
+        psi3 = perp / np.linalg.norm(perp) + 10.0 ** rng.uniform(-11, -5) * psi2
+        originals = (PureState(psi1), PureState(psi2), PureState.normalized(psi3))
+        result = canonicalize_triple(*originals)
+        transformed = (result.psi1, result.psi2(), result.psi3())
+        delta = angle_dist(three_vertex_phase(*transformed, eps_null=0.0),
+                           three_vertex_phase(*originals, eps_null=0.0))
+        assert delta <= 1e-12, (dim, abs(np.vdot(psi2, psi3)), delta)
 
 
 # --- three_vertex_phase ------------------------------------------------------

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from reference import angle_dist, count_eigvals, dicke_embed, symmetrize_full
+from reference import (
+    angle_dist,
+    count_eigvals,
+    dicke_embed,
+    sweep_series_per_component,
+    symmetrize_full,
+)
 from triphase import (
     FamilyParams,
     GridTooCoarseError,
@@ -147,6 +153,34 @@ def test_sweep_cross_check_takes_quadratic_roots_in_closed_form(monkeypatch):
     calls = count_eigvals(monkeypatch)
     result = sweep_alpha(PI / 3, PI / 4, 1024)
     assert result.alphas.size == 1025 and calls == []
+
+
+def test_stacked_series_match_per_component_reference_bitwise():
+    # the (2, S) pass must give the per-component reference's bytes:
+    # negative and grid-doubling theta, odd and even slope counts
+    # (one or two middle order statistics in the median), and tangent poles
+    # in the first or last interval, where only a cyclic neighbour keeps
+    # the seam from counting as a second peak
+    cases = [(-0.4, 1.0, 64), (0.02, PI / 4, 256), (-0.05, 2.0, 100), (0.7, 0.3, 1001),
+             (PI / 6, PI / 4, 4096), (PI / 6, PI / 4, 4095)]
+    for steps in (64, 1001, 1024):
+        for offset in (0.3, -0.3):
+            cases.append((0.2, PI + offset * 2 * PI / steps, steps))
+    rng = np.random.default_rng(4_200)
+    for _ in range(30):
+        theta = float(rng.uniform(0.05, 1.5) * rng.choice([-1.0, 1.0]))
+        cases.append((theta, float(rng.uniform(-7.0, 7.0)), int(rng.integers(64, 4097))))
+    seam = 0
+    for theta, phi, steps in cases:
+        result = sweep_alpha(theta, phi, steps)
+        *series, singular = sweep_series_per_component(theta, phi, result.alphas)
+        printed = (result.gamma1, result.gamma2, result.gamma_total, result.gamma_wrapped)
+        for got, want in zip(printed, series):
+            assert got.tobytes() == want.tobytes(), (theta, phi, steps)
+        assert result.singular_alphas == singular, (theta, phi, steps)
+        step = result.alphas[1]
+        seam += any(a < step or a > 2 * PI - step for a in singular)
+    assert seam >= 6
 
 
 def test_sweep_grid_too_coarse_for_extreme_theta():
