@@ -28,7 +28,7 @@ from .phases import (
     canonicalize_triple,
     three_vertex_phase,
 )
-from .states import NORM_TOL, BlochPoint, PureState, inner_product
+from .states import NORM_TOL, BlochPoint, PureState, inner_product, vector_norm
 from .sweep import GridTooCoarseError, SweepResult, sweep_alpha
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
     except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
         raise CliInputError(f"{label}: amplitudes must be [re, im] number pairs") from None
     with np.errstate(over="ignore"):  # a huge amplitude gives norm inf, rejected below
-        norm = float(np.linalg.norm(vec))
+        norm = vector_norm(vec)
     tol = 1e-3 if renormalize else NORM_TOL
     if not abs(norm - 1.0) <= tol:  # also rejects NaN and inf
         hint = "" if renormalize else "; pass --renormalize to accept up to 1e-3"

@@ -37,9 +37,9 @@ import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .phases import EPS_NULL, UndefinedPhaseError
-from .states import DimensionMismatchError, PureState, inner_product
+from .states import DimensionMismatchError, PureState, inner_product, vector_norm
 
-_SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
 
@@ -84,7 +84,8 @@ def composite_intermediate(psi1: PureState, psi2: PureState) -> np.ndarray:
     out = np.empty(2 * psi1.dim, dtype=complex)
     out[0::2] = psi1.amplitudes
     out[1::2] = psi2.amplitudes
-    return out / _SQRT2
+    out *= _INV_SQRT2
+    return out
 
 
 def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarray:
@@ -96,8 +97,8 @@ def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarra
 def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
     """|<delta|path>|^2 of the renormalized path qubit at each phase factor
     e^{-i delta} (an array or a single value)."""
-    path_spinor = path_spinor / np.linalg.norm(path_spinor)
-    amps = (path_spinor[0] + phase_factors * path_spinor[1]) / _SQRT2
+    path_spinor = path_spinor * (1.0 / vector_norm(path_spinor))
+    amps = (path_spinor[0] + phase_factors * path_spinor[1]) * _INV_SQRT2
     return np.abs(amps) ** 2
 
 

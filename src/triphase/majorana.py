@@ -69,6 +69,14 @@ def _binomial_weights(n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=64)
+def _signed_weights(n: int) -> np.ndarray:
+    # (-1)^k sqrt(C(n, k)): the weight of c_k in the polynomial's coefficients
+    w = (-1.0) ** np.arange(n + 1) * _binomial_weights(n)
+    w.setflags(write=False)
+    return w
+
+
 def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
     """Constellations of a stack of states, as unnormalized qubit rows.
 
@@ -93,7 +101,7 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
     amps = np.ascontiguousarray(amps.T)  # (N, S): no copy for a component-major stack
     n = amps.shape[0] - 1
     # descending powers: coefficient of z^(n-k) is (-1)^k sqrt(C(n,k)) c_k
-    coeffs = ((-1.0) ** np.arange(n + 1) * _binomial_weights(n))[:, None] * amps
+    coeffs = _signed_weights(n)[:, None] * amps
     magnitude = np.abs(coeffs)
     scale = magnitude.max(axis=0)
     if not scale.min() > 0.0:
@@ -159,7 +167,8 @@ def symmetric_amplitudes(qubits: np.ndarray) -> np.ndarray:
         nxt[1:] += poly * b[..., i]
         poly = nxt
     weights = _binomial_weights(n).reshape((-1,) + (1,) * (poly.ndim - 1))
-    return np.moveaxis(poly / weights, 0, -1)
+    poly *= 1.0 / weights
+    return np.moveaxis(poly, 0, -1)
 
 
 def points_to_state(points: Iterable[BlochPoint]) -> PureState:

@@ -24,6 +24,7 @@ from .states import (
 EPS_NULL = 1e-12      # below this, an overlap product counts as zero
 ANTIPODAL_TOL = 1e-9  # |a + b| below this means antipodal vertices
 _PARALLEL_TOL = 1e-12
+_KET0 = PureState.basis(2, 0)  # the fixed qubit |0> of every canonical triple
 
 
 class UndefinedPhaseError(ValueError):
@@ -197,11 +198,13 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     n = phi1.dim - 1
     g = inner_product(phi2, phi3)
     w = g ** (1.0 / n)
-    q2 = PureState(np.array([1.0, 0.0], dtype=complex))
     q3 = PureState.normalized(np.array([w, math.sqrt(max(0.0, 1.0 - abs(w) ** 2))], dtype=complex))
 
-    columns = np.column_stack([phi2.amplitudes, phi3.amplitudes,
-                               product_state(q2, n).amplitudes, product_state(q3, n).amplitudes])
+    columns = np.zeros((n + 1, 4), dtype=complex)
+    columns[:, 0] = phi2.amplitudes
+    columns[:, 1] = phi3.amplitudes
+    columns[0, 2] = 1.0  # product_state(|0>, n) is the basis column e0
+    columns[:, 3] = product_state(q3, n).amplitudes
     span, coords = np.linalg.qr(columns)  # coords = W^dagger columns
     u, _, vh = np.linalg.svd(coords[:, 2:] @ coords[:, :2].conj().T)
     rotation = u @ vh
@@ -209,4 +212,4 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     check_unitary(rotation)
     c1 = span.conj().T @ phi1.amplitudes
     psi1 = PureState.normalized(phi1.amplitudes + span @ (rotation @ c1 - c1))
-    return CanonicalTriple(psi1, q2, q3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)
+    return CanonicalTriple(psi1, _KET0, q3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)

@@ -29,6 +29,7 @@ _BLOCK = 4096            # alpha samples per batched pipeline pass
 _MIN_STEPS = 64
 _SLOPE_FACTOR = 5.0      # a peak counts as singular above 5x the median slope
 _JUMP_LIMIT = 0.9 * math.pi
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 
 
 class GridTooCoarseError(RuntimeError):
@@ -61,7 +62,7 @@ def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
     as a view of component-major memory (majorana's stack layout)."""
     half = np.array([phi + alphas, alphas - phi]) / 2.0
     out = np.empty((2,) + half.shape, dtype=complex)
-    out[1] = np.exp(1j * half) / math.sqrt(2.0)
+    out[1] = np.exp(1j * half) * _INV_SQRT2
     # exp(-1j * x) is conj(exp(1j * x)), bit for bit
     out[0] = out[1].conj()
     return out.T
@@ -70,7 +71,7 @@ def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
 def _fixed_qubits(theta: float) -> np.ndarray:
     """Rows q2, q3 of the fixed real qubit pair at half angle theta, shape (2, 2)."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c - s, c + s], [c + s, c - s]], dtype=complex) / math.sqrt(2.0)
+    return np.array([[c - s, c + s], [c + s, c - s]], dtype=complex) * _INV_SQRT2
 
 
 def family_qubits(p: FamilyParams) -> tuple[PureState, PureState, PureState, PureState]:
@@ -113,7 +114,7 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
     for start in range(0, alphas.size, _BLOCK):
         block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
         points = constellation_qubits(symmetric_amplitudes(_moving_qubits(phi, block)))
-        points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
+        points *= 1.0 / np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
         phases = bargmann_phases(bargmann_products(points, q2, q3))
         out[start:start + _BLOCK] = wrap_angle(phases.sum(axis=-1))
     return out

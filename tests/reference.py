@@ -4,9 +4,11 @@ Brute-force oracles in the full multi-qubit space, the factored fringe law,
 the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
 qubit triple (|+>, |0>, |y+>), whose phase is pi/4, a JSON integer
-beyond float range, the conditioning bounds of a canonicalized triple, and
-a sweep's printed series computed one component at a time. None of it is on
-a production path.
+beyond float range, the conditioning bounds of a canonicalized triple,
+a sweep's printed series computed one component at a time, and the forms
+the library replaced by faster ones with the same bits (complex division
+by a real, np.linalg.norm, np.where in wrap_angle, |0>^n from
+product_state). None of it is on a production path.
 """
 
 import itertools
@@ -14,8 +16,11 @@ import math
 
 import numpy as np
 
-from triphase import PureState, inner_product, wrap_angle
+from triphase import PureState, inner_product, product_state, wrap_angle
 from triphase.angles import TWO_PI
+from triphase.majorana import _binomial_weights, constellation_qubits
+from triphase.phases import bargmann_products
+from triphase.states import check_unitary
 from triphase.sweep import _closed_form_arrays
 
 MAX_ORACLE_QUBITS = 12  # factorial permutation sum; resource guard
@@ -198,3 +203,91 @@ def sweep_series_per_component(theta: float, phi: float, alphas: np.ndarray) -> 
         merged.sort()
     total = g1 + g2
     return g1, g2, total, wrap_angle(total), tuple(merged)
+
+
+# The replaced forms. Each divides where the library multiplies by the
+# reciprocal, or takes the slower general route, and must give the
+# library's bits.
+
+def wrap_angle_where(x):
+    """wrap_angle on 0-d arrays for scalars, with np.where for the -pi fix-up."""
+    w = np.asarray(x, dtype=float)
+    w = w - TWO_PI * np.rint(w / TWO_PI)
+    w = np.where(w <= -np.pi, w + TWO_PI, w)
+    return float(w) if w.ndim == 0 else w
+
+
+def composite_by_division(psi1: PureState, psi2: PureState) -> np.ndarray:
+    """eraser.composite_intermediate, divided by sqrt(2)."""
+    out = np.empty(2 * psi1.dim, dtype=complex)
+    out[0::2] = psi1.amplitudes
+    out[1::2] = psi2.amplitudes
+    return out / SQRT2
+
+
+def projected_fringe_by_division(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
+    """eraser._projected_fringe, normalized by np.linalg.norm and divided."""
+    path_spinor = path_spinor / np.linalg.norm(path_spinor)
+    amps = (path_spinor[0] + phase_factors * path_spinor[1]) / SQRT2
+    return np.abs(amps) ** 2
+
+
+def symmetric_amplitudes_by_division(qubits: np.ndarray) -> np.ndarray:
+    """majorana.symmetric_amplitudes, ending in poly / weights."""
+    a, b = qubits[..., 0], qubits[..., 1]
+    n = qubits.shape[-2]
+    poly = np.ones((1,) + qubits.shape[:-2], dtype=complex)
+    for i in range(n):
+        nxt = np.zeros((poly.shape[0] + 1,) + poly.shape[1:], dtype=complex)
+        nxt[:-1] = poly * a[..., i]
+        nxt[1:] += poly * b[..., i]
+        poly = nxt
+    weights = _binomial_weights(n).reshape((-1,) + (1,) * (poly.ndim - 1))
+    return np.moveaxis(poly / weights, 0, -1)
+
+
+def canonicalize_by_stacking(phi1: PureState, phi2: PureState, phi3: PureState) -> tuple:
+    """canonicalize_triple's (span, rotation, psi1 amplitudes), with the
+    columns from np.column_stack and |0>^n from product_state."""
+    n = phi1.dim - 1
+    w = inner_product(phi2, phi3) ** (1.0 / n)
+    q3 = PureState.normalized(np.array([w, math.sqrt(max(0.0, 1.0 - abs(w) ** 2))], dtype=complex))
+    columns = np.column_stack([phi2.amplitudes, phi3.amplitudes,
+                               product_state(ZERO, n).amplitudes, product_state(q3, n).amplitudes])
+    span, coords = np.linalg.qr(columns)
+    u, _, vh = np.linalg.svd(coords[:, 2:] @ coords[:, :2].conj().T)
+    rotation = u @ vh
+    check_unitary(span)
+    check_unitary(rotation)
+    c1 = span.conj().T @ phi1.amplitudes
+    psi1 = PureState.normalized(phi1.amplitudes + span @ (rotation @ c1 - c1))
+    return span, rotation, psi1.amplitudes
+
+
+def pipeline_wrapped_by_division(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
+    """sweep._pipeline_wrapped in one block, with every qubit row scaled by
+    division and the -pi fix-up by np.where."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    q2, q3 = np.array([[c - s, c + s], [c + s, c - s]], dtype=complex) / math.sqrt(2.0)
+    alphas = np.fmod(alphas, TWO_PI)
+    half = np.array([phi + alphas, alphas - phi]) / 2.0
+    moving = np.empty((2,) + half.shape, dtype=complex)
+    moving[1] = np.exp(1j * half) / math.sqrt(2.0)
+    moving[0] = moving[1].conj()
+    points = constellation_qubits(symmetric_amplitudes_by_division(moving.T))
+    points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
+    products = bargmann_products(points, q2, q3)
+    return wrap_angle_where(wrap_angle_where(np.arctan2(products.imag, products.real)).sum(axis=-1))
+
+
+def count_norm_calls(monkeypatch) -> list:
+    """Record each np.linalg.norm call in the returned list."""
+    calls = []
+    original = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls

@@ -1,0 +1,156 @@
+"""The fast forms on the triples and sweep paths give the bits of the forms
+they replaced (reference.py), compared as int64 views on seeded inputs, and
+the triple routes make no np.linalg.norm call and build no |0>^n."""
+
+import math
+
+import numpy as np
+import pytest
+
+import reference
+from reference import ZERO, count_norm_calls
+from triphase import (
+    EraserConfig,
+    PureState,
+    canonicalize_triple,
+    decompose_phase,
+    extract_geometric_phase,
+    fringe_pair,
+    sweep_alpha,
+    three_vertex_phase,
+    wrap_angle,
+)
+from triphase import eraser, majorana, phases, sweep
+from triphase.majorana import symmetric_amplitudes
+from triphase.states import vector_norm
+
+
+def bits(x) -> list:
+    x = np.ascontiguousarray(x)
+    return x.view(np.int64).tolist()
+
+
+def haar_triple(rng, dim):
+    z = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    return [PureState.normalized(row) for row in z]
+
+
+def test_wrap_angle_matches_the_where_form():
+    odd = [k * math.pi for k in range(-41, 42, 2)] + [(2 * k + 1) * math.pi for k in (10**6, -10**9)]
+    special = [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300, math.inf, -math.inf, math.nan] + odd
+    rng = np.random.default_rng(11)
+    values = np.concatenate([special, rng.uniform(-1e4, 1e4, 10**5)])
+    with np.errstate(invalid="ignore"):  # inf wraps to NaN in both forms
+        assert bits(wrap_angle(values)) == bits(reference.wrap_angle_where(values))
+        for x in values[:1000].tolist():
+            new, old = wrap_angle(x), reference.wrap_angle_where(x)
+            assert type(new) is float
+            assert bits(np.float64(new)) == bits(np.float64(old))
+
+
+def test_vector_norm_matches_linalg_norm():
+    rng = np.random.default_rng(12)
+    for dim in range(2, 1031):
+        # component-major memory: each sample is a strided row of its transpose
+        stack = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        stack *= 10.0 ** rng.uniform(-3, 3)
+        for row in (stack[:, 0].copy(), stack.T[1], stack.T[2]):
+            assert bits(np.float64(vector_norm(row))) == bits(np.linalg.norm(row))
+            unit = row / np.linalg.norm(row)  # normalized, then rescaled by PureState
+            assert bits(PureState.normalized(row).amplitudes) == bits(unit / np.linalg.norm(unit))
+    # PureState keeps dividing: a reciprocal multiply would flip these zero signs
+    signed = np.array([complex(-0.0, 0.6), complex(0.8, -0.0), complex(-0.0, -0.0)])
+    unit = signed / np.linalg.norm(signed)
+    assert bits(PureState.normalized(signed).amplitudes) == bits(unit / np.linalg.norm(unit))
+    assert bits(signed * (1.0 / np.linalg.norm(signed))) != bits(signed / np.linalg.norm(signed))
+
+
+@pytest.mark.parametrize("grid", [16, 64, 4096])
+def test_fringe_pair_matches_the_division_forms(grid, monkeypatch):
+    rng = np.random.default_rng(grid)
+    cfg = EraserConfig(grid)
+    triples = [haar_triple(rng, dim) for dim in (2, 3, 5, 9, 13, 20, 64) for _ in range(4)]
+    new = [fringe_pair(*t, cfg) + (extract_geometric_phase(*t, cfg),) for t in triples]
+    monkeypatch.setattr(eraser, "composite_intermediate", reference.composite_by_division)
+    monkeypatch.setattr(eraser, "_projected_fringe", reference.projected_fringe_by_division)
+    monkeypatch.setattr(eraser, "wrap_angle", reference.wrap_angle_where)
+    for t, (projected, plain, gamma) in zip(triples, new):
+        old_projected, old_plain = fringe_pair(*t, cfg)
+        for scan, old in ((projected, old_projected), (plain, old_plain)):
+            assert bits(scan.probabilities) == bits(old.probabilities)
+            assert bits([scan.peak, scan.center, scan.visibility]) == bits([old.peak, old.center, old.visibility])
+        assert bits(np.float64(gamma)) == bits(np.float64(extract_geometric_phase(*t, cfg)))
+
+
+def test_triple_phases_match_the_where_form(monkeypatch):
+    rng = np.random.default_rng(13)
+    triples = [haar_triple(rng, dim) for dim in (2, 3, 5, 9, 13, 20) for _ in range(10)]
+    canons = [canonicalize_triple(*t) for t in triples]
+
+    def outputs():
+        for t, c in zip(triples, canons):
+            dec = decompose_phase(c.psi1, c.psi2_qubit, c.psi3_qubit)
+            yield bits([three_vertex_phase(*t), dec.total, *dec.qubit_phases])
+
+    new = list(outputs())
+    monkeypatch.setattr(phases, "wrap_angle", reference.wrap_angle_where)
+    assert new == list(outputs())
+
+
+def test_canonicalize_matches_the_stacked_columns():
+    rng = np.random.default_rng(14)
+    for dim in [*range(2, 41), *range(41, 1030, 47), 1030]:
+        triple = haar_triple(rng, dim)
+        canon = canonicalize_triple(*triple)
+        span, rotation, psi1 = reference.canonicalize_by_stacking(*triple)
+        assert bits(canon.span) == bits(span)
+        assert bits(canon.rotation) == bits(rotation)
+        assert bits(canon.psi1.amplitudes) == bits(psi1)
+        assert bits(canon.psi2_qubit.amplitudes) == bits(ZERO.amplitudes)
+
+
+def test_symmetric_amplitudes_match_the_division_form():
+    rng = np.random.default_rng(15)
+    for n in range(1, 64):
+        # qubit rows as a sample-first view of component-major memory
+        qubits = (rng.standard_normal((2, n, 5)) + 1j * rng.standard_normal((2, n, 5))).T
+        assert bits(symmetric_amplitudes(qubits)) == bits(reference.symmetric_amplitudes_by_division(qubits))
+
+
+@pytest.mark.parametrize("theta, phi, steps", [
+    (math.pi / 3, math.pi / 4, 1024),
+    (math.pi / 12, 1.0, 64),
+    (-0.7, 3.0, 100),
+    (0.02, math.pi / 4, 256),  # doubles its grid twice
+])
+def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
+    new = sweep_alpha(theta, phi, steps)
+    monkeypatch.setattr(sweep, "wrap_angle", reference.wrap_angle_where)
+    monkeypatch.setattr(sweep, "_pipeline_wrapped", reference.pipeline_wrapped_by_division)
+    old = sweep_alpha(theta, phi, steps)
+    for name in ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped"):
+        assert bits(getattr(new, name)) == bits(getattr(old, name)), name
+    assert bits(new.singular_alphas) == bits(old.singular_alphas)
+
+
+def test_triple_routes_make_no_norm_call_and_no_ket0_power(monkeypatch):
+    rng = np.random.default_rng(16)
+    triples = [haar_triple(rng, dim) for dim in (2, 3, 5, 13)]
+    norms = count_norm_calls(monkeypatch)
+    powers = []
+    original = majorana.product_state
+
+    def recorded(q, n):
+        powers.append(q.amplitudes.tolist())
+        return original(q, n)
+
+    monkeypatch.setattr(phases, "product_state", recorded)
+    monkeypatch.setattr(majorana, "product_state", recorded)
+    for t in triples:
+        three_vertex_phase(*t)
+        canon = canonicalize_triple(*t)
+        decompose_phase(canon.psi1, canon.psi2_qubit, canon.psi3_qubit)
+        extract_geometric_phase(*t)
+    assert norms == []
+    assert len(powers) == len(triples)  # psi3's qubit only
+    assert ZERO.amplitudes.tolist() not in powers
