@@ -16,7 +16,6 @@ from .majorana import (
 )
 from .phases import (
     CanonicalTriple,
-    DegenerateGeodesicError,
     PhaseDecomposition,
     UndefinedPhaseError,
     bargmann,
@@ -49,7 +48,6 @@ from .sweep import (
 __all__ = [
     "BlochPoint",
     "CanonicalTriple",
-    "DegenerateGeodesicError",
     "DimensionMismatchError",
     "EraserConfig",
     "FamilyParams",

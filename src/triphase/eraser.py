@@ -96,7 +96,7 @@ def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarra
 
 def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
     """|<delta|path>|^2 of the renormalized path qubit at each phase factor
-    e^{-i delta} (an array or a single value)."""
+    e^{-i delta} of the grid."""
     path_spinor = path_spinor * (1.0 / vector_norm(path_spinor))
     amps = (path_spinor[0] + phase_factors * path_spinor[1]) * _INV_SQRT2
     return np.abs(amps) ** 2

@@ -9,17 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import wrap_angle
-from .majorana import product_state, state_to_points
-from .states import (
-    BlochPoint,
-    DimensionMismatchError,
-    PureState,
-    Unitary,
-    bloch_qubits,
-    check_unitary,
-    inner_product,
-    qubit_to_bloch,
-)
+from .majorana import constellation_qubits, product_state
+from .states import BlochPoint, DimensionMismatchError, PureState, Unitary, check_unitary, inner_product
 
 EPS_NULL = 1e-12      # below this, an overlap product counts as zero
 ANTIPODAL_TOL = 1e-9  # |a + b| below this means antipodal vertices
@@ -28,11 +19,8 @@ _KET0 = PureState.basis(2, 0)  # the fixed qubit |0> of every canonical triple
 
 
 class UndefinedPhaseError(ValueError):
-    """A needed overlap or overlap product vanishes: no phase is defined."""
-
-
-class DegenerateGeodesicError(ValueError):
-    """Two vertices are antipodal: the connecting geodesic is not unique."""
+    """A needed overlap or overlap product vanishes: no phase is defined.
+    For qubits this includes antipodal Bloch vertices (orthogonal qubits)."""
 
 
 def bargmann_products(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
@@ -63,6 +51,21 @@ def bargmann_phases(b, *, eps_null: float = EPS_NULL):
             "phase undefined"
         )
     return wrap_angle(np.arctan2(b.imag, b.real))
+
+
+def constellation_products(amplitudes: np.ndarray, q2, q3) -> tuple[np.ndarray, np.ndarray]:
+    """Unit constellation rows of an (S, N) amplitude stack, shape
+    (S, N-1, 2), and the Bargmann products (S, N-1) of each point's qubit
+    triple (point, q2, q3), for qubit rows q2 and q3.
+
+    The rows of constellation_qubits are scaled to unit norm; their Bloch
+    angles would change only global phases, which cancel in the products.
+    Both results are views of component-major memory (majorana's stack
+    layout), and no arithmetic crosses rows.
+    """
+    points = constellation_qubits(amplitudes)
+    points *= 1.0 / np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
+    return points, bargmann_products(points, q2, q3)
 
 
 def bargmann(s1: PureState, s2: PureState, s3: PureState) -> complex:
@@ -101,28 +104,30 @@ def solid_angle_triangle(p1: BlochPoint, p2: BlochPoint, p3: BlochPoint) -> floa
 
     through atan2, so the branch is correct when the denominator is <= 0 and
     the result lies in (-2pi, 2pi]. Coincident or locally collinear vertices
-    give 0; antipodal pairs are rejected.
+    give 0; antipodal pairs (orthogonal qubits) raise UndefinedPhaseError.
     """
     a, b, c = p1.to_cartesian(), p2.to_cartesian(), p3.to_cartesian()
     for u, v in ((a, b), (b, c), (c, a)):
         if float(np.linalg.norm(u + v)) < ANTIPODAL_TOL:
-            raise DegenerateGeodesicError("a vertex pair is antipodal")
+            raise UndefinedPhaseError("a vertex pair is antipodal")
     num = float(np.dot(a, np.cross(b, c)))
     den = float(1.0 + a @ b + b @ c + c @ a)
     return 2.0 * math.atan2(num, den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseDecomposition:
     """Per-point qubit phases of a (state, qubit, qubit) configuration.
 
-    total is the principal value of the sum of qubit_phases; triangles holds
-    the ordered vertex triple behind each qubit phase, for plotting.
+    total is the principal value of the sum of qubit_phases. point_qubits,
+    shape (N-1, 2), holds the unit qubit row of each constellation point in
+    constellation_qubits' order (south-pole points first): qubit_phases[i]
+    is the phase of the triangle (point_qubits[i], q2, q3).
     """
 
     qubit_phases: tuple[float, ...]
     total: float
-    triangles: tuple[tuple[BlochPoint, BlochPoint, BlochPoint], ...]
+    point_qubits: np.ndarray
 
 
 def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecomposition:
@@ -130,17 +135,16 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
 
     Each constellation point of sym1 contributes the phase of the qubit
     triple (point, q2, q3), one spherical triangle apiece; the parts sum to
-    the phase of the full triple mod 2pi.
+    the phase of the full triple mod 2pi. A thin wrapper over
+    constellation_products on a one-row stack, the kernel the sweep's
+    cross-check runs on whole blocks of samples.
     """
     if q2.dim != 2 or q3.dim != 2:
         raise DimensionMismatchError("q2 and q3 must be qubits")
-    points = state_to_points(sym1)
-    qubits = bloch_qubits([p.polar for p in points], [p.azimuth for p in points])
-    products = bargmann_products(qubits, q2.amplitudes, q3.amplitudes)
-    phases = bargmann_phases(products).tolist()
-    b2, b3 = qubit_to_bloch(q2), qubit_to_bloch(q3)
-    triangles = tuple((point, b2, b3) for point in points)
-    return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), triangles)
+    points, products = constellation_products(sym1.amplitudes[None, :], q2.amplitudes, q3.amplitudes)
+    phases = bargmann_phases(products[0]).tolist()
+    points.setflags(write=False)  # point_qubits is a read-only view, like PureState's amplitudes
+    return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), points[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .majorana import constellation_qubits, points_to_state, product_state, symmetric_amplitudes
-from .phases import bargmann_phases, bargmann_products
+from .majorana import points_to_state, product_state, symmetric_amplitudes
+from .phases import bargmann_phases, constellation_products
 from .states import PureState, qubit_to_bloch
 
 MAX_SWEEP_INTERVALS = 2 ** 20
@@ -101,22 +101,18 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
 
     Per block of samples: moving qubits (one complex exp) -> symmetrized
     product state (unnormalized: the roots depend only on coefficient
-    ratios) -> roots as qubit rows, normalized -> per-point qubit phases
-    against (q2, q3) -> wrapped sum. Every stage hands the next a view of
-    component-major memory (majorana's stack layout), so each pass, the row
-    norms, elementwise overlaps and per-sample phase sums included, runs
-    over whole rows of samples. Rows pass between stages without Bloch
-    angles, which would change only their global phases, and those cancel
-    in the Bargmann products. The closed forms are not consulted.
+    ratios) -> constellation_products against (q2, q3), the kernel that
+    decompose_phase wraps for one state -> per-point qubit phases ->
+    wrapped sum. Every stage hands the next a view of component-major
+    memory (majorana's stack layout), so each pass runs over whole rows of
+    samples. The closed forms are not consulted.
     """
     q2, q3 = _fixed_qubits(theta)
     out = np.empty(alphas.shape)
     for start in range(0, alphas.size, _BLOCK):
         block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
-        points = constellation_qubits(symmetric_amplitudes(_moving_qubits(phi, block)))
-        points *= 1.0 / np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
-        phases = bargmann_phases(bargmann_products(points, q2, q3))
-        out[start:start + _BLOCK] = wrap_angle(phases.sum(axis=-1))
+        _, products = constellation_products(symmetric_amplitudes(_moving_qubits(phi, block)), q2, q3)
+        out[start:start + _BLOCK] = wrap_angle(bargmann_phases(products).sum(axis=-1))
     return out
 
 
@@ -126,14 +122,14 @@ class SweepResult:
 
     gamma1/gamma2 are the unwrapped per-qubit series (the rows of one
     (2, S) stack), gamma_total their sum, gamma_wrapped its principal value.
-    gamma_pipeline_wrapped re-derives the wrapped total through the
-    constellation + triangle route at every sample, as an independent
-    cross-check on the closed forms, in batched passes over
-    sample-contiguous stacks. It agrees with decompose_phase on the same
-    family state within 1e-12 for |theta| >= 0.02 (measured 4.5e-13).
-    Below, the gap grows with the phase's slope 2/|tan(theta/2)| (measured
-    worst over every sample, phi in {0, pi/4, 3}: 2.4e-12 at theta = 0.01,
-    1.4e-11 at 0.005, 1.9e-10 at 0.001).
+    gamma_pipeline_wrapped re-derives the wrapped total at every sample
+    through the constellation + triangle kernel that decompose_phase also
+    wraps, so the closed forms are the independent side of this
+    cross-check. It agrees with decompose_phase on build_family_states'
+    state within 1e-12 for |theta| >= 0.02 (measured 4.5e-13); the gap is
+    the two input stacks' rounding, and grows with the phase's slope
+    2/|tan(theta/2)| (measured worst over every sample, phi in {0, pi/4,
+    3}: 2.4e-12 at theta = 0.01, 1.4e-11 at 0.005, 1.9e-10 at 0.001).
     """
 
     alphas: np.ndarray

@@ -1,6 +1,7 @@
 """The fast forms on the triples and sweep paths give the bits of the forms
 they replaced (reference.py), compared as int64 views on seeded inputs, and
-the triple routes make no np.linalg.norm call and build no |0>^n."""
+the triple routes make no np.linalg.norm call and build no |0>^n, and
+decompose_phase finds each state's roots once and builds no BlochPoint."""
 
 import math
 
@@ -10,6 +11,7 @@ import pytest
 import reference
 from reference import ZERO, count_norm_calls
 from triphase import (
+    BlochPoint,
     EraserConfig,
     PureState,
     canonicalize_triple,
@@ -154,3 +156,24 @@ def test_triple_routes_make_no_norm_call_and_no_ket0_power(monkeypatch):
     assert norms == []
     assert len(powers) == len(triples)  # psi3's qubit only
     assert ZERO.amplitudes.tolist() not in powers
+
+
+def test_decompose_finds_roots_once_and_builds_no_bloch_point(monkeypatch):
+    rng = np.random.default_rng(17)
+    states = [haar_triple(rng, dim)[0] for dim in range(2, 14)]
+    q2, q3, _ = haar_triple(rng, 2)
+    built, roots = [], []
+    post_init = BlochPoint.__post_init__
+    original = majorana.constellation_qubits
+
+    def recorded(amplitudes):
+        roots.append(np.shape(amplitudes))
+        return original(amplitudes)
+
+    monkeypatch.setattr(BlochPoint, "__post_init__", lambda p: built.append(p) or post_init(p))
+    for module in (majorana, phases):
+        monkeypatch.setattr(module, "constellation_qubits", recorded, raising=False)
+    for s in states:
+        decompose_phase(s, q2, q3)
+    assert built == []
+    assert roots == [(1, s.dim) for s in states]

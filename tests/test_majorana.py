@@ -30,6 +30,7 @@ from triphase import (
     state_to_points,
 )
 from triphase.majorana import MAX_DIM, MAX_POWER, constellation_qubits, symmetric_amplitudes
+from triphase.phases import constellation_products
 from triphase.states import bloch_angles
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -313,6 +314,12 @@ def test_stacked_kernels_are_bitwise_row_invariant():
     # deficiency: a stack mixing groups of degree 1, 2 and >= 3 (and rows
     # with no finite root), and single-group stacks taking the whole-stack path
     rng = np.random.default_rng(12)
+    q2, q3 = haar_rows(np.random.default_rng(13), 2, 2)
+
+    def triangle_kernel(amps):  # decompose_phase's one row, the sweep's whole block
+        points, products = constellation_products(amps, q2, q3)
+        return np.concatenate((points, products[..., None]), axis=-1)
+
     for dim in range(2, MAX_DIM + 1):
         n = dim - 1
         leads = [d for d in (0, n // 2, n - 3, n - 2, n - 1, n) if d >= 0] * 2
@@ -321,12 +328,15 @@ def test_stacked_kernels_are_bitwise_row_invariant():
             amps[row, :d] = 0.0
         amps[-1, 0] *= 1e-13  # deficient by DEFICIENCY_REL_TOL, not by an exact zero
         assert_rows_bitwise_alone(constellation_qubits, amps)
+        assert_rows_bitwise_alone(triangle_kernel, amps)
         qubits = rng.standard_normal((12, n, 2)) + 1j * rng.standard_normal((12, n, 2))
         qubits[1, :, 0] = 0.0  # south poles
         qubits[2, :, 1] = 0.0  # north poles
         assert_rows_bitwise_alone(symmetric_amplitudes, qubits)
     for dim in (2, 3, 5):
-        assert_rows_bitwise_alone(constellation_qubits, haar_rows(rng, 1025, dim))
+        amps = haar_rows(rng, 1025, dim)
+        assert_rows_bitwise_alone(constellation_qubits, amps)
+        assert_rows_bitwise_alone(triangle_kernel, amps)
         qubits = rng.standard_normal((1025, dim - 1, 2)) + 1j * rng.standard_normal((1025, dim - 1, 2))
         assert_rows_bitwise_alone(symmetric_amplitudes, qubits)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from reference import PLUS, YPLUS, ZERO, angle_dist, canonical_bounds, sphere_distance
 from triphase import (
     BlochPoint,
-    DegenerateGeodesicError,
     PureState,
     UndefinedPhaseError,
     apply_unitary,
@@ -156,7 +155,7 @@ def test_solid_angle_degenerate_triangles():
 
 
 def test_solid_angle_rejects_antipodal_vertices():
-    with pytest.raises(DegenerateGeodesicError):
+    with pytest.raises(UndefinedPhaseError, match="antipodal"):
         solid_angle_triangle(BlochPoint(0), BlochPoint(math.pi), BlochPoint(1.0, 1.0))
 
 
@@ -193,8 +192,8 @@ def test_decompose_component_with_repeated_vertex_is_zero():
     q2, q3 = random_pure_state(2, 23), random_pure_state(2, 24)
     pts = [qubit_to_bloch(q2), BlochPoint(0.4, 1.0), BlochPoint(2.2, 4.0)]
     result = decompose_phase(points_to_state(pts), q2, q3)
-    matching = [g for tri, g in zip(result.triangles, result.qubit_phases)
-                if sphere_distance(tri[0], qubit_to_bloch(q2)) < 1e-8]
+    matching = [g for row, g in zip(result.point_qubits, result.qubit_phases)
+                if sphere_distance(qubit_to_bloch(PureState(row)), qubit_to_bloch(q2)) < 1e-8]
     assert len(matching) == 1
     assert abs(matching[0]) < 1e-9
 
@@ -204,9 +203,11 @@ def test_decompose_reports_component_phases_and_triangles():
     q2, q3 = random_pure_state(2, 31), random_pure_state(2, 32)
     result = decompose_phase(sym, q2, q3)
     assert len(result.qubit_phases) == 3
-    assert len(result.triangles) == 3
-    assert all(tri[1] == qubit_to_bloch(q2) and tri[2] == qubit_to_bloch(q3)
-               for tri in result.triangles)
+    assert result.point_qubits.shape == (3, 2)
+    assert not result.point_qubits.flags.writeable
+    # each phase belongs to the triangle of its own point row
+    assert all(angle_dist(g, three_vertex_phase(PureState(row), q2, q3)) <= 1e-12
+               for row, g in zip(result.point_qubits, result.qubit_phases))
     assert angle_dist(result.total, math.fsum(result.qubit_phases)) <= 1e-12
     assert all(-math.pi < g <= math.pi for g in result.qubit_phases)
 
