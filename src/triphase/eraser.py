@@ -22,9 +22,11 @@ read-only, by every scan at that size.
 
 One rule decides when there is no fringe to read: each overlap a fringe
 needs must have modulus above eps_null (default EPS_NULL), <psi1|psi2> for
-the plain fringe and <psi3|psi1>, <psi3|psi2> for the projected one.
-fringe_scan applies it and raises UndefinedPhaseError naming the overlap;
-fringe_pair and extract_geometric_phase go through fringe_scan.
+the plain fringe and <psi3|psi1>, <psi3|psi2> for the projected one. One
+helper applies it and raises UndefinedPhaseError naming the overlap, and
+gives the fringe's closed-form landmarks. fringe_scan (and so fringe_pair)
+calls it before sampling; extract_geometric_phase calls it for the plain
+and then the projected fringe and samples nothing.
 """
 
 from __future__ import annotations
@@ -125,6 +127,28 @@ def _delta_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, phase_factors
 
 
+def _landmarks(psi1: PureState, psi2: PureState, psi3: PureState | None,
+               eps_null: float) -> tuple[float, float]:
+    """Closed-form (visibility, center) of one fringe, from its overlaps.
+
+    The eraser's one vanishing rule: raises UndefinedPhaseError naming the
+    first overlap the fringe needs whose modulus is at most eps_null.
+    """
+    if psi3 is None:
+        o12 = inner_product(psi1, psi2)
+        if abs(o12) <= eps_null:
+            raise UndefinedPhaseError("<psi1|psi2> vanishes; the plain fringe is flat")
+        return abs(o12), wrap_angle(float(np.angle(o12)))
+    o31 = inner_product(psi3, psi1)
+    o32 = inner_product(psi3, psi2)
+    for name, val in (("<psi3|psi1>", o31), ("<psi3|psi2>", o32)):
+        if abs(val) <= eps_null:
+            raise UndefinedPhaseError(f"{name} vanishes; constructive point undefined")
+    a, b = abs(o31), abs(o32)
+    vis = min(1.0, 2.0 * a * b / (a * a + b * b))
+    return vis, wrap_angle(float(np.angle(o31.conjugate() * o32)))
+
+
 def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
                 cfg: EraserConfig = EraserConfig(), *, eps_null: float = EPS_NULL) -> FringeScan:
     """Sample the interference pattern over a uniform delta grid on [0, 2pi).
@@ -137,28 +161,16 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     most eps_null.
     """
     deltas, phase_factors = _delta_grid(cfg.grid_size)
+    vis, center = _landmarks(psi1, psi2, psi3, eps_null)
 
     if psi3 is None:
-        o12 = inner_product(psi1, psi2)
-        if abs(o12) <= eps_null:
-            raise UndefinedPhaseError("<psi1|psi2> vanishes; the plain fringe is flat")
         # trace out the internal state: rho[p, q] = sum_i c_ip conj(c_iq), and
         # <delta|rho|delta> with |delta> = (|0> + e^{i delta}|1>)/sqrt(2)
         composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
         rho = composite.T @ composite.conj()
         probs = 0.5 * (rho[0, 0] + rho[1, 1]).real + (rho[1, 0] * phase_factors).real
-        vis = abs(o12)
-        center = wrap_angle(float(np.angle(o12)))
     else:
-        o31 = inner_product(psi3, psi1)
-        o32 = inner_product(psi3, psi2)
-        for name, val in (("<psi3|psi1>", o31), ("<psi3|psi2>", o32)):
-            if abs(val) <= eps_null:
-                raise UndefinedPhaseError(f"{name} vanishes; constructive point undefined")
         probs = _projected_fringe(_path_spinor(psi1, psi2, psi3), phase_factors)
-        a, b = abs(o31), abs(o32)
-        vis = min(1.0, 2.0 * a * b / (a * a + b * b))
-        center = wrap_angle(float(np.angle(o31.conjugate() * o32)))
 
     drift = max(float(-probs.min()), float(probs.max() - 1.0))
     if drift > 1e-12:
@@ -180,16 +192,18 @@ def fringe_pair(psi1: PureState, psi2: PureState, psi3: PureState,
     return projected, plain
 
 
-def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState,
-                            cfg: EraserConfig = EraserConfig()) -> float:
+def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState) -> float:
     """Geometric phase as the fringe shift delta_f - delta_m, in (-pi, pi].
 
-    Runs the scan twice (fringe_pair), with and without the final
-    projection, and differences the two closed-form constructive points,
-    delta_f of the projected fringe and delta_m of the plain one. Agrees
-    with three_vertex_phase on the same triple; the grid readout, the
-    difference of the two scans' peaks, is within 2pi/grid_size of it
-    while both fringes are resolved on the grid (see FringeScan).
+    Differences the closed-form constructive points of the two fringes of
+    the eraser readout, delta_f of the projected fringe and delta_m of the
+    plain one, read from the three overlaps without sampling either fringe:
+    the same values as the centers of fringe_pair's scans, under the same
+    vanishing rule, plain fringe first. Agrees with three_vertex_phase on
+    the same triple; the grid readout, the difference of the two scans'
+    peaks, is within 2pi/grid_size of it while both fringes are resolved on
+    the grid (see FringeScan).
     """
-    projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
-    return wrap_angle(projected.center - plain.center)
+    _, center_m = _landmarks(psi1, psi2, None, EPS_NULL)
+    _, center_f = _landmarks(psi1, psi2, psi3, EPS_NULL)
+    return wrap_angle(center_f - center_m)

@@ -181,7 +181,7 @@ def test_c6_eraser_protocol():
             psi1, psi2, psi3 = (random_pure_state(dim, seed + j) for j in range(3))
             direct = three_vertex_phase(psi1, psi2, psi3)
             worst_closed = max(worst_closed, angle_dist(
-                extract_geometric_phase(psi1, psi2, psi3, cfg), direct))
+                extract_geometric_phase(psi1, psi2, psi3), direct))
             projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
             worst_grid = max(worst_grid, angle_dist(projected.peak - plain.peak, direct))
             scan = fringe_scan(psi1, psi2, psi3, cfg)

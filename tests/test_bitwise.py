@@ -72,7 +72,7 @@ def test_fringe_pair_matches_the_division_forms(grid, monkeypatch):
     rng = np.random.default_rng(grid)
     cfg = EraserConfig(grid)
     triples = [haar_triple(rng, dim) for dim in (2, 3, 5, 9, 13, 20, 64) for _ in range(4)]
-    new = [fringe_pair(*t, cfg) + (extract_geometric_phase(*t, cfg),) for t in triples]
+    new = [fringe_pair(*t, cfg) + (extract_geometric_phase(*t),) for t in triples]
     monkeypatch.setattr(eraser, "composite_intermediate", reference.composite_by_division)
     monkeypatch.setattr(eraser, "_projected_fringe", reference.projected_fringe_by_division)
     monkeypatch.setattr(eraser, "wrap_angle", reference.wrap_angle_where)
@@ -81,7 +81,7 @@ def test_fringe_pair_matches_the_division_forms(grid, monkeypatch):
         for scan, old in ((projected, old_projected), (plain, old_plain)):
             assert bits(scan.probabilities) == bits(old.probabilities)
             assert bits([scan.peak, scan.center, scan.visibility]) == bits([old.peak, old.center, old.visibility])
-        assert bits(np.float64(gamma)) == bits(np.float64(extract_geometric_phase(*t, cfg)))
+        assert bits(np.float64(gamma)) == bits(np.float64(extract_geometric_phase(*t)))
 
 
 def test_triple_phases_match_the_where_form(monkeypatch):

@@ -23,6 +23,7 @@ from triphase import (
     three_vertex_phase,
     wrap_angle,
 )
+from triphase import eraser
 from triphase.cli import main
 from triphase.eraser import MAX_GRID_SIZE, _path_spinor, _projected_fringe, composite_intermediate
 
@@ -150,7 +151,7 @@ def test_projected_scan_evaluates_each_overlap_once(monkeypatch):
     calls = count_overlaps(monkeypatch)
     fringe_scan(PLUS, ZERO, YPLUS, EraserConfig(grid_size=64))
     assert len(calls) == 2  # <psi3|psi1> and <psi3|psi2>
-    extract_geometric_phase(PLUS, ZERO, YPLUS, EraserConfig(grid_size=64))
+    extract_geometric_phase(PLUS, ZERO, YPLUS)
     assert len(calls) == 2 + 3  # the same two, and <psi1|psi2> for the plain scan
 
 
@@ -293,9 +294,8 @@ def test_extract_trivial_and_quarter_turn():
 @settings(max_examples=30, deadline=None)
 def test_extract_matches_direct_phase_dim5(s1, s2, s3):
     psi1, psi2, psi3 = (random_pure_state(5, s) for s in (s1, s2, s3))
-    cfg = EraserConfig(grid_size=512)
     try:
-        got = extract_geometric_phase(psi1, psi2, psi3, cfg)
+        got = extract_geometric_phase(psi1, psi2, psi3)
     except UndefinedPhaseError:
         return
     want = three_vertex_phase(psi1, psi2, psi3)
@@ -319,3 +319,28 @@ def test_extract_grid_mode_resolution(seed):
 def test_extract_requires_reference_overlap():
     with pytest.raises(UndefinedPhaseError):
         extract_geometric_phase(ZERO, PureState.basis(2, 1), PLUS)
+
+
+def test_extract_reads_the_landmarks_without_sampling(monkeypatch):
+    triples = [tuple(random_pure_state(dim, 15_000 + 10 * dim + j) for j in range(3))
+               for dim in (2, 3, 5, 9, 13, 20, 64)]
+    scan_readouts = []
+    for t in triples:
+        pairs = [fringe_pair(*t, EraserConfig(grid_size=grid)) for grid in (16, 64, 4096)]
+        scan_readouts.append([wrap_angle(projected.center - plain.center) for projected, plain in pairs])
+
+    def no_grid(*args):
+        raise AssertionError("extract_geometric_phase sampled a fringe")
+
+    monkeypatch.setattr(eraser, "_delta_grid", no_grid)
+    monkeypatch.setattr(eraser, "_projected_fringe", no_grid)
+    for t, readouts in zip(triples, scan_readouts):
+        got = extract_geometric_phase(*t)
+        assert np.array([got] * 3).view(np.int64).tolist() == np.array(readouts).view(np.int64).tolist()
+    # the flat plain fringe fails first, although <psi3|psi1> vanishes too
+    one = PureState.basis(2, 1)
+    with pytest.raises(UndefinedPhaseError, match=re.escape("<psi1|psi2> vanishes; the plain fringe is flat")):
+        extract_geometric_phase(ZERO, one, one)
+    calls = count_overlaps(monkeypatch)
+    extract_geometric_phase(*triples[0])
+    assert len(calls) == 3
