@@ -28,13 +28,10 @@ from .states import (
     BlochPoint,
     DimensionMismatchError,
     PureState,
-    Unitary,
-    apply_unitary,
     bloch_to_qubit,
     inner_product,
     qubit_to_bloch,
     random_pure_state,
-    random_unitary,
 )
 from .sweep import (
     FamilyParams,
@@ -56,9 +53,7 @@ __all__ = [
     "PhaseDecomposition",
     "PureState",
     "SweepResult",
-    "Unitary",
     "UndefinedPhaseError",
-    "apply_unitary",
     "bargmann",
     "bloch_to_qubit",
     "build_family_states",
@@ -73,7 +68,6 @@ __all__ = [
     "product_state",
     "qubit_to_bloch",
     "random_pure_state",
-    "random_unitary",
     "solid_angle_triangle",
     "state_to_points",
     "sweep_alpha",

@@ -145,12 +145,12 @@ def _load_triple(path: str, renormalize: bool) -> tuple[PureState, PureState, Pu
     return tuple(states)
 
 
-def _state_pairs(s: PureState) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in s.amplitudes]
+def _pairs(vec: np.ndarray) -> list[list[float]]:
+    return [[float(a.real), float(a.imag)] for a in vec]
 
 
 def _state_obj(s: PureState) -> dict:
-    return {"dim": s.dim, "amplitudes": _state_pairs(s)}
+    return {"dim": s.dim, "amplitudes": _pairs(s.amplitudes)}
 
 
 def cmd_phase(args) -> int:
@@ -251,15 +251,16 @@ def cmd_canonicalize(args) -> int:
         _emit_json({
             "dim": result.dim,
             "degenerate_frame": result.degenerate_frame,
-            "psi2_qubit": _state_pairs(result.psi2_qubit),
-            "psi3_qubit": _state_pairs(result.psi3_qubit),
+            "psi2_qubit": _pairs(result.psi2_qubit.amplitudes),
+            "psi3_qubit": _pairs(result.psi3_qubit.amplitudes),
             "transformed": {
                 "psi1": _state_obj(result.psi1),
                 "psi2": _state_obj(trans2),
                 "psi3": _state_obj(trans3),
             },
-            "unitary": [[[float(v.real), float(v.imag)] for v in row]
-                        for row in result.transform.matrix],
+            # U = I + W (R - I) W^dagger, as its factors W (N x k) and R (k x k)
+            "span": [_pairs(row) for row in result.span],
+            "rotation": [_pairs(row) for row in result.rotation],
             "verification": verification,
         })
         return EXIT_OK

@@ -10,7 +10,7 @@ import numpy as np
 
 from .angles import wrap_angle
 from .majorana import constellation_qubits, product_state
-from .states import BlochPoint, DimensionMismatchError, PureState, Unitary, check_unitary, inner_product
+from .states import BlochPoint, DimensionMismatchError, PureState, check_unitary, inner_product
 
 EPS_NULL = 1e-12      # below this, an overlap product counts as zero
 ANTIPODAL_TOL = 1e-9  # |a + b| below this means antipodal vertices
@@ -149,13 +149,13 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
 
 @dataclass(frozen=True, eq=False)
 class CanonicalTriple:
-    """Unitary reduction of a state triple to (anything, power, power) form.
+    """Reduction of a state triple by a unitary to (anything, power, power) form.
 
     The unitary U = I + W (R - I) W^dagger is the identity off span(W): W
     (N x k, k = min(N, 4)) has orthonormal columns spanning phi2, phi3 and
     their targets, and R (k x k) rotates within it. Only W and R are stored,
-    so the reduction costs O(N); `transform` builds U as an N x N matrix,
-    O(N^3) with its unitarity check, only on request.
+    so the reduction costs O(N), and so does applying U to a vector:
+    U x = x + W (R W^dagger x - W^dagger x).
     """
 
     psi1: PureState
@@ -168,11 +168,6 @@ class CanonicalTriple:
     @property
     def dim(self) -> int:
         return self.psi1.dim
-
-    @property
-    def transform(self) -> Unitary:
-        w = self.span
-        return Unitary(np.eye(self.dim) + w @ (self.rotation - np.eye(w.shape[1])) @ w.conj().T)
 
     def psi2(self) -> PureState:
         """Transformed second state, as the tensor power of its qubit."""

@@ -1,4 +1,4 @@
-"""Pure states, Bloch points, unitaries, and the linear algebra between them.
+"""Pure states, Bloch points, and the linear algebra between them.
 
 All angles are radians. States are rays: a global phase is never stored as
 data, and two states are the same ray when |<a|b>| = 1.
@@ -125,28 +125,6 @@ def check_unitary(m: np.ndarray) -> None:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
 
 
-@dataclass(frozen=True, eq=False)
-class Unitary:
-    """Square complex matrix with U^dagger U = I within UNITARY_TOL."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        check_unitary(m)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugating the first argument."""
     if a.dim != b.dim:
@@ -195,27 +173,3 @@ def random_pure_state(dim: int, seed: int) -> PureState:
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.normalized(vec)
-
-
-def random_unitary(dim: int, seed: int) -> Unitary:
-    """Haar-random unitary.
-
-    QR factorization of a complex Ginibre matrix, with the R diagonal phases
-    folded back into Q so the distribution is invariant under left
-    multiplication by any fixed unitary.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
-    phases *= 1.0 / np.abs(phases)
-    return Unitary(q * phases)
-
-
-def apply_unitary(u: Unitary, s: PureState) -> PureState:
-    """Matrix-vector product, renormalized only to absorb rounding."""
-    if u.dim != s.dim:
-        raise DimensionMismatchError(f"unitary dim {u.dim} != state dim {s.dim}")
-    return PureState.normalized(u.matrix @ s.amplitudes)

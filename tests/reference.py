@@ -5,10 +5,12 @@ the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
 qubit triple (|+>, |0>, |y+>), whose phase is pi/4, a JSON integer
 beyond float range, the conditioning bounds of a canonicalized triple,
-a sweep's printed series computed one component at a time, and the forms
-the library replaced by faster ones with the same bits (complex division
-by a real, np.linalg.norm, np.where in wrap_angle, |0>^n from
-product_state). None of it is on a production path.
+Haar-random unitaries as plain matrices, the factored canonicalizing
+unitary U = I + W (R - I) W^dagger applied in O(N), a sweep's printed
+series computed one component at a time, and the forms the library
+replaced by faster ones with the same bits (complex division by a real,
+np.linalg.norm, np.where in wrap_angle, |0>^n from product_state). None of
+it is on a production path.
 """
 
 import itertools
@@ -40,6 +42,31 @@ def canonical_bounds(phi1: PureState, phi2: PureState, phi3: PureState) -> tuple
     c = math.sqrt(max(1.0 - abs(inner_product(phi2, phi3)), eps))
     m = min(abs(inner_product(phi1, phi2)), abs(inner_product(phi1, phi3)))
     return 4.0 * eps / c, 10.0 * eps / (c * m) if m > 0.0 else math.inf
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    """Haar-random unitary matrix.
+
+    QR factorization of a complex Ginibre matrix, with the R diagonal phases
+    folded back into Q so the distribution is invariant under left
+    multiplication by any fixed unitary. Apply it to a state s as
+    PureState.normalized(u @ s.amplitudes).
+    """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r).copy()
+    phases *= 1.0 / np.abs(phases)
+    return q * phases
+
+
+def apply_factored(span: np.ndarray, rotation: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """U amps for U = I + W (R - I) W^dagger, W = span and R = rotation (a
+    CanonicalTriple's factors), in O(N k) without forming U."""
+    c = span.conj().T @ amps
+    return amps + span @ (rotation @ c - c)
 
 
 def angle_dist(a, b):

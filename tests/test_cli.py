@@ -152,8 +152,16 @@ def test_majorana_pole_state(tmp_path, capsys):
     assert json.loads(out)["points"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
-def test_canonicalize_json_passes_verification(tmp_path, capsys):
-    path = write_json(tmp_path / "t.json", haar_triple(17, 4))
+def complex_array(rows):
+    """A JSON list of [re, im] pairs, or of rows of them, as a complex array."""
+    pairs = np.array(rows, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 13, 64, 100])
+def test_canonicalize_json_passes_verification(tmp_path, capsys, dim):
+    triple = haar_triple(17, dim)
+    path = write_json(tmp_path / "t.json", triple)
     code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -161,8 +169,24 @@ def test_canonicalize_json_passes_verification(tmp_path, capsys):
     assert payload["verification"]["overlap_delta"] < 1e-10
     assert payload["verification"]["phase_delta"] < 1e-9
     assert not payload["degenerate_frame"]
-    u = np.array([[complex(re, im) for re, im in row] for row in payload["unitary"]])
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-9
+    # U = I + W (R - I) W^dagger from the printed factors alone
+    w, r = complex_array(payload["span"]), complex_array(payload["rotation"])
+    k = min(dim, 4)
+    assert w.shape == (dim, k) and r.shape == (k, k)
+    u = np.eye(dim) + w @ (r - np.eye(k)) @ w.conj().T
+    assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-9
+    for key in ("psi1", "psi2", "psi3"):
+        phi = complex_array(triple[key]["amplitudes"])
+        psi = complex_array(payload["transformed"][key]["amplitudes"])
+        assert np.max(np.abs(u @ phi - psi)) <= 1e-9  # C4's tolerance
+
+
+def test_canonicalize_json_at_the_dim_cap_stays_small(tmp_path, capsys):
+    # N x k factors, not the N x N unitary (74.7 MB of JSON at this dim)
+    path = write_json(tmp_path / "t.json", haar_triple(17, MAX_POWER + 1))
+    code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
+    assert code == 0
+    assert len(out.encode()) < 1_000_000
 
 
 def test_canonicalize_parallel_inputs_note(tmp_path, capsys):

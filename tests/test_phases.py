@@ -7,12 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import PLUS, YPLUS, ZERO, angle_dist, canonical_bounds, sphere_distance
+from reference import (
+    PLUS,
+    YPLUS,
+    ZERO,
+    angle_dist,
+    apply_factored,
+    canonical_bounds,
+    random_unitary,
+    sphere_distance,
+)
 from triphase import (
     BlochPoint,
     PureState,
     UndefinedPhaseError,
-    apply_unitary,
     bargmann,
     bloch_to_qubit,
     canonicalize_triple,
@@ -22,7 +30,6 @@ from triphase import (
     product_state,
     qubit_to_bloch,
     random_pure_state,
-    random_unitary,
     solid_angle_triangle,
     three_vertex_phase,
 )
@@ -253,13 +260,17 @@ def canonical_deltas(originals, result):
     return gram, angle_dist(three_vertex_phase(*transformed), three_vertex_phase(*originals))
 
 
+def mapped_by(result, phi):
+    """phi under the canonicalizing unitary, applied from its factors."""
+    return PureState.normalized(apply_factored(result.span, result.rotation, phi.amplitudes))
+
+
 def check_canonical(phi1, phi2, phi3, tol=1e-9):
     result = canonicalize_triple(phi1, phi2, phi3)
     n = phi1.dim - 1
     big2, big3 = result.psi2(), result.psi3()
-    # the transform really maps the inputs onto the product pair
-    mapped2 = apply_unitary(result.transform, phi2)
-    mapped3 = apply_unitary(result.transform, phi3)
+    # the factored unitary really maps the inputs onto the product pair
+    mapped2, mapped3 = mapped_by(result, phi2), mapped_by(result, phi3)
     assert abs(inner_product(mapped2, big2)) == pytest.approx(1.0, abs=tol)
     assert abs(inner_product(mapped3, big3)) == pytest.approx(1.0, abs=tol)
     # overlap reproduced exactly, not only in modulus
@@ -305,13 +316,12 @@ def test_canonicalize_parallel_pair_degenerates_gracefully():
     assert result.degenerate_frame
     assert inner_product(result.psi2(), result.psi3()) == pytest.approx(
         inner_product(phi2, phi3), abs=1e-10)
-    assert abs(inner_product(apply_unitary(result.transform, phi2), result.psi2())) == \
-        pytest.approx(1.0, abs=1e-9)
+    assert abs(inner_product(mapped_by(result, phi2), result.psi2())) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("dim", [13, 41, 100, 1030])
 def test_canonicalize_haar_triples_above_c4_dims(dim):
-    # C4's tolerances; the N x N transform is built only up to dim 100
+    # C4's tolerances
     for k in range(5 if dim <= 100 else 2):
         phis = [random_pure_state(dim, 11_000_000 + 100 * dim + 10 * k + j) for j in range(3)]
         result = canonicalize_triple(*phis)
@@ -319,10 +329,9 @@ def test_canonicalize_haar_triples_above_c4_dims(dim):
         gram, phase = canonical_deltas(phis, result)
         assert gram <= 1e-9 and phase <= 1e-9
         assert abs(inner_product(big2, big3) - inner_product(phis[1], phis[2])) <= 1e-10
-        if dim <= 100:
-            u = result.transform.matrix  # Unitary checks U^dagger U = I within UNITARY_TOL
-            for before, after in zip(phis, (result.psi1, big2, big3)):
-                assert np.abs(u @ before.amplitudes - after.amplitudes).max() <= 1e-9
+        for before, after in zip(phis, (result.psi1, big2, big3)):
+            mapped = apply_factored(result.span, result.rotation, before.amplitudes)
+            assert np.abs(mapped - after.amplitudes).max() <= 1e-9
 
 
 @pytest.mark.parametrize("dim", [3, 5, 13, 41])
@@ -352,5 +361,5 @@ def test_phase_invariant_under_unitaries(seed, useed, dim):
         before = three_vertex_phase(*states)
     except UndefinedPhaseError:
         return
-    after = three_vertex_phase(*(apply_unitary(u, s) for s in states))
+    after = three_vertex_phase(*(PureState.normalized(u @ s.amplitudes) for s in states))
     assert angle_dist(after, before) <= 1e-9

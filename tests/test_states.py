@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SQRT2, states_equal
+from reference import SQRT2, random_unitary, states_equal
 from triphase import (
     BlochPoint,
     DimensionMismatchError,
     PureState,
-    Unitary,
-    apply_unitary,
     bloch_to_qubit,
     inner_product,
     qubit_to_bloch,
     random_pure_state,
-    random_unitary,
 )
+from triphase.states import check_unitary
 
 seeds = st.integers(min_value=0, max_value=10**9)
 dims = st.integers(min_value=2, max_value=9)
@@ -73,8 +71,6 @@ def test_non_finite_input_is_rejected(bad):
         PureState.normalized([bad, 1.0])
     with pytest.raises(ValueError):
         BlochPoint(1.0, bad)
-    with pytest.raises(ValueError):
-        Unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_qubit_to_bloch_axes():
@@ -141,32 +137,20 @@ def test_random_pure_state_haar_moment():
 
 def test_random_unitary_basics():
     u = random_unitary(4, 3)
-    defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4)))
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(4)))
     assert defect < 1e-10
-    assert np.array_equal(u.matrix, random_unitary(4, 3).matrix)
-    mapped = apply_unitary(random_unitary(2, 5), PureState.basis(2, 0))
+    assert np.array_equal(u, random_unitary(4, 3))
+    mapped = PureState.normalized(random_unitary(2, 5) @ PureState.basis(2, 0).amplitudes)
     assert np.linalg.norm(mapped.amplitudes) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         random_unitary(1, 0)
 
 
-def test_unitary_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        Unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-
-def test_apply_unitary_examples():
-    psi = random_pure_state(3, 11)
-    assert states_equal(apply_unitary(Unitary(np.eye(3)), psi), psi)
-    sx = Unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert states_equal(apply_unitary(sx, PureState.basis(2, 0)), PureState.basis(2, 1))
-    # z rotation by pi/2 acting on |+>
-    rz = Unitary(np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)]))
-    out = apply_unitary(rz, PureState(np.array([1.0, 1.0]) / SQRT2))
-    expected = PureState(np.array([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)]) / SQRT2)
-    assert np.allclose(out.amplitudes, expected.amplitudes, atol=1e-15)
-    with pytest.raises(DimensionMismatchError):
-        apply_unitary(sx, psi)
+def test_check_unitary_rejects_non_unitary():
+    for bad in (0.1, math.nan):  # a shear, and a NaN entry (NaN defect)
+        with pytest.raises(ValueError):
+            check_unitary(np.array([[1.0, bad], [0.0, 1.0]]))
+    check_unitary(random_unitary(4, 3))
 
 
 @given(seeds, seeds, seeds, st.integers(min_value=2, max_value=6))
@@ -175,5 +159,5 @@ def test_unitaries_preserve_inner_products(su, sa, sb, dim):
     u = random_unitary(dim, su)
     a, b = random_pure_state(dim, sa), random_pure_state(dim, sb)
     before = inner_product(a, b)
-    after = inner_product(apply_unitary(u, a), apply_unitary(u, b))
+    after = inner_product(PureState.normalized(u @ a.amplitudes), PureState.normalized(u @ b.amplitudes))
     assert after == pytest.approx(before, abs=1e-10)
