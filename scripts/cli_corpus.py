@@ -59,6 +59,20 @@ def faint_triple(rng: np.random.Generator, dim: int, overlap: float):
     return psi1, psi2, psi3 / np.linalg.norm(psi3)
 
 
+def faint_product_triple() -> tuple:
+    """The dim-5 triple with overlaps <psi1|psi3>, <psi3|psi2>, <psi2|psi1>
+    of 1.8e-5, 8.9e-6 and 1.0e-5 (product 1.6e-15) and phase 1.3: psi1,
+    psi2 - conj(o21) psi1 and psi3 - o13 psi1 - (conj(o32) - o21 o13) psi2
+    form a seeded Haar-random orthonormal frame."""
+    o13, o32, o21 = 1.8e-5 * np.exp(0.4j), 8.9e-6 * np.exp(-1.1j), 1.0e-5 * np.exp(2.0j)
+    rng = np.random.default_rng(5)
+    frame, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    e1, e2, e3 = frame.T
+    psi2 = e2 + np.conj(o21) * e1
+    psi3 = e3 + o13 * e1 + (np.conj(o32) - o21 * o13) * e2
+    return e1, psi2 / np.linalg.norm(psi2), psi3 / np.linalg.norm(psi3)
+
+
 class Corpus:
     def __init__(self, root: Path):
         self.root = root
@@ -175,6 +189,9 @@ def build(root: Path, cases: int) -> None:
                {"points.json": {"points": [[4.0, 0.0]]}})
     corpus.run("no-state", ["majorana"])
     corpus.run("no-command", [])
+
+    # appended after every other case, so none of them is renumbered
+    corpus.triple("faint-product", triple_obj(*faint_product_triple()), grid=4096)
 
 
 def main() -> None:

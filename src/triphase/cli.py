@@ -2,11 +2,11 @@
 constellations, canonical form, eraser fringes, and family sweeps out.
 
 Exit codes: 0 success, 1 I/O / parse / usage error, 2 mathematically
-undefined request (vanishing overlap or overlap product, unresolvable
-sweep grid). Emitted angles are radians (--degrees changes human output
-only, never JSON or files); floats are formatted with 12 significant digits
-and lowercase exponents, lines end with \\n, so repeated invocations are
-byte-identical.
+undefined request (an overlap the result is computed from has modulus at
+most --tolerance, or an unresolvable sweep grid). Emitted angles are
+radians (--degrees changes human output only, never JSON or files); floats
+are formatted with 12 significant digits and lowercase exponents, lines end
+with \\n, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ import sys
 
 import numpy as np
 
-from .angles import wrap_angle
+from .angles import TWO_PI, wrap_angle
 from .eraser import EraserConfig, FringeScan, fringe_pair
 from .majorana import points_to_state, state_to_points
-from .phases import (
-    EPS_NULL,
-    UndefinedPhaseError,
-    bargmann_phases,
-    canonicalize_triple,
-    three_vertex_phase,
-)
+from .phases import EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple, three_vertex_phase
 from .states import NORM_TOL, BlochPoint, PureState, inner_product, vector_norm
 from .sweep import GridTooCoarseError, SweepResult, sweep_alpha
 
@@ -156,11 +150,8 @@ def _state_obj(s: PureState) -> dict:
 def cmd_phase(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     o13, o32, o21 = inner_product(psi1, psi3), inner_product(psi3, psi2), inner_product(psi2, psi1)
+    gamma = bargmann_phases(o13, o32, o21, eps_null=args.tolerance)
     b = o13 * o32 * o21  # bargmann()'s product, from the overlaps printed below
-    try:
-        gamma = bargmann_phases(b, eps_null=args.tolerance)
-    except UndefinedPhaseError as exc:
-        raise UndefinedPhaseError(f"undefined phase: {exc}") from None
     overlaps = {
         name: {"abs": abs(v), "arg": float(np.angle(v))}
         for name, v in (("psi1_psi3", o13), ("psi3_psi2", o32), ("psi2_psi1", o21))
@@ -282,6 +273,10 @@ def cmd_eraser(args) -> int:
     projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
     if args.mode == "grid_argmax":
         delta_f, delta_m = projected.peak, plain.peak
+        off = max(abs(wrap_angle(s.peak - s.center)) for s in (projected, plain))
+        if off > TWO_PI / cfg.grid_size:  # a fringe too faint to resolve on this grid
+            print(f"warning: a grid peak lies {off * cfg.grid_size / TWO_PI:.3g} grid steps "
+                  "from its closed-form constructive point", file=sys.stderr)
     else:  # "closed_form" and "both" report the closed-form constructive points
         delta_f, delta_m = projected.center, plain.center
     gamma = float(wrap_angle(delta_f - delta_m))
@@ -380,12 +375,9 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     # each command takes only the common flags it reads; any other is a usage error
     json_ = _flag("--json", action="store_true", help="emit machine-readable JSON on stdout")
-
-    def tolerance(compared: str) -> argparse.ArgumentParser:
-        return _flag("--tolerance", type=_tolerance, default=EPS_NULL,
-                     help=f"{compared} at or below which the result counts as undefined")
-
-    product_tolerance = tolerance("overlap-product modulus |<1|3><3|2><2|1>|")
+    tolerance = _flag("--tolerance", type=_tolerance, default=EPS_NULL,
+                      help="a result is undefined (exit 2) when an overlap it is computed from "
+                           f"has modulus at or below this (default {EPS_NULL:g})")
     degrees = _flag("--degrees", action="store_true",
                     help="display angles in degrees (human output only, never files)")
     renormalize = _flag("--renormalize", action="store_true",
@@ -395,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Three-vertex geometric phases on the Bloch sphere")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("phase", parents=[json_, product_tolerance, degrees, renormalize],
+    p = sub.add_parser("phase", parents=[json_, tolerance, degrees, renormalize],
                        help="geometric phase of a state triple")
     p.add_argument("triple", help="triple JSON file (psi1, psi2, psi3)")
     p.set_defaults(func=cmd_phase)
@@ -407,13 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reconstruct the state from a points JSON file instead")
     p.set_defaults(func=cmd_majorana)
 
-    p = sub.add_parser("canonicalize", parents=[json_, product_tolerance, renormalize],
+    p = sub.add_parser("canonicalize", parents=[json_, tolerance, renormalize],
                        help="reduce a triple to product-state form")
     p.add_argument("triple", help="triple JSON file")
     p.set_defaults(func=cmd_canonicalize)
 
-    fringe_tolerance = tolerance("modulus of each overlap a fringe needs (<1|2>, <3|1>, <3|2>)")
-    p = sub.add_parser("eraser", parents=[json_, fringe_tolerance, degrees, renormalize],
+    p = sub.add_parser("eraser", parents=[json_, tolerance, degrees, renormalize],
                        help="interferometric phase readout of a triple")
     p.add_argument("triple", help="triple JSON file")
     p.add_argument("--grid", type=int, default=4096, help="number of delta samples, 16 to 2^20 (default 4096)")

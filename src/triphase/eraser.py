@@ -20,13 +20,14 @@ projected one off the path qubit left after the projection onto psi3. The
 delta grid and its phase factors are built once per grid size and shared,
 read-only, by every scan at that size.
 
-One rule decides when there is no fringe to read: each overlap a fringe
-needs must have modulus above eps_null (default EPS_NULL), <psi1|psi2> for
-the plain fringe and <psi3|psi1>, <psi3|psi2> for the projected one. One
-helper applies it and raises UndefinedPhaseError naming the overlap, and
-gives the fringe's closed-form landmarks. fringe_scan (and so fringe_pair)
-calls it before sampling; extract_geometric_phase calls it for the plain
-and then the projected fringe and samples nothing.
+A fringe has no constructive point under the library's one vanishing rule
+(phases.check_overlaps): an overlap it needs, <psi1|psi2> for the plain
+fringe and <psi3|psi1>, <psi3|psi2> for the projected one, has modulus at
+most eps_null (default EPS_NULL). One helper applies the rule and gives the
+fringe's closed-form landmarks. fringe_scan (and so fringe_pair) calls it
+before sampling; extract_geometric_phase calls it for the plain and then
+the projected fringe and samples nothing. A triple passes exactly when
+three_vertex_phase does: the two fringes need the same three overlaps.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .phases import EPS_NULL, UndefinedPhaseError
+from .phases import EPS_NULL, check_overlaps
 from .states import DimensionMismatchError, PureState, inner_product, vector_norm
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
@@ -131,19 +132,16 @@ def _landmarks(psi1: PureState, psi2: PureState, psi3: PureState | None,
                eps_null: float) -> tuple[float, float]:
     """Closed-form (visibility, center) of one fringe, from its overlaps.
 
-    The eraser's one vanishing rule: raises UndefinedPhaseError naming the
-    first overlap the fringe needs whose modulus is at most eps_null.
+    Raises UndefinedPhaseError naming the first overlap the fringe needs
+    that vanishes (check_overlaps).
     """
     if psi3 is None:
         o12 = inner_product(psi1, psi2)
-        if abs(o12) <= eps_null:
-            raise UndefinedPhaseError("<psi1|psi2> vanishes; the plain fringe is flat")
+        check_overlaps(("<psi1|psi2>",), (o12,), eps_null)
         return abs(o12), wrap_angle(float(np.angle(o12)))
     o31 = inner_product(psi3, psi1)
     o32 = inner_product(psi3, psi2)
-    for name, val in (("<psi3|psi1>", o31), ("<psi3|psi2>", o32)):
-        if abs(val) <= eps_null:
-            raise UndefinedPhaseError(f"{name} vanishes; constructive point undefined")
+    check_overlaps(("<psi3|psi1>", "<psi3|psi2>"), (o31, o32), eps_null)
     a, b = abs(o31), abs(o32)
     vis = min(1.0, 2.0 * a * b / (a * a + b * b))
     return vis, wrap_angle(float(np.angle(o31.conjugate() * o32)))

@@ -12,60 +12,60 @@ from .angles import wrap_angle
 from .majorana import constellation_qubits, product_state
 from .states import BlochPoint, DimensionMismatchError, PureState, check_unitary, inner_product
 
-EPS_NULL = 1e-12      # below this, an overlap product counts as zero
+EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
 ANTIPODAL_TOL = 1e-9  # |a + b| below this means antipodal vertices
 _PARALLEL_TOL = 1e-12
 _KET0 = PureState.basis(2, 0)  # the fixed qubit |0> of every canonical triple
+STATE_OVERLAPS = ("<psi1|psi3>", "<psi3|psi2>", "<psi2|psi1>")
+POINT_OVERLAPS = ("<point|q3>", "<q3|q2>", "<q2|point>")
 
 
 class UndefinedPhaseError(ValueError):
-    """A needed overlap or overlap product vanishes: no phase is defined.
-    For qubits this includes antipodal Bloch vertices (orthogonal qubits)."""
+    """An overlap the result is computed from vanishes (check_overlaps): no
+    phase is defined. For qubits: antipodal Bloch vertices (orthogonal qubits)."""
 
 
-def bargmann_products(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-    """Cyclic overlap products <1|3><3|2><2|1> of stacked amplitude rows.
+def check_overlaps(names, overlaps, eps_null: float = EPS_NULL) -> None:
+    """The one vanishing rule: a phase is undefined exactly when an overlap
+    it is computed from (a complex scalar or stack) has modulus <= eps_null,
+    or NaN. Raises UndefinedPhaseError naming the first such overlap, in
+    order, and for a stack its first such component."""
+    for name, overlap in zip(names, overlaps):
+        modulus, where = abs(overlap), ""
+        if isinstance(modulus, np.ndarray):
+            if modulus.min() > eps_null:
+                continue
+            index = np.unravel_index(int(np.argmin(modulus > eps_null)), modulus.shape)
+            modulus, where = modulus[index], f"component {', '.join(map(str, index))}: "
+        elif modulus > eps_null:
+            continue
+        raise UndefinedPhaseError(f"undefined phase: {where}{name} has modulus {float(modulus):.3g}, "
+                                  f"not above {eps_null:.3g}")
 
-    The inputs broadcast against each other over all but the last axis,
-    which holds the amplitudes. Each overlap is an elementwise product summed
-    over that axis: on component-major stacks (majorana's stack layout), a
-    sum of whole contiguous rows. Single states use bargmann instead.
-    """
-    return (a1.conj() * a3).sum(-1) * (a3.conj() * a2).sum(-1) * (a2.conj() * a1).sum(-1)
 
-
-def bargmann_phases(b, *, eps_null: float = EPS_NULL):
-    """Principal-branch phases arg(b) in (-pi, pi] of Bargmann products.
-
-    Raises UndefinedPhaseError, naming the first offending entry of an
-    array, when a product has modulus at most eps_null.
-    """
-    modulus = abs(b)
-    null = modulus <= eps_null
-    if np.count_nonzero(null):
-        flat = int(np.argmax(null))
-        where = ", ".join(str(int(i)) for i in np.unravel_index(flat, np.shape(null)))
-        raise UndefinedPhaseError(
-            (f"component {where}: " if where else "")
-            + f"overlap product modulus {float(np.ravel(modulus)[flat]):.3g} <= {eps_null:.3g}; "
-            "phase undefined"
-        )
+def bargmann_phases(o13, o32, o21, *, names=STATE_OVERLAPS, eps_null: float = EPS_NULL):
+    """Principal-branch phases arg(<1|3><3|2><2|1>) in (-pi, pi], from the
+    three overlaps (complex scalars or broadcasting stacks), multiplied in
+    that order; raises UndefinedPhaseError when one of them vanishes."""
+    check_overlaps(names, (o13, o32, o21), eps_null)
+    b = o13 * o32 * o21
     return wrap_angle(np.arctan2(b.imag, b.real))
 
 
-def constellation_products(amplitudes: np.ndarray, q2, q3) -> tuple[np.ndarray, np.ndarray]:
+def constellation_overlaps(amplitudes: np.ndarray, q2, q3) -> tuple[np.ndarray, tuple]:
     """Unit constellation rows of an (S, N) amplitude stack, shape
-    (S, N-1, 2), and the Bargmann products (S, N-1) of each point's qubit
-    triple (point, q2, q3), for qubit rows q2 and q3.
+    (S, N-1, 2), and the overlaps <point|q3>, <q3|q2>, <q2|point> of each
+    point's qubit triple (point, q2, q3) for qubit rows q2 and q3: two
+    (S, N-1) stacks around one scalar.
 
     The rows of constellation_qubits are scaled to unit norm; their Bloch
-    angles would change only global phases, which cancel in the products.
-    Both results are views of component-major memory (majorana's stack
+    angles would change only global phases, which cancel in the phases.
+    The results are views of component-major memory (majorana's stack
     layout), and no arithmetic crosses rows.
     """
     points = constellation_qubits(amplitudes)
     points *= 1.0 / np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
-    return points, bargmann_products(points, q2, q3)
+    return points, ((points.conj() * q3).sum(-1), (q3.conj() * q2).sum(-1), (q2.conj() * points).sum(-1))
 
 
 def bargmann(s1: PureState, s2: PureState, s3: PureState) -> complex:
@@ -86,11 +86,11 @@ def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
     Gauge invariant (global phases of the inputs drop out) and cyclic in its
     arguments; exchanging two arguments negates it mod 2pi.
 
-    Raises UndefinedPhaseError when the overlap product has modulus at most
-    eps_null, i.e. some pair is orthogonal and the phase is genuinely
-    undefined.
+    Raises UndefinedPhaseError when one of the three overlaps has modulus
+    at most eps_null (check_overlaps), however small their product is.
     """
-    return bargmann_phases(bargmann(s1, s2, s3), eps_null=eps_null)
+    return bargmann_phases(inner_product(s1, s3), inner_product(s3, s2), inner_product(s2, s1),
+                           eps_null=eps_null)
 
 
 def solid_angle_triangle(p1: BlochPoint, p2: BlochPoint, p3: BlochPoint) -> float:
@@ -105,6 +105,10 @@ def solid_angle_triangle(p1: BlochPoint, p2: BlochPoint, p3: BlochPoint) -> floa
     through atan2, so the branch is correct when the denominator is <= 0 and
     the result lies in (-2pi, 2pi]. Coincident or locally collinear vertices
     give 0; antipodal pairs (orthogonal qubits) raise UndefinedPhaseError.
+    That guard is its own, not check_overlaps: the Cartesian formula loses
+    accuracy like eps / |a + b| (worst of 300 seeded triangles: 9.0e-12 rad
+    at |a + b| ~ 1e-3, 2.6e-9 at 1e-6), so ANTIPODAL_TOL bounds its
+    conditioning, not an overlap.
     """
     a, b, c = p1.to_cartesian(), p2.to_cartesian(), p3.to_cartesian()
     for u, v in ((a, b), (b, c), (c, a)):
@@ -136,13 +140,14 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
     Each constellation point of sym1 contributes the phase of the qubit
     triple (point, q2, q3), one spherical triangle apiece; the parts sum to
     the phase of the full triple mod 2pi. A thin wrapper over
-    constellation_products on a one-row stack, the kernel the sweep's
-    cross-check runs on whole blocks of samples.
+    constellation_overlaps on a one-row stack, the kernel the sweep's
+    cross-check runs on whole blocks of samples. Raises UndefinedPhaseError
+    naming the point (component) of a vanishing per-point overlap.
     """
     if q2.dim != 2 or q3.dim != 2:
         raise DimensionMismatchError("q2 and q3 must be qubits")
-    points, products = constellation_products(sym1.amplitudes[None, :], q2.amplitudes, q3.amplitudes)
-    phases = bargmann_phases(products[0]).tolist()
+    points, (o13, o32, o21) = constellation_overlaps(sym1.amplitudes[None, :], q2.amplitudes, q3.amplitudes)
+    phases = bargmann_phases(o13[0], o32, o21[0], names=POINT_OVERLAPS).tolist()
     points.setflags(write=False)  # point_qubits is a read-only view, like PureState's amplitudes
     return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), points[0])
 

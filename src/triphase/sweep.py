@@ -21,7 +21,7 @@ import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .majorana import points_to_state, product_state, symmetric_amplitudes
-from .phases import bargmann_phases, constellation_products
+from .phases import POINT_OVERLAPS, bargmann_phases, constellation_overlaps
 from .states import PureState, qubit_to_bloch
 
 MAX_SWEEP_INTERVALS = 2 ** 20
@@ -101,18 +101,18 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
 
     Per block of samples: moving qubits (one complex exp) -> symmetrized
     product state (unnormalized: the roots depend only on coefficient
-    ratios) -> constellation_products against (q2, q3), the kernel that
-    decompose_phase wraps for one state -> per-point qubit phases ->
-    wrapped sum. Every stage hands the next a view of component-major
-    memory (majorana's stack layout), so each pass runs over whole rows of
-    samples. The closed forms are not consulted.
+    ratios) -> constellation_overlaps against (q2, q3), the kernel that
+    decompose_phase wraps for one state -> per-point qubit phases, under
+    the same vanishing rule -> wrapped sum. Every stage hands the next a
+    view of component-major memory (majorana's stack layout), so each pass
+    runs over whole rows of samples. The closed forms are not consulted.
     """
     q2, q3 = _fixed_qubits(theta)
     out = np.empty(alphas.shape)
     for start in range(0, alphas.size, _BLOCK):
         block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
-        _, products = constellation_products(symmetric_amplitudes(_moving_qubits(phi, block)), q2, q3)
-        out[start:start + _BLOCK] = wrap_angle(bargmann_phases(products).sum(axis=-1))
+        _, overlaps = constellation_overlaps(symmetric_amplitudes(_moving_qubits(phi, block)), q2, q3)
+        out[start:start + _BLOCK] = wrap_angle(bargmann_phases(*overlaps, names=POINT_OVERLAPS).sum(axis=-1))
     return out
 
 

@@ -5,7 +5,8 @@ the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
 qubit triple (|+>, |0>, |y+>), whose phase is pi/4, a JSON integer
 beyond float range, the conditioning bounds of a canonicalized triple,
-Haar-random unitaries as plain matrices, the factored canonicalizing
+Haar-random unitaries as plain matrices, triples with prescribed overlaps
+and their phase at 50 digits, the factored canonicalizing
 unitary U = I + W (R - I) W^dagger applied in O(N), a sweep's printed
 series computed one component at a time, and the forms the library
 replaced by faster ones with the same bits (complex division by a real,
@@ -16,12 +17,12 @@ it is on a production path.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from triphase import PureState, inner_product, product_state, wrap_angle
 from triphase.angles import TWO_PI
 from triphase.majorana import _binomial_weights, constellation_qubits
-from triphase.phases import bargmann_products
 from triphase.states import check_unitary
 from triphase.sweep import _closed_form_arrays
 
@@ -155,10 +156,35 @@ def output_probability_closed_form(psi1: PureState, psi2: PureState, psi3: PureS
     return 0.5 * (1.0 + v * math.cos(float(center) - delta))
 
 
+def triple_with_overlaps(rng: np.random.Generator, dim: int, o13: complex, o32: complex,
+                         o21: complex) -> list[np.ndarray]:
+    """Unit vectors psi1, psi2, psi3 (dim >= 3) whose overlaps <psi1|psi3>,
+    <psi3|psi2>, <psi2|psi1> are o13, o32, o21 up to the normalization of
+    psi2 and psi3, a real factor 1 - O(|o|^2): psi1, psi2 - conj(o21) psi1
+    and psi3 - (o13 psi1 + (conj(o32) - o21 o13) psi2) are a Haar-random
+    orthonormal frame."""
+    frame, _ = np.linalg.qr(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
+    e1, e2, e3 = frame.T
+    psi2 = e2 + np.conj(o21) * e1
+    psi3 = e3 + o13 * e1 + (np.conj(o32) - o21 * o13) * e2
+    return [e1, psi2 / np.linalg.norm(psi2), psi3 / np.linalg.norm(psi3)]
+
+
+def phase_mp(psi1: PureState, psi2: PureState, psi3: PureState) -> float:
+    """arg(<1|3><3|2><2|1>) of the float64 states, at 50 decimal digits."""
+    with mpmath.workdps(50):
+        v1, v2, v3 = ([mpmath.mpc(z.real, z.imag) for z in s.amplitudes] for s in (psi1, psi2, psi3))
+
+        def dot(x, y):
+            return mpmath.fsum(xi.conjugate() * yi for xi, yi in zip(x, y))
+
+        return float(mpmath.arg(dot(v1, v3) * dot(v3, v2) * dot(v2, v1)))
+
+
 def count_overlaps(monkeypatch) -> list:
     """Record each np.vdot call, i.e. each overlap of two single states the
     library evaluates (inner_product), in the returned list. Stacked overlaps
-    (bargmann_products) are elementwise sums and are not counted."""
+    (constellation_overlaps) are elementwise sums and are not counted."""
     calls = []
     original = np.vdot
 
@@ -303,7 +329,7 @@ def pipeline_wrapped_by_division(theta: float, phi: float, alphas: np.ndarray) -
     moving[0] = moving[1].conj()
     points = constellation_qubits(symmetric_amplitudes_by_division(moving.T))
     points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
-    products = bargmann_products(points, q2, q3)
+    products = (points.conj() * q3).sum(-1) * (q3.conj() * q2).sum(-1) * (q2.conj() * points).sum(-1)
     return wrap_angle_where(wrap_angle_where(np.arctan2(products.imag, products.real)).sum(axis=-1))
 
 

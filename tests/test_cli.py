@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import cmath
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from reference import BEYOND_FLOAT, SQRT2, count_overlaps
+from reference import BEYOND_FLOAT, SQRT2, angle_dist, count_overlaps, phase_mp, triple_with_overlaps
 from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
@@ -89,8 +90,9 @@ def test_phase_orthogonal_pair_exits_2(tmp_path, capsys):
     assert "undefined phase" in err
 
 
-def test_phase_tolerance_error_reports_the_product(tmp_path, capsys):
-    # every overlap exceeds 0.9, but their product (~0.888) does not
+def test_phase_tolerance_applies_to_each_overlap(tmp_path, capsys):
+    # overlaps 0.981, 0.981 and 0.923: their product (~0.888) is below 0.9,
+    # but the tolerance bounds each overlap, not the product
     obj = {
         "psi1": state_obj(list(np.array([1, 0.2 + 0j]) / math.sqrt(1.04))),
         "psi2": state_obj(list(np.array([1, -0.2 + 0j]) / math.sqrt(1.04))),
@@ -98,8 +100,55 @@ def test_phase_tolerance_error_reports_the_product(tmp_path, capsys):
     }
     path = write_json(tmp_path / "t.json", obj)
     code, out, err = run_cli(["phase", path, "--tolerance", "0.9"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == ["gamma = 0", "|bargmann| = 0.887573964497"]
+    code, out, err = run_cli(["phase", path, "--tolerance", "0.95"], capsys)
     assert code == 2 and out == ""
-    assert err == "error: undefined phase: overlap product modulus 0.888 <= 0.9; phase undefined\n"
+    assert err == "error: undefined phase: <psi2|psi1> has modulus 0.923, not above 0.95\n"
+
+
+def triple_file_of(path, vecs) -> tuple[str, list]:
+    """Write the triple's JSON file; return its path and the states as the
+    CLI parses them."""
+    write_json(path, {f"psi{k + 1}": state_obj(list(v)) for k, v in enumerate(vecs)})
+    return str(path), [PureState.normalized(np.asarray(v)) for v in vecs]
+
+
+def test_faint_product_is_a_phase_for_every_command(tmp_path, capsys):
+    # overlaps 1.8e-5, 8.9e-6 and 1.0e-5, each resolved to ~1e-11 relative,
+    # though their product, 1.6e-15, lies far below the 1e-12 tolerance
+    overlaps = 1.8e-5 * cmath.exp(0.4j), 8.9e-6 * cmath.exp(-1.1j), 1.0e-5 * cmath.exp(2.0j)
+    vecs = triple_with_overlaps(np.random.default_rng(5), 5, *overlaps)
+    path, states = triple_file_of(tmp_path / "t.json", vecs)
+    want = phase_mp(*states)
+    assert angle_dist(want, 1.3) <= 1e-9  # 0.4 - 1.1 + 2.0
+    code, out, _ = run_cli(["phase", path, "--json"], capsys)
+    assert code == 0 and json.loads(out)["bargmann_abs"] == pytest.approx(1.6e-15, rel=0.01)
+    assert angle_dist(json.loads(out)["gamma"], want) <= 1e-9
+    code, out, _ = run_cli(["eraser", path, "--json"], capsys)
+    assert code == 0 and angle_dist(json.loads(out)["gamma"], want) <= 1e-9
+    code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
+    assert code == 0 and json.loads(out)["verification"]["phase_delta"] <= 1e-9
+
+
+def test_commands_agree_on_vanishing_overlaps(tmp_path, capsys):
+    # each overlap log-uniform in [1e-14, 1e-8] about the 1e-12 tolerance:
+    # phase and eraser fail, and canonicalize's check reads n/a, together
+    rng = np.random.default_rng(20_111)
+    undefined = 0
+    for case in range(60):
+        moduli = 10.0 ** rng.uniform(-14.0, -8.0, 3)
+        overlaps = moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
+        vecs = triple_with_overlaps(rng, int(rng.integers(3, 9)), *overlaps)
+        path, _ = triple_file_of(tmp_path / "t.json", vecs)
+        phase = run_cli(["phase", path], capsys)[0]
+        eraser = run_cli(["eraser", path, "--grid", "16"], capsys)[0]
+        code, out, _ = run_cli(["canonicalize", path], capsys)
+        assert code == 0 and phase in (0, 2) and eraser in (0, 2)
+        na = "phase_delta = n/a (undefined phase)" in out.splitlines()
+        assert (phase == 2) == (eraser == 2) == na, (case, moduli)
+        undefined += na
+    assert 0 < undefined < 60
 
 
 def test_parse_errors_exit_1(tmp_path, capsys):

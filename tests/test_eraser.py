@@ -24,7 +24,7 @@ from triphase import (
     wrap_angle,
 )
 from triphase import eraser
-from triphase.cli import main
+from triphase.cli import _fmt, main, scan_csv
 from triphase.eraser import MAX_GRID_SIZE, _path_spinor, _projected_fringe, composite_intermediate
 
 TWO_PI = 2.0 * math.pi
@@ -147,6 +147,29 @@ def test_faint_fringe_peak_within_a_grid_step(grid):
     assert faintest * step ** 2 < 10 * PEAK_CURVATURE_FLOOR
 
 
+def test_grid_argmax_warns_when_a_peak_strays_from_its_center(tmp_path, capsys):
+    # |<psi3|psi2>| = 1e-11 at grid 4096 is below the curvature floor: the
+    # peak strays 2.7 grid steps, and the warning leaves stdout and files alone
+    cfg = EraserConfig(grid_size=4096)
+    for states, strays in ((faint_triple(2, 4, 1e-11 * np.exp(2j)), True), ((PLUS, ZERO, YPLUS), False)):
+        triple = tmp_path / "triple.json"
+        pairs = [[[z.real, z.imag] for z in s.amplitudes] for s in states]
+        triple.write_text(json.dumps({f"psi{k + 1}": {"dim": len(v), "amplitudes": v}
+                                      for k, v in enumerate(pairs)}))
+        projected, plain = fringe_pair(*(PureState.normalized(s.amplitudes) for s in states), cfg)
+        off = max(abs(wrap_angle(scan.peak - scan.center)) for scan in (projected, plain))
+        assert (off > 2 * TWO_PI / cfg.grid_size) == strays
+        argv = ["eraser", str(triple), "--scan-csv", str(tmp_path / "scan.csv"), "--mode"]
+        assert main([*argv, "grid_argmax"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[:2] == [f"delta_f = {_fmt(projected.peak)}", f"delta_m = {_fmt(plain.peak)}"]
+        assert (tmp_path / "scan.csv").read_text() == scan_csv(projected)
+        assert err == (f"warning: a grid peak lies {off * cfg.grid_size / TWO_PI:.3g} grid steps "
+                       "from its closed-form constructive point\n" if strays else "")
+        assert main([*argv, "both"]) == 0  # the closed-form modes print no peak
+        assert capsys.readouterr().err == ""
+
+
 def test_projected_scan_evaluates_each_overlap_once(monkeypatch):
     calls = count_overlaps(monkeypatch)
     fringe_scan(PLUS, ZERO, YPLUS, EraserConfig(grid_size=64))
@@ -236,7 +259,7 @@ def test_alternating_grid_sizes():
 def test_fringe_scan_errors_name_the_missing_overlap():
     with pytest.raises(UndefinedPhaseError, match="psi3"):
         fringe_scan(ZERO, PLUS, PureState.basis(2, 1), EraserConfig(grid_size=64))
-    with pytest.raises(UndefinedPhaseError, match="plain fringe"):
+    with pytest.raises(UndefinedPhaseError, match=re.escape("<psi1|psi2>")):
         fringe_scan(ZERO, PureState.basis(2, 1), None, EraserConfig(grid_size=64))
 
 
@@ -244,21 +267,19 @@ TINY = [1e-9, 1.0]  # unnormalized; overlap ~1e-9 with |0>
 S = 1.0 / SQRT2
 # each triple makes one overlap ~1e-9 and the other two ~0.7
 BOUNDARY_TRIPLES = {
-    "<psi1|psi2>": (([1.0, 0.0], TINY, [S, S]), (0, 1),
-                    "<psi1|psi2> vanishes; the plain fringe is flat"),
-    "<psi3|psi1>": ((TINY, [S, S], [1.0, 0.0]), (2, 0),
-                    "<psi3|psi1> vanishes; constructive point undefined"),
-    "<psi3|psi2>": (([S, S], TINY, [1.0, 0.0]), (2, 1),
-                    "<psi3|psi2> vanishes; constructive point undefined"),
+    "<psi1|psi2>": (([1.0, 0.0], TINY, [S, S]), (0, 1)),
+    "<psi3|psi1>": ((TINY, [S, S], [1.0, 0.0]), (2, 0)),
+    "<psi3|psi2>": (([S, S], TINY, [1.0, 0.0]), (2, 1)),
 }
 
 
 @pytest.mark.parametrize("overlap", list(BOUNDARY_TRIPLES))
 def test_each_needed_overlap_vanishes_at_eps_null(overlap, tmp_path, capsys):
-    vecs, (i, j), message = BOUNDARY_TRIPLES[overlap]
+    vecs, (i, j) = BOUNDARY_TRIPLES[overlap]
     # the same float64 states the CLI parses from the file
     states = [PureState.normalized(np.array(v, dtype=complex)) for v in vecs]
     modulus = abs(inner_product(states[i], states[j]))
+    message = f"undefined phase: {overlap} has modulus {modulus:.3g}, not above {modulus:.3g}"
     just_below = float(np.nextafter(modulus, 0.0))
     cfg = EraserConfig(grid_size=16)
     with pytest.raises(UndefinedPhaseError, match=f"^{re.escape(message)}$"):
@@ -339,7 +360,7 @@ def test_extract_reads_the_landmarks_without_sampling(monkeypatch):
         assert np.array([got] * 3).view(np.int64).tolist() == np.array(readouts).view(np.int64).tolist()
     # the flat plain fringe fails first, although <psi3|psi1> vanishes too
     one = PureState.basis(2, 1)
-    with pytest.raises(UndefinedPhaseError, match=re.escape("<psi1|psi2> vanishes; the plain fringe is flat")):
+    with pytest.raises(UndefinedPhaseError, match=re.escape("<psi1|psi2> has modulus 0,")):
         extract_geometric_phase(ZERO, one, one)
     calls = count_overlaps(monkeypatch)
     extract_geometric_phase(*triples[0])

@@ -30,7 +30,7 @@ from triphase import (
     state_to_points,
 )
 from triphase.majorana import MAX_DIM, MAX_POWER, constellation_qubits, symmetric_amplitudes
-from triphase.phases import constellation_products
+from triphase.phases import constellation_overlaps
 from triphase.states import bloch_angles
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -317,8 +317,9 @@ def test_stacked_kernels_are_bitwise_row_invariant():
     q2, q3 = haar_rows(np.random.default_rng(13), 2, 2)
 
     def triangle_kernel(amps):  # decompose_phase's one row, the sweep's whole block
-        points, products = constellation_products(amps, q2, q3)
-        return np.concatenate((points, products[..., None]), axis=-1)
+        points, (o13, o32, o21) = constellation_overlaps(amps, q2, q3)
+        columns = np.broadcast_arrays(o13, o32, o21, o13 * o32 * o21)  # the overlaps and their product
+        return np.concatenate((points, np.stack(columns, axis=-1)), axis=-1)
 
     for dim in range(2, MAX_DIM + 1):
         n = dim - 1
