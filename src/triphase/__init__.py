@@ -18,7 +18,6 @@ from .phases import (
     CanonicalTriple,
     PhaseDecomposition,
     UndefinedPhaseError,
-    bargmann,
     canonicalize_triple,
     decompose_phase,
     solid_angle_triangle,
@@ -54,7 +53,6 @@ __all__ = [
     "PureState",
     "SweepResult",
     "UndefinedPhaseError",
-    "bargmann",
     "bloch_to_qubit",
     "build_family_states",
     "canonicalize_triple",

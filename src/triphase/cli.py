@@ -151,7 +151,7 @@ def cmd_phase(args) -> int:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     o13, o32, o21 = inner_product(psi1, psi3), inner_product(psi3, psi2), inner_product(psi2, psi1)
     gamma = bargmann_phases(o13, o32, o21, eps_null=args.tolerance)
-    b = o13 * o32 * o21  # bargmann()'s product, from the overlaps printed below
+    b = o13 * o32 * o21  # the cyclic product, from the overlaps printed below
     overlaps = {
         name: {"abs": abs(v), "arg": float(np.angle(v))}
         for name, v in (("psi1_psi3", o13), ("psi3_psi2", o32), ("psi2_psi1", o21))

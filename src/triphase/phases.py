@@ -68,18 +68,6 @@ def constellation_overlaps(amplitudes: np.ndarray, q2, q3) -> tuple[np.ndarray, 
     return points, ((points.conj() * q3).sum(-1), (q3.conj() * q2).sum(-1), (q2.conj() * points).sum(-1))
 
 
-def bargmann(s1: PureState, s2: PureState, s3: PureState) -> complex:
-    """Cyclic overlap product <s1|s3><s3|s2><s2|s1>.
-
-    Overlaps come from inner_product (BLAS zdotc), whose bits
-    canonicalize_triple's g = <phi2|phi3> shares; an elementwise sum differs
-    by about eps / |g| relative. On 595 seeded triples (dims 2-20, |g|
-    log-uniform in [1e-11, 1e-5]) canonicalize's phase_delta has max 2.7e-14
-    this way, and median 3.2e-10, max 4.7e-6 with the elementwise sum.
-    """
-    return inner_product(s1, s3) * inner_product(s3, s2) * inner_product(s2, s1)
-
-
 def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
     """Geometric phase of an ordered state triple, in (-pi, pi].
 
@@ -88,6 +76,12 @@ def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
 
     Raises UndefinedPhaseError when one of the three overlaps has modulus
     at most eps_null (check_overlaps), however small their product is.
+
+    The overlaps come from inner_product (BLAS zdotc), whose bits
+    canonicalize_triple's g = <phi2|phi3> shares; an elementwise sum differs
+    by about eps / |g| relative. On 595 seeded triples (dims 2-20, |g|
+    log-uniform in [1e-11, 1e-5]) canonicalize's phase_delta has max 2.7e-14
+    this way, and median 3.2e-10, max 4.7e-6 with the elementwise sum.
     """
     return bargmann_phases(inner_product(s1, s3), inner_product(s3, s2), inner_product(s2, s1),
                            eps_null=eps_null)

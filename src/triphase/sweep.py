@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .majorana import points_to_state, product_state, symmetric_amplitudes
+from .majorana import product_state, symmetric_amplitudes
 from .phases import POINT_OVERLAPS, bargmann_phases, constellation_overlaps
-from .states import PureState, qubit_to_bloch
+from .states import PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
@@ -82,18 +82,18 @@ def family_qubits(p: FamilyParams) -> tuple[PureState, PureState, PureState, Pur
 
 def build_family_states(p: FamilyParams) -> tuple[PureState, PureState, PureState]:
     """The dimension-3 triple (psi1(alpha), q2 tensor square, q3 tensor square)."""
-    q11, q12, q2, q3 = family_qubits(p)
-    psi1 = points_to_state([qubit_to_bloch(q11), qubit_to_bloch(q12)])
-    return psi1, product_state(q2, 2), product_state(q3, 2)
+    psi1 = PureState.normalized(symmetric_amplitudes(_moving_qubits(p.phi, np.asarray(p.alpha))))
+    q2, q3 = (product_state(PureState(row), 2) for row in _fixed_qubits(p.theta))
+    return psi1, q2, q3
 
 
-def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # principal values in (-pi, pi); at a tangent pole the huge-but-finite
+def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
+    # rows gamma1, gamma2, in (-pi, pi); at a tangent pole the huge-but-finite
     # float tan makes atan return +-pi/2, so a term approaches +-pi, no gap
-    t = math.tan(theta / 2.0)
-    g1 = 2.0 * np.arctan(t * np.tan((phi + alphas) / 2.0))
-    g2 = -2.0 * np.arctan(t * np.tan((phi - alphas) / 2.0))
-    return g1, g2
+    out = np.arctan(math.tan(theta / 2.0) * np.tan(np.array([phi + alphas, phi - alphas]) / 2.0))
+    out[0] *= 2.0
+    out[1] *= -2.0
+    return out
 
 
 def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
@@ -125,11 +125,11 @@ class SweepResult:
     gamma_pipeline_wrapped re-derives the wrapped total at every sample
     through the constellation + triangle kernel that decompose_phase also
     wraps, so the closed forms are the independent side of this
-    cross-check. It agrees with decompose_phase on build_family_states'
-    state within 1e-12 for |theta| >= 0.02 (measured 4.5e-13); the gap is
-    the two input stacks' rounding, and grows with the phase's slope
-    2/|tan(theta/2)| (measured worst over every sample, phi in {0, pi/4,
-    3}: 2.4e-12 at theta = 0.01, 1.4e-11 at 0.005, 1.9e-10 at 0.001).
+    cross-check. On build_family_states' state decompose_phase agrees with
+    it within 1e-12 for |theta| >= 0.02 (measured 4.3e-13): the gap is that
+    state's normalization rounding and grows with the slope 2/|tan(theta/2)|
+    (worst over every sample, 1024 steps, phi in {0, pi/4, 3}: 4.6e-12 at
+    theta = 0.01, 2.3e-11 at 0.005, 3.8e-10 at 0.001).
     """
 
     alphas: np.ndarray
@@ -153,23 +153,6 @@ class SweepResult:
         return steepest / step
 
 
-def _merge_peak_runs(peaks: np.ndarray, alphas: np.ndarray) -> list[float]:
-    """Collapse runs of consecutive peak intervals to their center alpha."""
-    if peaks.size == 0:
-        return []
-    out = []
-    start = prev = int(peaks[0])
-    for j in peaks[1:]:
-        j = int(j)
-        if j == prev + 1:
-            prev = j
-            continue
-        out.append(0.5 * float(alphas[start] + alphas[prev + 1]))
-        start = prev = j
-    out.append(0.5 * float(alphas[start] + alphas[prev + 1]))
-    return out
-
-
 def _locate_steep(alphas: np.ndarray, jumps: np.ndarray) -> tuple[float, ...]:
     """Steep-slope loci: cyclic local maxima of the finite-difference slope
     (jumps: absolute steps, one row per unwrapped component) of each
@@ -178,12 +161,13 @@ def _locate_steep(alphas: np.ndarray, jumps: np.ndarray) -> tuple[float, ...]:
     slope = jumps / step
     median = np.median(slope, axis=-1, keepdims=True)
     cyclic = np.concatenate([slope[:, -1:], slope, slope[:, :1]], axis=-1)
-    is_peak = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
-    is_peak &= (slope > _SLOPE_FACTOR * median) & (median != 0.0)
-    found: list[float] = []
-    for peaks in is_peak:
-        found.extend(_merge_peak_runs(np.flatnonzero(peaks), alphas))
-    found.sort()
+    is_peak = np.zeros((len(slope), slope.shape[1] + 2), dtype=bool)  # a False column each side
+    is_peak[:, 1:-1] = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
+    is_peak[:, 1:-1] &= (slope > _SLOPE_FACTOR * median) & (median != 0.0)
+    # each row's runs of consecutive peak intervals collapse to their center
+    # alpha: in flat order the run edges alternate start, end + 1
+    edges = np.flatnonzero(is_peak[:, 1:] != is_peak[:, :-1]) % (slope.shape[1] + 1)
+    found = np.sort(0.5 * (alphas[edges[0::2]] + alphas[edges[1::2]])).tolist()
     merged: list[float] = []
     for a in found:
         if merged and a - merged[-1] <= step:

@@ -9,9 +9,10 @@ Haar-random unitaries as plain matrices, triples with prescribed overlaps
 and their phase at 50 digits, the factored canonicalizing
 unitary U = I + W (R - I) W^dagger applied in O(N), a sweep's printed
 series computed one component at a time, and the forms the library
-replaced by faster ones with the same bits (complex division by a real,
-np.linalg.norm, np.where in wrap_angle, |0>^n from product_state). None of
-it is on a production path.
+replaced by faster or shorter ones with the same bits (complex division by
+a real, np.linalg.norm, np.where in wrap_angle, |0>^n from product_state,
+one closed-form pass per series, a Python loop over each row's peak runs).
+None of it is on a production path.
 """
 
 import itertools
@@ -24,7 +25,6 @@ from triphase import PureState, inner_product, product_state, wrap_angle
 from triphase.angles import TWO_PI
 from triphase.majorana import _binomial_weights, constellation_qubits
 from triphase.states import check_unitary
-from triphase.sweep import _closed_form_arrays
 
 MAX_ORACLE_QUBITS = 12  # factorial permutation sum; resource guard
 
@@ -228,7 +228,7 @@ def sweep_series_per_component(theta: float, phi: float, alphas: np.ndarray) -> 
     closed-form series gets its own np.unwrap, and the steep-slope search its
     own np.median and np.roll neighbours: the per-component form of the
     library's one (2, S) pass."""
-    g1, g2 = (np.unwrap(raw) for raw in _closed_form_arrays(theta, phi % TWO_PI, alphas))
+    g1, g2 = (np.unwrap(raw) for raw in closed_forms_per_series(theta, phi % TWO_PI, alphas))
     step = float(alphas[1] - alphas[0])
     found = []
     for series in (g1, g2):
@@ -331,6 +331,58 @@ def pipeline_wrapped_by_division(theta: float, phi: float, alphas: np.ndarray) -
     points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
     products = (points.conj() * q3).sum(-1) * (q3.conj() * q2).sum(-1) * (q2.conj() * points).sum(-1)
     return wrap_angle_where(wrap_angle_where(np.arctan2(products.imag, products.real)).sum(axis=-1))
+
+
+def closed_forms_per_series(theta: float, phi: float, alphas) -> tuple:
+    """sweep._closed_form_arrays as one tan/arctan pass per series."""
+    t = math.tan(theta / 2.0)
+    g1 = 2.0 * np.arctan(t * np.tan((phi + alphas) / 2.0))
+    g2 = -2.0 * np.arctan(t * np.tan((phi - alphas) / 2.0))
+    return g1, g2
+
+
+def merge_peak_runs(peaks: np.ndarray, alphas: np.ndarray) -> list:
+    """Collapse runs of consecutive peak intervals to their center alpha,
+    one run at a time."""
+    if peaks.size == 0:
+        return []
+    out = []
+    start = prev = int(peaks[0])
+    for j in peaks[1:]:
+        j = int(j)
+        if j == prev + 1:
+            prev = j
+            continue
+        out.append(0.5 * float(alphas[start] + alphas[prev + 1]))
+        start = prev = j
+    out.append(0.5 * float(alphas[start] + alphas[prev + 1]))
+    return out
+
+
+def locate_steep_by_runs(alphas: np.ndarray, jumps: np.ndarray) -> tuple:
+    """sweep._locate_steep with each row's peak runs collapsed by
+    merge_peak_runs."""
+    step = float(alphas[1] - alphas[0])
+    slope = jumps / step
+    median = np.median(slope, axis=-1, keepdims=True)
+    cyclic = np.concatenate([slope[:, -1:], slope, slope[:, :1]], axis=-1)
+    is_peak = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
+    is_peak &= (slope > 5.0 * median) & (median != 0.0)
+    found = []
+    for peaks in is_peak:
+        found.extend(merge_peak_runs(np.flatnonzero(peaks), alphas))
+    found.sort()
+    merged = []
+    for a in found:
+        if merged and a - merged[-1] <= step:
+            merged[-1] = 0.5 * (merged[-1] + a)
+        else:
+            merged.append(a)
+    if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= step:
+        first = merged.pop(0)
+        merged[-1] = (0.5 * (first + merged[-1] + TWO_PI)) % TWO_PI
+        merged.sort()
+    return tuple(merged)
 
 
 def count_norm_calls(monkeypatch) -> list:

@@ -1,7 +1,8 @@
-"""The fast forms on the triples and sweep paths give the bits of the forms
-they replaced (reference.py), compared as int64 views on seeded inputs, and
-the triple routes make no np.linalg.norm call and build no |0>^n, and
-decompose_phase finds each state's roots once and builds no BlochPoint."""
+"""The fast and stacked forms on the triples and sweep paths give the bits of
+the forms they replaced (reference.py), compared as int64 views on seeded
+inputs, and the triple routes make no np.linalg.norm call and build no
+|0>^n, and decompose_phase finds each state's roots once and builds no
+BlochPoint."""
 
 import math
 
@@ -133,6 +134,48 @@ def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
     for name in ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped"):
         assert bits(getattr(new, name)) == bits(getattr(old, name)), name
     assert bits(new.singular_alphas) == bits(old.singular_alphas)
+
+
+def seeded_sweeps(seed, count):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        theta = float(10 ** rng.uniform(-3, math.log10(1.5)) * rng.choice([-1.0, 1.0]))
+        phi = (0.0, math.pi, -math.pi / 2)[k] if k < 3 else float(rng.uniform(-7.0, 7.0))
+        yield theta, phi, sweep_alpha(theta, phi, int(rng.integers(64, 5001)))
+
+
+def test_closed_forms_match_the_per_series_form():
+    # one stacked tan/arctan pass against one pass per series, on sweep
+    # grids of every length parity and on scalar alphas
+    for theta, phi, result in seeded_sweeps(18, 60):
+        phi %= 2 * math.pi
+        for alphas in (result.alphas, result.alphas[:-1], result.alphas[1:8], 2.5):
+            g1, g2 = sweep._closed_form_arrays(theta, phi, alphas)
+            old1, old2 = reference.closed_forms_per_series(theta, phi, alphas)
+            assert bits(g1) == bits(old1) and bits(g2) == bits(old2), (theta, phi, np.size(alphas))
+
+
+def test_locate_steep_matches_the_per_run_loop():
+    def check(alphas, jumps):
+        got, want = sweep._locate_steep(alphas, jumps), reference.locate_steep_by_runs(alphas, jumps)
+        assert bits(got) == bits(want), jumps.tolist()
+
+    for theta, phi, result in seeded_sweeps(19, 60):
+        check(result.alphas, np.abs(np.diff(np.stack([result.gamma1, result.gamma2]))))
+    # synthetic profiles: runs touching both ends, runs one interval apart
+    # in a row and one step apart across rows, zero-median rows
+    alphas = np.linspace(0.0, 2 * math.pi, 10)
+    for rows in ([[9, 9, 1, 1, 1, 1, 1, 9, 9], [1, 1, 1, 9, 1, 1, 1, 1, 1]],
+                 [[1, 9, 1, 9, 9, 1, 1, 1, 1], [1, 1, 9, 1, 1, 1, 1, 1, 9]],
+                 [[0, 0, 0, 0, 9, 0, 0, 0, 9], [1, 1, 1, 1, 1, 9, 1, 1, 1]],
+                 [[0, 0, 0, 0, 0, 0, 0, 0, 0], [9, 1, 1, 1, 1, 1, 1, 1, 9]]):
+        check(alphas, np.array(rows, dtype=float))
+    rng = np.random.default_rng(20)
+    levels = np.array([0.0, 1.0, 2.0, 8.0])
+    for _ in range(3000):
+        size = int(rng.integers(3, 40))
+        jumps = np.array([rng.choice(levels, size, p=rng.dirichlet(np.ones(4))) for _ in range(2)])
+        check(np.linspace(0.0, 2 * math.pi, size + 1), jumps)
 
 
 def test_triple_routes_make_no_norm_call_and_no_ket0_power(monkeypatch):

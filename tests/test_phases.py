@@ -21,7 +21,6 @@ from triphase import (
     BlochPoint,
     PureState,
     UndefinedPhaseError,
-    bargmann,
     bloch_to_qubit,
     canonicalize_triple,
     decompose_phase,
@@ -33,19 +32,24 @@ from triphase import (
     solid_angle_triangle,
     three_vertex_phase,
 )
-from triphase.phases import constellation_overlaps
+from triphase.phases import bargmann_phases, constellation_overlaps
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
 
 # --- bargmann product --------------------------------------------------------
 
+def cyclic_product(s1, s2, s3):
+    """The cyclic overlap product <s1|s3><s3|s2><s2|s1>, from inner_product."""
+    return inner_product(s1, s3) * inner_product(s3, s2) * inner_product(s2, s1)
+
+
 def test_bargmann_values():
     # two coincident vertices: product reduces to |<0|+>|^2
-    assert bargmann(ZERO, ZERO, PLUS) == pytest.approx(0.5)
+    assert cyclic_product(ZERO, ZERO, PLUS) == pytest.approx(0.5)
     # full complex arithmetic: <+|y+> <y+|0> <0|+> = (1+i)/2 * 1/sqrt2 * 1/sqrt2
-    assert bargmann(PLUS, ZERO, YPLUS) == pytest.approx((1 + 1j) / 4)
-    assert bargmann(ZERO, PureState.basis(2, 1), PLUS) == pytest.approx(0.0)
+    assert cyclic_product(PLUS, ZERO, YPLUS) == pytest.approx((1 + 1j) / 4)
+    assert cyclic_product(ZERO, PureState.basis(2, 1), PLUS) == pytest.approx(0.0)
 
 
 def unit_rows(rng, shape):
@@ -58,8 +62,8 @@ def test_bargmann_takes_state_overlaps_from_inner_product():
     for dim in (2, 3, 7, 20, 64, 257, 1030):
         for seed in range(5):
             s1, s2, s3 = (random_pure_state(dim, 100 * dim + 3 * seed + k) for k in range(3))
-            product = inner_product(s1, s3) * inner_product(s3, s2) * inner_product(s2, s1)
-            assert bargmann(s1, s2, s3) == product, (dim, seed)
+            want = bargmann_phases(inner_product(s1, s3), inner_product(s3, s2), inner_product(s2, s1))
+            assert np.float64(three_vertex_phase(s1, s2, s3)).tobytes() == np.float64(want).tobytes(), (dim, seed)
 
 
 def test_stacked_bargmann_products_match_per_row_vdot():
@@ -134,7 +138,7 @@ def test_phase_gauge_invariance(s1, s2, s3, extra, dim):
         before = three_vertex_phase(a, b, c)
     except UndefinedPhaseError:
         return
-    assert abs(bargmann(a, b, c)) == pytest.approx(abs(bargmann(a_rotated, b, c)), abs=1e-14)
+    assert abs(cyclic_product(a, b, c)) == pytest.approx(abs(cyclic_product(a_rotated, b, c)), abs=1e-14)
     assert three_vertex_phase(a_rotated, b, c) == pytest.approx(before, abs=1e-12)
 
 
@@ -148,7 +152,7 @@ def test_phase_cyclic_and_antisymmetric(s1, s2, s3, dim):
         return
     assert three_vertex_phase(b, c, a) == pytest.approx(gamma, abs=1e-12)
     assert three_vertex_phase(c, a, b) == pytest.approx(gamma, abs=1e-12)
-    assert bargmann(b, a, c) == pytest.approx(np.conj(bargmann(a, b, c)), abs=1e-14)
+    assert cyclic_product(b, a, c) == pytest.approx(np.conj(cyclic_product(a, b, c)), abs=1e-14)
     assert angle_dist(three_vertex_phase(b, a, c), -gamma) <= 1e-12
 
 
@@ -249,7 +253,7 @@ def test_decompose_total_matches_direct_phase(s1, s2, s3, dim):
     # cancels; its arg error scales like eps over the product modulus, which
     # the bound tracks, so it is read below the default eps_null as well
     direct = three_vertex_phase(sym, big2, big3, eps_null=0.0)
-    tol = 1e-9 + 1e-14 / abs(bargmann(sym, big2, big3))
+    tol = 1e-9 + 1e-14 / abs(cyclic_product(sym, big2, big3))
     assert angle_dist(total, direct) <= tol
 
 

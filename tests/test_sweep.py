@@ -218,6 +218,34 @@ def test_sweep_detects_both_singular_points():
     assert abs(result.singular_alphas[1] - 5 * PI / 4) <= spacing
 
 
+def test_singular_alphas_follow_the_analytic_rule():
+    # each component's slope t / (cos^2 u + t^2 sin^2 u), t = tan(theta/2),
+    # peaks at 1/|t| on its tangent pole, alpha = pi - phi or pi + phi, and
+    # has median 2|t| / (1 + t^2): the pole clears the 5x-median rule
+    # exactly when |t| < 1/3. Skipped: loci within two steps of each other,
+    # and |t| within 0.02 of the threshold
+    rng = np.random.default_rng(8)
+    counts = {"two": 0, "none": 0}
+    for _ in range(400):
+        theta = float(10 ** rng.uniform(-3, math.log10(1.5)) * rng.choice([-1.0, 1.0]))
+        phi = float(rng.uniform(0.0, 2 * PI))
+        result = sweep_alpha(theta, phi, int(rng.integers(64, 4097)))
+        step, t = float(result.alphas[1]), abs(math.tan(theta / 2))
+        poles = (PI - phi, PI + phi)
+        if angle_dist(*poles) <= 2 * step or abs(t - 1 / 3) <= 0.02:
+            continue
+        found = result.singular_alphas
+        if t < 1 / 3:
+            assert len(found) == 2, (theta, phi, found)
+            for pole in poles:
+                assert min(angle_dist(pole, a) for a in found) <= step / 2, (theta, phi, found)
+            counts["two"] += 1
+        else:
+            assert found == (), (theta, phi, found)
+            counts["none"] += 1
+    assert counts["two"] >= 300 and counts["none"] >= 25, counts
+
+
 def test_sweep_theta_sign_flip_negates_everything():
     plus = sweep_alpha(PI / 6, PI / 4, 256)
     minus = sweep_alpha(-PI / 6, PI / 4, 256)
