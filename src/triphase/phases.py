@@ -52,20 +52,26 @@ def bargmann_phases(o13, o32, o21, *, names=STATE_OVERLAPS, eps_null: float = EP
     return wrap_angle(np.arctan2(b.imag, b.real))
 
 
-def constellation_overlaps(amplitudes: np.ndarray, q2, q3) -> tuple[np.ndarray, tuple]:
-    """Unit constellation rows of an (S, N) amplitude stack, shape
-    (S, N-1, 2), and the overlaps <point|q3>, <q3|q2>, <q2|point> of each
-    point's qubit triple (point, q2, q3) for qubit rows q2 and q3: two
-    (S, N-1) stacks around one scalar.
+def unit_constellation_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Unit constellation rows of an (S, N) amplitude stack, shape (S, N-1, 2).
 
     The rows of constellation_qubits are scaled to unit norm; their Bloch
     angles would change only global phases, which cancel in the phases.
-    The results are views of component-major memory (majorana's stack
+    The result is a view of component-major memory (majorana's stack
     layout), and no arithmetic crosses rows.
     """
     points = constellation_qubits(amplitudes)
     points *= 1.0 / np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
-    return points, ((points.conj() * q3).sum(-1), (q3.conj() * q2).sum(-1), (q2.conj() * points).sum(-1))
+    return points
+
+
+def point_overlaps(points: np.ndarray, q2, q3) -> tuple:
+    """The overlaps <point|q3>, <q3|q2>, <q2|point> (POINT_OVERLAPS) of each
+    point's qubit triple (point, q2, q3), for a stack of unit point rows,
+    shape (..., 2), and qubit rows q2 and q3: two stacks of the points'
+    leading shape around one scalar, each an elementwise product and sum.
+    """
+    return (points.conj() * q3).sum(-1), (q3.conj() * q2).sum(-1), (q2.conj() * points).sum(-1)
 
 
 def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
@@ -134,13 +140,15 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
     Each constellation point of sym1 contributes the phase of the qubit
     triple (point, q2, q3), one spherical triangle apiece; the parts sum to
     the phase of the full triple mod 2pi. A thin wrapper over
-    constellation_overlaps on a one-row stack, the kernel the sweep's
-    cross-check runs on whole blocks of samples. Raises UndefinedPhaseError
-    naming the point (component) of a vanishing per-point overlap.
+    unit_constellation_rows and point_overlaps on a one-row stack, the
+    kernels the sweep's cross-check runs on whole blocks of samples.
+    Raises UndefinedPhaseError naming the point (component) of a vanishing
+    per-point overlap.
     """
     if q2.dim != 2 or q3.dim != 2:
         raise DimensionMismatchError("q2 and q3 must be qubits")
-    points, (o13, o32, o21) = constellation_overlaps(sym1.amplitudes[None, :], q2.amplitudes, q3.amplitudes)
+    points = unit_constellation_rows(sym1.amplitudes[None, :])
+    o13, o32, o21 = point_overlaps(points, q2.amplitudes, q3.amplitudes)
     phases = bargmann_phases(o13[0], o32, o21[0], names=POINT_OVERLAPS).tolist()
     points.setflags(write=False)  # point_qubits is a read-only view, like PureState's amplitudes
     return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), points[0])

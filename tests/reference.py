@@ -184,7 +184,7 @@ def phase_mp(psi1: PureState, psi2: PureState, psi3: PureState) -> float:
 def count_overlaps(monkeypatch) -> list:
     """Record each np.vdot call, i.e. each overlap of two single states the
     library evaluates (inner_product), in the returned list. Stacked overlaps
-    (constellation_overlaps) are elementwise sums and are not counted."""
+    (point_overlaps) are elementwise sums and are not counted."""
     calls = []
     original = np.vdot
 

@@ -30,7 +30,7 @@ from triphase import (
     state_to_points,
 )
 from triphase.majorana import MAX_DIM, MAX_POWER, constellation_qubits, symmetric_amplitudes
-from triphase.phases import constellation_overlaps
+from triphase.phases import point_overlaps, unit_constellation_rows
 from triphase.states import bloch_angles
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -317,7 +317,8 @@ def test_stacked_kernels_are_bitwise_row_invariant():
     q2, q3 = haar_rows(np.random.default_rng(13), 2, 2)
 
     def triangle_kernel(amps):  # decompose_phase's one row, the sweep's whole block
-        points, (o13, o32, o21) = constellation_overlaps(amps, q2, q3)
+        points = unit_constellation_rows(amps)
+        o13, o32, o21 = point_overlaps(points, q2, q3)
         columns = np.broadcast_arrays(o13, o32, o21, o13 * o32 * o21)  # the overlaps and their product
         return np.concatenate((points, np.stack(columns, axis=-1)), axis=-1)
 

@@ -32,7 +32,7 @@ from triphase import (
     solid_angle_triangle,
     three_vertex_phase,
 )
-from triphase.phases import bargmann_phases, constellation_overlaps
+from triphase.phases import bargmann_phases, point_overlaps, unit_constellation_rows
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -77,7 +77,8 @@ def test_stacked_bargmann_products_match_per_row_vdot():
         component_major = np.ascontiguousarray(unit_rows(rng, (300, dim)).T).T
         assert not component_major.flags.c_contiguous
         for amplitudes in (unit_rows(rng, (50, dim)), component_major):
-            points, (o13, o32, o21) = constellation_overlaps(amplitudes, q2, q3)
+            points = unit_constellation_rows(amplitudes)
+            o13, o32, o21 = point_overlaps(points, q2, q3)
             assert points.shape == (len(amplitudes), dim - 1, 2)
             assert abs(o32 - tail) <= 2 * eps
             want = np.zeros(points.shape[:-1], dtype=complex)

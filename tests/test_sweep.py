@@ -9,6 +9,7 @@ from reference import (
     angle_dist,
     count_eigvals,
     dicke_embed,
+    pipeline_wrapped_by_division,
     sweep_series_per_component,
     symmetrize_full,
 )
@@ -22,6 +23,7 @@ from triphase import (
     sweep_alpha,
     three_vertex_phase,
 )
+from triphase import phases, sweep
 from triphase.sweep import MAX_SWEEP_INTERVALS, _closed_form_arrays
 
 PI = math.pi
@@ -123,6 +125,11 @@ def test_sweep_validation():
     # validation only: the cap is checked before any grid is allocated
     with pytest.raises(ValueError, match="steps"):
         sweep_alpha(0.5, 1.0, MAX_SWEEP_INTERVALS + 1)
+    # a fractional interval count is refused, not truncated
+    for steps in (100.7, 64.5, MAX_SWEEP_INTERVALS - 0.5):
+        with pytest.raises(ValueError, match=f"whole number of intervals, got {steps}"):
+            sweep_alpha(0.5, 0.1, steps)
+    assert sweep_alpha(0.5, 0.1, 100.0).alphas.size == 101
 
 
 def scalar_pipeline(theta, phi, alpha):
@@ -275,3 +282,82 @@ def test_slope_profile_flattens_toward_wide_angles():
     slope = sweep_alpha(1.55, PI / 4, 2048).peak_slope
     assert slope == pytest.approx(1.0 / math.tan(1.55 / 2), abs=1e-3)
     assert slope < 1.1
+
+
+# --- the cross-check's cache of unit constellation rows ---------------------
+
+SWEEP_FIELDS = ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped")
+
+
+def sweep_bytes(result):
+    return [getattr(result, name).tobytes() for name in SWEEP_FIELDS] + [result.singular_alphas]
+
+
+def test_cached_rows_give_the_bits_of_a_cold_sweep():
+    # per (phi, steps), at least four theta run warm one after another and
+    # each cold after cache_clear(): one-block, two-block (4097 and 5001
+    # samples) and doubling grids (theta = 0.02 at 256 and 1000 steps), and
+    # two phi on one grid, so that a key missing phi would show
+    cases = [(PI / 4, 1024), (3.0, 1024), (PI / 4, 256), (1.0, 5000), (2.0, 4096), (0.0, 1000), (PI, 64)]
+    thetas = (PI / 3, -0.4, 0.02, PI / 12, 1.5)
+    sweep._cached_unit_rows.cache_clear()
+    warm = {(theta, phi, steps): sweep_bytes(sweep_alpha(theta, phi, steps))
+            for phi, steps in cases for theta in thetas}
+    assert sweep._cached_unit_rows.cache_info().hits >= 3 * len(cases)
+    for (theta, phi, steps), got in warm.items():
+        sweep._cached_unit_rows.cache_clear()
+        assert got == sweep_bytes(sweep_alpha(theta, phi, steps)), (theta, phi, steps)
+
+
+def test_second_theta_takes_the_rows_from_the_cache(monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a: calls.append(name) or original(a))
+
+    counted(phases, "constellation_qubits")
+    counted(sweep, "symmetric_amplitudes")
+    sweep._cached_unit_rows.cache_clear()
+    sweep_alpha(PI / 6, 1.0, 5000)  # 5001 samples: two blocks
+    assert sorted(calls) == ["constellation_qubits"] * 2 + ["symmetric_amplitudes"] * 2
+    calls.clear()
+    sweep_alpha(-0.3, 1.0, 5000)
+    assert calls == []
+    sweep_alpha(-0.3, 1.5, 5000)
+    assert sorted(calls) == ["constellation_qubits"] * 2 + ["symmetric_amplitudes"] * 2
+
+
+def test_cached_rows_are_read_only():
+    sweep._cached_unit_rows.cache_clear()
+    sweep_alpha(PI / 6, 1.0, 256)
+    block = np.fmod(np.linspace(0.0, 2 * PI, 257), 2 * PI)
+    rows = sweep._cached_unit_rows(1.0, block.tobytes())  # the sweep's own entry
+    assert sweep._cached_unit_rows.cache_info().hits == 1
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        rows *= 2.0
+
+
+def test_signed_zero_phi_gives_the_same_bits():
+    for steps in (256, 5000):
+        sweep._cached_unit_rows.cache_clear()
+        plus = sweep_bytes(sweep_alpha(0.3, 0.0, steps))
+        sweep._cached_unit_rows.cache_clear()
+        minus = sweep_bytes(sweep_alpha(0.3, -0.0, steps))
+        assert plus == minus == sweep_bytes(sweep_alpha(0.3, 0.0, steps))
+
+
+def test_row_cache_stays_within_its_bound():
+    sweep._cached_unit_rows.cache_clear()
+    for phi in (1.0, 2.0):
+        assert sweep_alpha(0.5, phi, 28_000).alphas.size == 28_001  # 7 blocks each
+    info = sweep._cached_unit_rows.cache_info()
+    assert info.misses == 14 and info.currsize == info.maxsize == 8
+    # 2^16 + 1 samples span 17 blocks, more than the cache holds: they bypass it
+    result = sweep_alpha(0.5, 2.0, 2 ** 16)
+    assert result.alphas.size == 2 ** 16 + 1
+    assert sweep._cached_unit_rows.cache_info() == info
+    want = pipeline_wrapped_by_division(0.5, 2.0, result.alphas)
+    assert result.gamma_pipeline_wrapped.tobytes() == want.tobytes()
