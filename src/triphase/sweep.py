@@ -98,18 +98,13 @@ def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> np.ndar
     return out
 
 
-def _unit_rows(phi: float, alphas: np.ndarray) -> np.ndarray:
-    """Unit constellation rows of the moving pair at phi over alphas; they
-    do not depend on theta."""
-    return unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, alphas)))
-
-
 @functools.lru_cache(maxsize=_CACHED_BLOCKS)
 def _cached_unit_rows(phi: float, block: bytes) -> np.ndarray:
-    """_unit_rows over one block of alphas given as its float64 bytes,
-    read-only. The key is the block's contents, so a sweep reuses the rows
+    """Unit constellation rows of the moving pair at phi over one block of
+    alphas given as its float64 bytes, read-only. They do not depend on
+    theta, and the key is the block's contents, so a sweep reuses the rows
     of any earlier sweep at the same phi over the same alphas."""
-    rows = _unit_rows(phi, np.frombuffer(block))
+    rows = unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, np.frombuffer(block))))
     rows.setflags(write=False)
     return rows
 
@@ -126,22 +121,20 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
     each pass runs over whole rows of samples. The closed forms are not
     consulted.
 
-    The unit rows depend on phi and the block's alphas only. On a grid of
-    at most _CACHED_BLOCKS blocks (32768 samples) they come from
-    _cached_unit_rows, which keeps the last 8 blocks (at most 8 x 288 KB
-    with their keys) for the life of the process: a sweep at a phi and grid
-    already swept computes only the theta-dependent overlaps, phases and
-    sum, and a process that runs one sweep computes every block as before,
-    plus one hash of its bytes. A longer grid bypasses the cache: swept in
-    order, it would evict each block before a repeat sweep reached it, and
-    the kept blocks would split the heap that its large arrays reuse.
+    The unit rows depend on phi and the block's alphas only. They come from
+    _cached_unit_rows, which keeps the last _CACHED_BLOCKS = 8 blocks (at
+    most 8 x 288 KB with their keys) for the life of the process: a sweep
+    at a phi and grid already swept computes only the theta-dependent
+    overlaps, phases and sum, and a process that runs one sweep computes
+    every block as before, plus one hash of its bytes. A grid of more than
+    8 blocks, swept in order, evicts each block before a repeat sweep
+    reaches it, so it gets no reuse.
     """
     q2, q3 = _fixed_qubits(theta)
     out = np.empty(alphas.shape)
-    cached = alphas.size <= _CACHED_BLOCKS * _BLOCK
     for start in range(0, alphas.size, _BLOCK):
         block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
-        rows = _cached_unit_rows(phi, block.tobytes()) if cached else _unit_rows(phi, block)
+        rows = _cached_unit_rows(phi, block.tobytes())
         overlaps = point_overlaps(rows, q2, q3)
         out[start:start + _BLOCK] = wrap_angle(bargmann_phases(*overlaps, names=POINT_OVERLAPS).sum(axis=-1))
     return out
@@ -228,11 +221,11 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     cross-check runs batched in fixed-size blocks of sample-contiguous
     stacks, so memory stays flat and a 2**20-interval sweep takes about
     0.7 s (median of 7, 0.6 s at best; 2-vCPU Xeon VM, Python 3.11.7,
-    numpy 2.4.6). On grids of at most 32768 samples the cross-check's
-    theta-independent half, the unit constellation rows, is kept across
-    calls for the last 8 blocks of 4096 samples (at most 2.3 MB), so a
-    later sweep at the same phi and grid, at any theta, reuses it; a
-    process that runs one sweep pays the full cost.
+    numpy 2.4.6). The cross-check's theta-independent half, the unit
+    constellation rows, is kept across calls for the last 8 blocks of 4096
+    samples (at most 2.3 MB), so a later sweep at the same phi on a grid of
+    at most 32768 samples, at any theta, reuses it; a process that runs one
+    sweep pays the full cost.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi.

@@ -8,15 +8,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def script_env():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
-
-
-def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=script_env())
+                          capture_output=True, text=True, env=env)
 
 
 def test_eraser_demo_writes_scan(tmp_path):
@@ -37,25 +33,6 @@ def test_run_family_sweep_writes_one_csv_per_theta(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped"
         assert len(lines) == 66
-
-
-def test_run_family_sweep_csvs_match_fresh_cli_sweeps(tmp_path):
-    # one script process keeps the sweep's row cache warm across theta (the
-    # 2-block doubled grid of 0.005 is reused by -0.005, 0.5's grid by 0.3);
-    # each CLI call starts cold
-    thetas, phi, steps = ("0.5", "0.005", "0.3", "-0.005"), "0.785", "2048"
-    proc = run_script("run_family_sweep.py", "--phi", phi, "--steps", steps, "--thetas", *thetas,
-                      "--outdir", str(tmp_path / "script"))
-    assert proc.returncode == 0, proc.stderr
-    for theta in thetas:
-        script_csv = tmp_path / "script" / f"sweep_theta_{float(theta):.4f}.csv"
-        cli_csv = tmp_path / f"cli_{theta}.csv"
-        cli = subprocess.run([sys.executable, "-m", "triphase", "sweep", "--theta", theta, "--phi", phi,
-                              "--steps", steps, "--out", str(cli_csv)],
-                             capture_output=True, text=True, env=script_env())
-        assert cli.returncode == 0, cli.stderr
-        assert script_csv.read_bytes() == cli_csv.read_bytes(), theta
-    assert len((tmp_path / "cli_0.005.csv").read_bytes().splitlines()) == 4098  # 4096 intervals
 
 
 def test_cli_corpus_runs_are_identical(tmp_path):

@@ -29,6 +29,12 @@ from triphase.sweep import MAX_SWEEP_INTERVALS, _closed_form_arrays
 PI = math.pi
 
 
+def record_calls(monkeypatch, calls, module, name):
+    """Append name to calls at each call of module.name (one argument)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda a: calls.append(name) or original(a))
+
+
 def test_family_params_validation():
     with pytest.raises(ValueError):
         FamilyParams(theta=PI / 2, phi=0.0)
@@ -158,8 +164,11 @@ def test_sweep_cross_check_takes_quadratic_roots_in_closed_form(monkeypatch):
     # the family state is a qutrit: its two points come from the quadratic
     # formula, never from a companion-matrix eigvals call
     calls = count_eigvals(monkeypatch)
+    roots = []
+    record_calls(monkeypatch, roots, phases, "constellation_qubits")
     result = sweep_alpha(PI / 3, PI / 4, 1024)
-    assert result.alphas.size == 1025 and calls == []
+    # the one block's roots are solved here, not taken from an earlier sweep
+    assert result.alphas.size == 1025 and roots == ["constellation_qubits"] and calls == []
 
 
 def test_stacked_series_match_per_component_reference_bitwise():
@@ -300,7 +309,6 @@ def test_cached_rows_give_the_bits_of_a_cold_sweep():
     # two phi on one grid, so that a key missing phi would show
     cases = [(PI / 4, 1024), (3.0, 1024), (PI / 4, 256), (1.0, 5000), (2.0, 4096), (0.0, 1000), (PI, 64)]
     thetas = (PI / 3, -0.4, 0.02, PI / 12, 1.5)
-    sweep._cached_unit_rows.cache_clear()
     warm = {(theta, phi, steps): sweep_bytes(sweep_alpha(theta, phi, steps))
             for phi, steps in cases for theta in thetas}
     assert sweep._cached_unit_rows.cache_info().hits >= 3 * len(cases)
@@ -311,14 +319,8 @@ def test_cached_rows_give_the_bits_of_a_cold_sweep():
 
 def test_second_theta_takes_the_rows_from_the_cache(monkeypatch):
     calls = []
-
-    def counted(module, name):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda a: calls.append(name) or original(a))
-
-    counted(phases, "constellation_qubits")
-    counted(sweep, "symmetric_amplitudes")
-    sweep._cached_unit_rows.cache_clear()
+    record_calls(monkeypatch, calls, phases, "constellation_qubits")
+    record_calls(monkeypatch, calls, sweep, "symmetric_amplitudes")
     sweep_alpha(PI / 6, 1.0, 5000)  # 5001 samples: two blocks
     assert sorted(calls) == ["constellation_qubits"] * 2 + ["symmetric_amplitudes"] * 2
     calls.clear()
@@ -329,7 +331,6 @@ def test_second_theta_takes_the_rows_from_the_cache(monkeypatch):
 
 
 def test_cached_rows_are_read_only():
-    sweep._cached_unit_rows.cache_clear()
     sweep_alpha(PI / 6, 1.0, 256)
     block = np.fmod(np.linspace(0.0, 2 * PI, 257), 2 * PI)
     rows = sweep._cached_unit_rows(1.0, block.tobytes())  # the sweep's own entry
@@ -350,14 +351,15 @@ def test_signed_zero_phi_gives_the_same_bits():
 
 
 def test_row_cache_stays_within_its_bound():
-    sweep._cached_unit_rows.cache_clear()
     for phi in (1.0, 2.0):
         assert sweep_alpha(0.5, phi, 28_000).alphas.size == 28_001  # 7 blocks each
     info = sweep._cached_unit_rows.cache_info()
     assert info.misses == 14 and info.currsize == info.maxsize == 8
-    # 2^16 + 1 samples span 17 blocks, more than the cache holds: they bypass it
-    result = sweep_alpha(0.5, 2.0, 2 ** 16)
+    # 2^16 + 1 samples span 17 blocks: each is a miss, and the cache keeps
+    # the last 8; a repeat sweep in order evicts each block before reaching it
+    for _ in range(2):
+        result = sweep_alpha(0.5, 2.0, 2 ** 16)
     assert result.alphas.size == 2 ** 16 + 1
-    assert sweep._cached_unit_rows.cache_info() == info
+    assert sweep._cached_unit_rows.cache_info() == (info.hits, info.misses + 34, 8, 8)
     want = pipeline_wrapped_by_division(0.5, 2.0, result.alphas)
     assert result.gamma_pipeline_wrapped.tobytes() == want.tobytes()
