@@ -2,7 +2,7 @@
 """Sweep the qutrit family phase over alpha for several theta values.
 
 Writes one CSV per theta (same columns as `triphase sweep`) and prints a
-summary table: winding, detected singular alphas, and the peak slope next to
+summary table: winding, singular alphas, and the peak slope next to
 its analytic value 1/tan(theta/2). The nonlinear steepening as theta shrinks
 is the point of the exercise.
 """

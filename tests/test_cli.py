@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from reference import BEYOND_FLOAT, SQRT2, angle_dist, count_overlaps, phase_mp, triple_with_overlaps
-from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, wrap_angle
+from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, sweep_alpha, wrap_angle
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
 from triphase.majorana import MAX_DIM, MAX_POWER
@@ -480,6 +480,22 @@ def test_sweep_degrees_changes_text_only(tmp_path, capsys):
         assert float(a_deg) == pytest.approx(math.degrees(a_rad), rel=1e-11)
     deg_json, _, _ = sweep("deg_json", "--degrees", "--json")
     assert json.loads(deg_json)["winding"] == pytest.approx(4 * math.pi, abs=1e-6)  # radians
+
+
+def test_sweep_json_reports_the_pipeline_gap(tmp_path, capsys):
+    # only --json gains the cross-check's gap: the CSV, the sidecar and the
+    # text output carry no diagnostics
+    args = ["sweep", "--theta", "0.02", "--phi", "0.785", "--steps", "256"]
+    code, text, _ = run_cli([*args, "--out", str(tmp_path / "text.csv")], capsys)
+    assert code == 0 and "pipeline_gap" not in text and "diagnostics" not in text
+    code, out, _ = run_cli([*args, "--out", str(tmp_path / "json.csv"), "--json"], capsys)
+    assert code == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"json{suffix}").read_bytes() == (tmp_path / f"text{suffix}").read_bytes()
+    payload = json.loads(out)
+    assert list(payload) == ["out", "sidecar", "rows", "winding", "singular_alphas", "diagnostics"]
+    assert payload["diagnostics"] == {"pipeline_gap": float(format(sweep_alpha(0.02, 0.785, 256).pipeline_gap, ".12g"))}
+    assert 0.0 <= payload["diagnostics"]["pipeline_gap"] < 1e-8
 
 
 def test_json_writer_refuses_non_finite_numbers():

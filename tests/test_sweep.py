@@ -9,9 +9,11 @@ from reference import (
     angle_dist,
     count_eigvals,
     dicke_embed,
+    locate_steep_on_grid,
     pipeline_wrapped_by_division,
     sweep_series_per_component,
     symmetrize_full,
+    unwrapped_series,
 )
 from triphase import (
     FamilyParams,
@@ -171,12 +173,16 @@ def test_sweep_cross_check_takes_quadratic_roots_in_closed_form(monkeypatch):
     assert result.alphas.size == 1025 and roots == ["constellation_qubits"] and calls == []
 
 
+# the np.unwrap branches differ from the analytic ones by the rounding of
+# unwrap's summed 2pi corrections: 4 units in the last place at |gamma| = 16
+UNWRAP_GAP = 4 * float(np.spacing(16.0))
+
+
 def test_stacked_series_match_per_component_reference_bitwise():
-    # the (2, S) pass must give the per-component reference's bytes:
-    # negative and grid-doubling theta, odd and even slope counts
-    # (one or two middle order statistics in the median), and tangent poles
-    # in the first or last interval, where only a cyclic neighbour keeps
-    # the seam from counting as a second peak
+    # the (2, S) branch pass must give the per-component reference's bytes,
+    # and the np.unwrap branches within UNWRAP_GAP: negative and
+    # grid-doubling theta, odd and even lengths, and tangent poles in the
+    # first or last interval
     cases = [(-0.4, 1.0, 64), (0.02, PI / 4, 256), (-0.05, 2.0, 100), (0.7, 0.3, 1001),
              (PI / 6, PI / 4, 4096), (PI / 6, PI / 4, 4095)]
     for steps in (64, 1001, 1024):
@@ -186,17 +192,101 @@ def test_stacked_series_match_per_component_reference_bitwise():
     for _ in range(30):
         theta = float(rng.uniform(0.05, 1.5) * rng.choice([-1.0, 1.0]))
         cases.append((theta, float(rng.uniform(-7.0, 7.0)), int(rng.integers(64, 4097))))
-    seam = 0
     for theta, phi, steps in cases:
         result = sweep_alpha(theta, phi, steps)
-        *series, singular = sweep_series_per_component(theta, phi, result.alphas)
+        series = sweep_series_per_component(theta, phi, result.alphas)
         printed = (result.gamma1, result.gamma2, result.gamma_total, result.gamma_wrapped)
         for got, want in zip(printed, series):
             assert got.tobytes() == want.tobytes(), (theta, phi, steps)
-        assert result.singular_alphas == singular, (theta, phi, steps)
-        step = result.alphas[1]
-        seam += any(a < step or a > 2 * PI - step for a in singular)
-    assert seam >= 6
+        unwrapped = unwrapped_series(theta, phi, result.alphas)
+        assert np.max(np.abs(np.stack(printed[:2]) - unwrapped)) <= UNWRAP_GAP, (theta, phi, steps)
+
+
+def seeded_sweep_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        theta = float(10 ** rng.uniform(-3, math.log10(1.5)) * rng.choice([-1.0, 1.0]))
+        yield theta, float(rng.uniform(-7.0, 7.0)), int(rng.integers(64, 4097))
+
+
+# theta = +-1.6e-5 takes 2^20 intervals, the last doubling under the cap;
+# 5000 steps span two blocks; phi = pi/4 at 1024 steps puts alpha = 3pi/4,
+# gamma1's tangent pole, exactly on a sample
+EDGE_SWEEPS = [(1.6e-5, 1.0, 64), (-1.6e-5, 2.0, 64), (-0.3, 4.0, 5000), (PI / 12, PI / 4, 1024),
+               (-PI / 12, PI / 4, 1024)]
+
+
+def test_branches_match_a_dense_unwrap():
+    on_pole = 0
+    for theta, phi, steps in [*EDGE_SWEEPS, *seeded_sweep_cases(21, 60)]:
+        result = sweep_alpha(theta, phi, steps)
+        unwrapped = unwrapped_series(theta, phi, result.alphas)
+        gap = np.max(np.abs(np.stack([result.gamma1, result.gamma2]) - unwrapped))
+        assert gap <= UNWRAP_GAP, (theta, phi, steps, gap)
+        on_pole += bool(np.any(phi + result.alphas == PI))
+    assert on_pole == 2
+    assert sweep_alpha(1.6e-5, 1.0, 64).alphas.size == MAX_SWEEP_INTERVALS + 1
+
+
+def test_winding_is_four_pi_times_the_sign_of_theta():
+    for theta, phi, steps in [*EDGE_SWEEPS, *seeded_sweep_cases(22, 60)]:
+        winding = sweep_alpha(theta, phi, steps).winding
+        assert abs(winding - math.copysign(4 * PI, theta)) <= 1e-12, (theta, phi, steps)
+
+
+def test_loci_are_the_exact_poles_and_merge_within_one_step():
+    # phi = 0 puts both poles on pi, phi = pi both on 0 (2pi reduces to 0)
+    assert sweep_alpha(0.3, 0.0, 64).singular_alphas == (PI,)
+    assert sweep_alpha(0.3, PI, 64).singular_alphas == (0.0,)
+    assert sweep_alpha(0.3, PI / 4, 64).singular_alphas == (3 * PI / 4, 5 * PI / 4)
+    # poles 0.6 steps apart merge, across the seam too; 1.2 steps apart
+    # stay two (theta = 0.2 doubles 64 intervals to 128)
+    step = 2 * PI / 1024
+    assert sweep_alpha(0.2, 1.0, 1024).singular_alphas == (PI - 1.0, PI + 1.0)
+    merged = sweep_alpha(0.2, 0.3 * step, 1024).singular_alphas
+    assert len(merged) == 1 and abs(merged[0] - PI) <= 1e-15
+    for offset in (0.3, -0.3):
+        assert sweep_alpha(0.2, PI + offset * step, 1024).singular_alphas == (0.0,)
+        split = sweep_alpha(0.2, PI + offset * 2 * PI / 64, 64).singular_alphas
+        assert len(split) == 2 and angle_dist(*split) == pytest.approx(1.2 * 2 * PI / 128)
+
+
+def test_loci_vanish_at_t_one_third():
+    # the 5x-median rule is strict: |tan(theta/2)| = 1/3 has no locus
+    theta = 2 * math.atan(1 / 3)
+    assert math.tan(theta / 2) == 1 / 3
+    for sign in (1.0, -1.0):
+        assert sweep_alpha(sign * theta, 1.0, 64).singular_alphas == ()
+        assert len(sweep_alpha(sign * theta * (1 - 1e-12), 1.0, 64).singular_alphas) == 2
+
+
+def test_loci_agree_with_the_grid_detector():
+    # the analytic loci against the grid detector on the np.unwrap
+    # branches. Skipped: |t| within 0.02 of 1/3, where the sampled peak
+    # slope decides, and poles within two steps, where the detector merges
+    # interval midpoints rather than the poles. A pole on a sample lies
+    # exactly half a step from the midpoints beside it, up to rounding
+    counts = [0, 0, 0]  # sweeps with 0, 1 and 2 loci
+    for theta, phi, steps in [*EDGE_SWEEPS[2:], *seeded_sweep_cases(23, 300)]:  # no 2^20 grids
+        result = sweep_alpha(theta, phi, steps)
+        step, t = float(result.alphas[1]), abs(math.tan(theta / 2))
+        if abs(t - 1 / 3) <= 0.02 or angle_dist(PI - phi, PI + phi) <= 2 * step:
+            continue
+        jumps = np.abs(np.diff(unwrapped_series(theta, phi, result.alphas)))
+        grid = locate_steep_on_grid(result.alphas, jumps)
+        found = result.singular_alphas
+        assert len(found) == len(grid), (theta, phi, steps, found, grid)
+        for got, want in zip(found, grid):
+            assert angle_dist(got, want) <= step / 2 + 1e-12, (theta, phi, steps, found, grid)
+        counts[len(found)] += 1
+    assert counts[2] >= 250 and counts[0] >= 30, counts
+
+
+def test_tiny_negative_angles_reduce_to_zero():
+    for tiny in (-1e-300, -1e-17, -0.0):
+        p = FamilyParams(0.3, tiny, tiny)
+        assert p.phi == 0.0 and p.alpha == 0.0
+        assert sweep_bytes(sweep_alpha(0.3, tiny, 64)) == sweep_bytes(sweep_alpha(0.3, 0.0, 64))
 
 
 def test_sweep_grid_too_coarse_for_extreme_theta():
@@ -206,8 +296,7 @@ def test_sweep_grid_too_coarse_for_extreme_theta():
 
 @pytest.mark.parametrize("theta", [0.02, -0.3, 1.0, 1.5])
 def test_sweep_grid_bounds_every_step_by_a_quarter_turn(theta):
-    # the analytic doubling rule alone keeps each unwrapped step <= pi/4,
-    # well inside the 0.9 pi post-check
+    # the analytic doubling rule keeps each unwrapped step <= pi/4
     for phi in (0.0, PI / 4, PI, 2 * PI - 1e-12):
         for steps in (64, 1000):
             result = sweep_alpha(theta, phi, steps)
