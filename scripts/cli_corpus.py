@@ -13,7 +13,8 @@ the same command line can be compared.
 
 The corpus covers all five commands in text, `--json` and `--degrees` output,
 eraser's three `--mode`s with `--scan-csv`, sweep CSVs with their sidecars
-(one sweep doubles its grid), and requests that exit with code 1 or 2. N
+(two on grids too coarse for their steep theta), and requests that exit
+with code 1 or 2. N
 seeded Haar triples (dims 2-20) run through phase, canonicalize, eraser and
 majorana; fixed triples, states and point sets cover the special cases.
 """
@@ -166,8 +167,8 @@ def build(root: Path, cases: int) -> None:
     corpus.sweep("plain", math.pi / 6, math.pi / 4, 500)
     corpus.sweep("json", math.pi / 3, math.pi / 4, 64, "--json")
     corpus.sweep("degrees", -math.pi / 6, 1.0, 128, "--degrees")
-    corpus.sweep("doubling", 0.02, math.pi / 4, 256)
-    corpus.sweep("too-coarse", 1e-7, math.pi / 4, 64)
+    corpus.sweep("steep", 0.02, math.pi / 4, 256)
+    corpus.sweep("steepest", 1e-7, math.pi / 4, 64)
 
     # requests that exit with code 1
     corpus.run("missing-file", ["phase", "absent.json"])

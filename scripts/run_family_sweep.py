@@ -4,7 +4,9 @@
 Writes one CSV per theta (same columns as `triphase sweep`) and prints a
 summary table: winding, singular alphas, and the peak slope next to
 its analytic value 1/tan(theta/2). The nonlinear steepening as theta shrinks
-is the point of the exercise.
+is the point of the exercise. The peak slope is a finite difference on the
+requested grid, so it matches 1/tan(theta/2) only when the step 2pi/steps
+is well below tan(theta/2); on a coarser grid it reads at most 2pi/step.
 """
 
 import argparse

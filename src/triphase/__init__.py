@@ -34,7 +34,6 @@ from .states import (
 )
 from .sweep import (
     FamilyParams,
-    GridTooCoarseError,
     SweepResult,
     build_family_states,
     family_qubits,
@@ -48,7 +47,6 @@ __all__ = [
     "EraserConfig",
     "FamilyParams",
     "FringeScan",
-    "GridTooCoarseError",
     "PhaseDecomposition",
     "PureState",
     "SweepResult",

@@ -3,8 +3,8 @@ constellations, canonical form, eraser fringes, and family sweeps out.
 
 Exit codes: 0 success, 1 I/O / parse / usage error, 2 mathematically
 undefined request (an overlap the result is computed from has modulus at
-most --tolerance, or an unresolvable sweep grid). Emitted angles are
-radians (--degrees changes human output only, never JSON or files); floats
+most --tolerance, or for sweep at most 1e-12). Emitted angles are radians
+(--degrees changes human output only, never JSON or files); floats
 are formatted with 12 significant digits and lowercase exponents, lines end
 with \\n, so repeated invocations are byte-identical.
 """
@@ -23,7 +23,7 @@ from .eraser import EraserConfig, FringeScan, fringe_pair
 from .majorana import points_to_state, state_to_points
 from .phases import EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple, three_vertex_phase
 from .states import NORM_TOL, BlochPoint, PureState, inner_product, vector_norm
-from .sweep import GridTooCoarseError, SweepResult, sweep_alpha
+from .sweep import SweepResult, sweep_alpha
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -34,7 +34,6 @@ MAJORANA_CONVENTION = (
     "z = e^{i azimuth} tan(polar/2); deficient leading coefficients -> (pi, 0)"
 )
 
-_MATH_ERRORS = (UndefinedPhaseError, GridTooCoarseError)
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _DEG = 180.0 / np.pi
@@ -430,7 +429,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _MATH_ERRORS as exc:
+    except UndefinedPhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except (CliInputError, ValueError) as exc:

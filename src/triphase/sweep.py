@@ -39,10 +39,6 @@ _MIN_STEPS = 64
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 
 
-class GridTooCoarseError(RuntimeError):
-    """The sweep grid cannot resolve the phase motion even after densification."""
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Family angles. theta must lie strictly inside (-pi/2, pi/2); phi and
@@ -174,12 +170,19 @@ class SweepResult:
 
     @property
     def winding(self) -> float:
-        """Total unwrapped change of the phase over the full alpha loop."""
-        return float(self.gamma_total[-1] - self.gamma_total[0])
+        """Total unwrapped change of the phase over the full alpha loop: the
+        loop is closed, so a whole number of turns. Rounding the endpoint
+        difference to it keeps the winding exact when a tangent pole sits
+        on both alpha = 0 and 2pi (phi = pi), where the float tan at the two
+        ends differs."""
+        return TWO_PI * round(float(self.gamma_total[-1] - self.gamma_total[0]) / TWO_PI)
 
     @property
     def peak_slope(self) -> float:
-        """Largest per-component finite-difference slope |d gamma / d alpha|."""
+        """Largest per-component finite-difference slope |d gamma / d alpha|.
+        It resolves the analytic peak 1/|tan(theta/2)| only on a step well
+        below |tan(theta/2)|; a coarser grid crosses a pole in one or two
+        steps and reads at most a turn per step, 2pi / step."""
         step = float(self.alphas[1] - self.alphas[0])
         steepest = max(float(np.max(np.abs(np.diff(g)))) for g in (self.gamma1, self.gamma2))
         return steepest / step
@@ -223,18 +226,32 @@ def _steep_loci(theta: float, phi: float, step: float) -> tuple[float, ...]:
 
 def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     """Sweep alpha over [0, 2pi] on a uniform grid of `steps` intervals
-    (steps + 1 samples, endpoint included).
+    (steps + 1 samples, endpoint included), at every theta.
 
     The per-qubit phase series and the steep loci are analytic (see the
     module docstring): each sample's branch is the whole turn nearest its
-    linear term, so the unwrapped series need no grid resolution, and the
-    loci are the exact tangent poles pi -+ phi whenever |tan(theta/2)| <
-    1/3, the closed form of the rule "peak slope above 5x the median
-    slope". The grid still doubles, up to 2**20 intervals, while the
-    analytic slope bound 2/|tan(theta/2)| predicts inter-sample jumps above
-    pi/2, and past the cap the sweep raises GridTooCoarseError; that
-    doubling now sets only the output density. Each component's true slope
-    is at most half that bound, so no step of the chosen grid exceeds pi/4.
+    linear term, so the unwrapped series and the winding need no grid
+    resolution, and the loci are the exact tangent poles pi -+ phi whenever
+    |tan(theta/2)| < 1/3, the closed form of the rule "peak slope above 5x
+    the median slope". The grid is the one asked for. Each component's
+    slope lies between |t| and 1/|t|, t = tan(theta/2), so a step of a
+    coarse grid may cross a pole by nearly a full turn; a caller who wants
+    rows that resolve the steep stretch asks for more steps (at least
+    8/|t| keeps every step within pi/4).
+
+    Small theta meets two limits, both at a sample on or next to a pole:
+    - the cross-check gap (SweepResult.pipeline_gap) grows like eps/|t|,
+      eps = 2.2e-16: 1.5e-9 at (theta, phi, steps) = (1e-7, pi/4, 64) and
+      1.5e-6 at (1e-10, pi/4, 1024). Over 4000 seeded sweeps with |theta| in
+      [3e-12, 1e-2], half of them with a sample on a pole, it stayed below
+      360 eps/|t|, and below 720 eps/|t| with phi under 2e-3, where the two
+      moving points nearly coincide; the tests hold it to 1024 eps/|t|;
+    - a sample whose point has an overlap of modulus at most EPS_NULL =
+      1e-12 with q2 or q3 (the point lies next to that state's antipode)
+      raises UndefinedPhaseError. On a pole that overlap is about |t|, so
+      this takes |theta| below about 2e-12: at (1e-12, pi/4, 1024),
+      <point|q3> = 5e-13.
+
     The constellation cross-check runs batched in fixed-size blocks of
     sample-contiguous stacks, so memory stays flat and a 2**20-interval
     sweep takes about 0.6 s (median of 8 x 5 runs; 2-vCPU Xeon VM, Python
@@ -245,7 +262,8 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     runs one sweep pays the full cost.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
-    theta outside (-pi/2, pi/2) or zero, and non-finite phi.
+    theta outside (-pi/2, pi/2) or zero, and non-finite phi, and
+    UndefinedPhaseError under the vanishing rule above.
     """
     if not _MIN_STEPS <= steps <= MAX_SWEEP_INTERVALS:
         raise ValueError(f"steps must lie in [{_MIN_STEPS}, {MAX_SWEEP_INTERVALS}], got {steps}")
@@ -257,17 +275,7 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         raise ValueError(f"phi must be finite, got {phi}")
     phi = reduce_angle(phi)
 
-    max_slope = 2.0 / abs(math.tan(theta / 2.0))
-    intervals = int(steps)
-    while intervals < MAX_SWEEP_INTERVALS and (TWO_PI / intervals) * max_slope > math.pi / 2:
-        intervals *= 2
-    if (TWO_PI / intervals) * max_slope > math.pi / 2:
-        raise GridTooCoarseError(
-            f"resolving theta = {theta:.3g} needs more than {MAX_SWEEP_INTERVALS} intervals; "
-            f"the phase moves up to {max_slope:.3g} rad per unit alpha"
-        )
-
-    alphas = np.linspace(0.0, TWO_PI, intervals + 1)
+    alphas = np.linspace(0.0, TWO_PI, int(steps) + 1)
     g1, g2 = _branches(theta, phi, alphas)
     total = g1 + g2
     return SweepResult(

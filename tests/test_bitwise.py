@@ -124,7 +124,7 @@ def test_symmetric_amplitudes_match_the_division_form():
     (math.pi / 3, math.pi / 4, 1024),
     (math.pi / 12, 1.0, 64),
     (-0.7, 3.0, 100),
-    (0.02, math.pi / 4, 256),  # doubles its grid twice
+    (0.02, math.pi / 4, 256),  # steep: 1/|tan(theta/2)| = 100
 ])
 def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
     new = sweep_alpha(theta, phi, steps)

@@ -354,9 +354,23 @@ def test_sweep_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--theta", "0.5", "--phi", "0.2",
                             "--steps", "10", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1 and "steps" in err
-    code, _, err = run_cli(["sweep", "--theta", "1e-7", "--phi", "0.2",
+    # a theta too steep for the grid is no usage error: the sweep keeps the
+    # requested 64 intervals
+    code, out, _ = run_cli(["sweep", "--theta", "1e-7", "--phi", "0.2",
                             "--steps", "64", "--out", str(tmp_path / "x.csv")], capsys)
-    assert code == 2
+    assert code == 0 and out.startswith("wrote 65 rows")
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 66
+
+
+def test_sweep_exits_2_only_under_the_vanishing_rule(tmp_path, capsys):
+    # theta = 1e-12 puts gamma1's pole on a sample, where <point|q3> = 5e-13
+    out = str(tmp_path / "x.csv")
+    code, stdout, err = run_cli(["sweep", "--theta", "1e-12", "--phi", repr(math.pi / 4),
+                                 "--steps", "1024", "--out", out], capsys)
+    assert code == 2 and stdout == "" and err.startswith("error: undefined phase: ")
+    assert "<point|q3> has modulus 5e-13" in err
+    code, _, _ = run_cli(["sweep", "--theta", "1e-12", "--phi", "1", "--steps", "1024", "--out", out], capsys)
+    assert code == 0
 
 
 def test_negative_exponent_value_is_a_number(tmp_path, capsys):
@@ -367,7 +381,9 @@ def test_negative_exponent_value_is_a_number(tmp_path, capsys):
     spaced = run_cli(["sweep", "--theta", "-1e-07", *rest], capsys)
     joined = run_cli(["sweep", "--theta=-1e-07", *rest], capsys)
     assert spaced == joined
-    assert spaced[0] == 2 and "theta = -1e-07" in spaced[2]
+    assert spaced[0] == 0 and spaced[1].startswith("wrote 65 rows") and spaced[2] == ""
+    # the winding's sign is theta's: the value was read as -1e-07
+    assert json.loads((tmp_path / "x.json").read_text())["winding"] == float(f"{-4 * math.pi:.12g}")
     code, _, _ = run_cli(["sweep", "--theta", "0.5", "--phi", "-1e-3", "--steps", "64", "--out", out], capsys)
     assert code == 0
 

@@ -17,7 +17,7 @@ from reference import (
 )
 from triphase import (
     FamilyParams,
-    GridTooCoarseError,
+    UndefinedPhaseError,
     build_family_states,
     decompose_phase,
     family_qubits,
@@ -148,8 +148,8 @@ def scalar_pipeline(theta, phi, alpha):
 
 
 def test_batched_pipeline_matches_scalar_decomposition():
-    # theta = 0.02 doubles the 256-interval grid twice
-    result = sweep_alpha(0.02, PI / 4, 256)
+    # a steep theta on 1025 samples
+    result = sweep_alpha(0.02, PI / 4, 1024)
     assert result.alphas.size == 1025
     for i in range(0, result.alphas.size, 97):
         scalar = scalar_pipeline(0.02, PI / 4, result.alphas[i])
@@ -180,9 +180,9 @@ UNWRAP_GAP = 4 * float(np.spacing(16.0))
 
 def test_stacked_series_match_per_component_reference_bitwise():
     # the (2, S) branch pass must give the per-component reference's bytes,
-    # and the np.unwrap branches within UNWRAP_GAP: negative and
-    # grid-doubling theta, odd and even lengths, and tangent poles in the
-    # first or last interval
+    # and the np.unwrap branches within UNWRAP_GAP: negative and steep
+    # theta, odd and even lengths, and tangent poles in the first or last
+    # interval
     cases = [(-0.4, 1.0, 64), (0.02, PI / 4, 256), (-0.05, 2.0, 100), (0.7, 0.3, 1001),
              (PI / 6, PI / 4, 4096), (PI / 6, PI / 4, 4095)]
     for steps in (64, 1001, 1024):
@@ -209,11 +209,12 @@ def seeded_sweep_cases(seed, count):
         yield theta, float(rng.uniform(-7.0, 7.0)), int(rng.integers(64, 4097))
 
 
-# theta = +-1.6e-5 takes 2^20 intervals, the last doubling under the cap;
-# 5000 steps span two blocks; phi = pi/4 at 1024 steps puts alpha = 3pi/4,
-# gamma1's tangent pole, exactly on a sample
-EDGE_SWEEPS = [(1.6e-5, 1.0, 64), (-1.6e-5, 2.0, 64), (-0.3, 4.0, 5000), (PI / 12, PI / 4, 1024),
-               (-PI / 12, PI / 4, 1024)]
+# theta = +-1.6e-5, 1e-7 and 1e-10 on grids whose steps cross a pole by
+# nearly a full turn (slope up to 1/|tan(theta/2)| = 2e10); 5000 steps span
+# two blocks; phi = pi/4 at 64 and 1024 steps puts alpha = 3pi/4, gamma1's
+# tangent pole, exactly on a sample
+EDGE_SWEEPS = [(1.6e-5, 1.0, 64), (-1.6e-5, 2.0, 64), (1e-7, PI / 4, 64), (1e-10, PI / 4, 1024),
+               (-0.3, 4.0, 5000), (PI / 12, PI / 4, 1024), (-PI / 12, PI / 4, 1024)]
 
 
 def test_branches_match_a_dense_unwrap():
@@ -224,8 +225,7 @@ def test_branches_match_a_dense_unwrap():
         gap = np.max(np.abs(np.stack([result.gamma1, result.gamma2]) - unwrapped))
         assert gap <= UNWRAP_GAP, (theta, phi, steps, gap)
         on_pole += bool(np.any(phi + result.alphas == PI))
-    assert on_pole == 2
-    assert sweep_alpha(1.6e-5, 1.0, 64).alphas.size == MAX_SWEEP_INTERVALS + 1
+    assert on_pole == 4
 
 
 def test_winding_is_four_pi_times_the_sign_of_theta():
@@ -240,15 +240,16 @@ def test_loci_are_the_exact_poles_and_merge_within_one_step():
     assert sweep_alpha(0.3, PI, 64).singular_alphas == (0.0,)
     assert sweep_alpha(0.3, PI / 4, 64).singular_alphas == (3 * PI / 4, 5 * PI / 4)
     # poles 0.6 steps apart merge, across the seam too; 1.2 steps apart
-    # stay two (theta = 0.2 doubles 64 intervals to 128)
-    step = 2 * PI / 1024
-    assert sweep_alpha(0.2, 1.0, 1024).singular_alphas == (PI - 1.0, PI + 1.0)
-    merged = sweep_alpha(0.2, 0.3 * step, 1024).singular_alphas
-    assert len(merged) == 1 and abs(merged[0] - PI) <= 1e-15
-    for offset in (0.3, -0.3):
-        assert sweep_alpha(0.2, PI + offset * step, 1024).singular_alphas == (0.0,)
-        split = sweep_alpha(0.2, PI + offset * 2 * PI / 64, 64).singular_alphas
-        assert len(split) == 2 and angle_dist(*split) == pytest.approx(1.2 * 2 * PI / 128)
+    # stay two. The step is the requested one, at any theta
+    for steps in (64, 1024):
+        step = 2 * PI / steps
+        assert sweep_alpha(0.2, 1.0, steps).singular_alphas == (PI - 1.0, PI + 1.0)
+        merged = sweep_alpha(0.2, 0.3 * step, steps).singular_alphas
+        assert len(merged) == 1 and abs(merged[0] - PI) <= 1e-15
+        for offset in (0.3, -0.3):
+            assert sweep_alpha(0.2, PI + offset * step, steps).singular_alphas == (0.0,)
+            split = sweep_alpha(0.2, PI + 2 * offset * step, steps).singular_alphas
+            assert len(split) == 2 and angle_dist(*split) == pytest.approx(1.2 * step)
 
 
 def test_loci_vanish_at_t_one_third():
@@ -267,7 +268,7 @@ def test_loci_agree_with_the_grid_detector():
     # interval midpoints rather than the poles. A pole on a sample lies
     # exactly half a step from the midpoints beside it, up to rounding
     counts = [0, 0, 0]  # sweeps with 0, 1 and 2 loci
-    for theta, phi, steps in [*EDGE_SWEEPS[2:], *seeded_sweep_cases(23, 300)]:  # no 2^20 grids
+    for theta, phi, steps in [*EDGE_SWEEPS, *seeded_sweep_cases(23, 300)]:
         result = sweep_alpha(theta, phi, steps)
         step, t = float(result.alphas[1]), abs(math.tan(theta / 2))
         if abs(t - 1 / 3) <= 0.02 or angle_dist(PI - phi, PI + phi) <= 2 * step:
@@ -290,18 +291,89 @@ def test_tiny_negative_angles_reduce_to_zero():
 
 
 def test_sweep_grid_too_coarse_for_extreme_theta():
-    with pytest.raises(GridTooCoarseError):
-        sweep_alpha(1e-7, PI / 4, 64)
+    # a 64-interval grid cannot resolve theta = 1e-7, whose slope peaks at
+    # 2e7 on each pole: the sweep keeps that grid, and its branches,
+    # winding and loci stay exact
+    result = sweep_alpha(1e-7, PI / 4, 64)
+    assert result.alphas.tobytes() == np.linspace(0.0, 2 * PI, 65).tobytes()
+    assert result.winding == 4 * PI
+    assert result.singular_alphas == (3 * PI / 4, 5 * PI / 4)
+    # the pole sample alpha = 3pi/4 splits gamma1's turn into two half turns
+    assert np.max(np.abs(np.diff(result.gamma1))) > 0.99 * PI
 
 
 @pytest.mark.parametrize("theta", [0.02, -0.3, 1.0, 1.5])
 def test_sweep_grid_bounds_every_step_by_a_quarter_turn(theta):
-    # the analytic doubling rule keeps each unwrapped step <= pi/4
+    # each component's slope lies in [|t|, 1/|t|], t = tan(theta/2), with
+    # the sign of theta: every step of the requested grid lies between h |t|
+    # and h / |t|, h = 2pi / steps, so a grid of at least 8 / |t| intervals
+    # keeps each step within pi/4
+    t = abs(math.tan(theta / 2))
+    fine = max(64, math.ceil(8 / t))
     for phi in (0.0, PI / 4, PI, 2 * PI - 1e-12):
-        for steps in (64, 1000):
+        for steps in (64, 1000, fine):
+            h = 2 * PI / steps
             result = sweep_alpha(theta, phi, steps)
+            assert result.alphas.size == steps + 1
             for series in (result.gamma1, result.gamma2):
-                assert np.max(np.abs(np.diff(series))) <= PI / 4 + 1e-12
+                moves = math.copysign(1.0, theta) * np.diff(series)
+                assert np.min(moves) >= h * t * (1 - 1e-9) - 1e-12
+                assert np.max(moves) <= h / t * (1 + 1e-9) + 1e-12
+                if steps == fine:
+                    assert np.max(moves) <= PI / 4 + 1e-12
+
+
+def test_every_sweep_has_steps_plus_one_samples():
+    # no theta densifies the grid: seeded |theta| in [1e-11, 1.5]
+    rng = np.random.default_rng(220)
+    for _ in range(200):
+        theta = float(10 ** rng.uniform(-11, math.log10(1.5)) * rng.choice([-1.0, 1.0]))
+        steps = int(rng.integers(64, 4097))
+        result = sweep_alpha(theta, float(rng.uniform(-7.0, 7.0)), steps)
+        assert result.alphas.tobytes() == np.linspace(0.0, 2 * PI, steps + 1).tobytes(), (theta, steps)
+
+
+def test_winding_is_exact_with_poles_on_both_endpoints():
+    # phi = pi puts both tangent poles on alpha = 0 and 2pi, where the float
+    # tan differs between the two ends (the endpoint difference alone reads
+    # 4pi - 6.1e-11 at theta = 1.6e-5 and 4pi - 8.0e-5 at 1.22e-11)
+    for theta in (1.6e-5, -1.6e-5, 1e-7, -1e-7, 1e-11, -1e-11, 1.22e-11):
+        for phi in (PI, -PI, PI + 1e-9, PI - 1e-9):
+            for steps in (64, 256):
+                assert sweep_alpha(theta, phi, steps).winding == math.copysign(4 * PI, theta), (theta, phi, steps)
+
+
+def test_cross_check_gap_grows_like_eps_over_t():
+    # the closed forms and the constellation route part near a tangent pole
+    # by about eps / |t|, t = tan(theta/2): seeded |theta| in [3e-12, 1e-2],
+    # every other sweep with a sample on gamma1's pole pi - phi (to the float)
+    eps = float(np.finfo(float).eps)
+    assert sweep_alpha(1e-7, PI / 4, 64).pipeline_gap == pytest.approx(1.5e-9, rel=0.05)
+    assert sweep_alpha(1e-10, PI / 4, 1024).pipeline_gap == pytest.approx(1.5e-6, rel=0.05)
+    rng = np.random.default_rng(12)
+    on_pole = []
+    for k in range(400):
+        theta = float(10 ** rng.uniform(math.log10(3e-12), -2) * rng.choice([-1.0, 1.0]))
+        steps = int(rng.integers(64, 4097))
+        if k % 2:
+            phi = PI - float(np.linspace(0.0, 2 * PI, steps + 1)[rng.integers(0, steps + 1)])
+        else:
+            phi = float(rng.uniform(0.0, 2 * PI))
+        scaled = sweep_alpha(theta, phi, steps).pipeline_gap * abs(math.tan(theta / 2)) / eps
+        assert scaled <= 1024, (theta, phi, steps, scaled)
+        if k % 2:
+            on_pole.append(scaled)
+    assert max(on_pole) >= 10
+
+
+def test_vanishing_rule_bounds_the_small_theta_domain():
+    # on a tangent pole the point's overlap with q3 is about |t|, so from
+    # |theta| of about 2e-12 down a sample on a pole meets the vanishing rule
+    with pytest.raises(UndefinedPhaseError, match="modulus 5e-13"):
+        sweep_alpha(1e-12, PI / 4, 1024)
+    # the same theta off the poles keeps its exact winding and loci
+    result = sweep_alpha(1e-12, 1.0, 1024)
+    assert result.winding == 4 * PI and result.singular_alphas == (PI - 1.0, PI + 1.0)
 
 
 def test_sweep_dual_path_and_invariants():
@@ -394,8 +466,8 @@ def sweep_bytes(result):
 def test_cached_rows_give_the_bits_of_a_cold_sweep():
     # per (phi, steps), at least four theta run warm one after another and
     # each cold after cache_clear(): one-block, two-block (4097 and 5001
-    # samples) and doubling grids (theta = 0.02 at 256 and 1000 steps), and
-    # two phi on one grid, so that a key missing phi would show
+    # samples), a steep theta (0.02) and two phi on one grid, so that a key
+    # missing phi would show
     cases = [(PI / 4, 1024), (3.0, 1024), (PI / 4, 256), (1.0, 5000), (2.0, 4096), (0.0, 1000), (PI, 64)]
     thetas = (PI / 3, -0.4, 0.02, PI / 12, 1.5)
     warm = {(theta, phi, steps): sweep_bytes(sweep_alpha(theta, phi, steps))
