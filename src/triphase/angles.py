@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -22,3 +24,21 @@ def wrap_angle(x):
     # 0.0 elsewhere keeps every bit, as no w here is -0.0 (x - x is +0.0)
     w = w + TWO_PI * (w <= -np.pi)
     return float(w) if w.ndim == 0 else w
+
+
+def principal_phase(z):
+    """arg z of a complex scalar (as a float) or array on the principal
+    branch (-pi, pi]: the bits of wrap_angle(np.arctan2(z.imag, z.real)).
+
+    arctan2 already lies on [-pi, pi], so two values remain to map. Adding
+    0.0 turns a -0.0 (an imaginary part of -0.0, or a quotient that
+    underflows) into +0.0. And -pi, which a negative real part gives with an
+    imaginary part of -0.0 or one below zero by less than about 3e-16 of
+    |z.real| (z = -1 - 1e-17j), is set to pi.
+    """
+    r = np.arctan2(z.imag + 0.0, z.real)  # the sum is also a contiguous copy
+    if r.ndim == 0:
+        return math.pi if r == -math.pi else float(r) + 0.0
+    r += 0.0
+    r[r == -np.pi] = np.pi
+    return r

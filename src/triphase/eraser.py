@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap_angle
+from .angles import TWO_PI, principal_phase, wrap_angle
 from .phases import EPS_NULL, check_overlaps
 from .states import DimensionMismatchError, PureState, inner_product, vector_norm
 
@@ -48,13 +48,17 @@ MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
 @dataclass(frozen=True)
 class EraserConfig:
-    """Scan resolution: the number of delta samples on [0, 2pi)."""
+    """Scan resolution: the number of delta samples on [0, 2pi), a whole
+    number in [16, MAX_GRID_SIZE]."""
 
     grid_size: int = 4096
 
     def __post_init__(self):
         if not 16 <= self.grid_size <= MAX_GRID_SIZE:
             raise ValueError(f"grid_size must lie in [16, {MAX_GRID_SIZE}], got {self.grid_size}")
+        if self.grid_size != int(self.grid_size):
+            raise ValueError(f"grid_size must be a whole number of samples, got {self.grid_size}")
+        object.__setattr__(self, "grid_size", int(self.grid_size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,13 +142,13 @@ def _landmarks(psi1: PureState, psi2: PureState, psi3: PureState | None,
     if psi3 is None:
         o12 = inner_product(psi1, psi2)
         check_overlaps(("<psi1|psi2>",), (o12,), eps_null)
-        return abs(o12), wrap_angle(float(np.angle(o12)))
+        return abs(o12), principal_phase(o12)
     o31 = inner_product(psi3, psi1)
     o32 = inner_product(psi3, psi2)
     check_overlaps(("<psi3|psi1>", "<psi3|psi2>"), (o31, o32), eps_null)
     a, b = abs(o31), abs(o32)
     vis = min(1.0, 2.0 * a * b / (a * a + b * b))
-    return vis, wrap_angle(float(np.angle(o31.conjugate() * o32)))
+    return vis, principal_phase(o31.conjugate() * o32)
 
 
 def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,

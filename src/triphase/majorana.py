@@ -191,12 +191,15 @@ def product_state(q: PureState, n: int) -> PureState:
 
     Amplitude on k excitations is sqrt(C(n, k)) a^(n-k) b^k; equals
     points_to_state of n coincident points. Raises ValueError for n outside
-    [1, MAX_POWER].
+    [1, MAX_POWER] or not a whole number.
     """
     if q.dim != 2:
         raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"n must lie in [1, MAX_POWER = {MAX_POWER}], got {n}")
+    if n != int(n):
+        raise ValueError(f"n must be a whole number, got {n}")
+    n = int(n)
     a, b = q.amplitudes
     weights = _binomial_weights(n)
     amps = np.array([weights[k] * a ** (n - k) * b ** k for k in range(n + 1)])

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import wrap_angle
+from .angles import principal_phase, wrap_angle
 from .majorana import constellation_qubits, product_state
 from .states import BlochPoint, DimensionMismatchError, PureState, check_unitary, inner_product
 
@@ -48,8 +48,7 @@ def bargmann_phases(o13, o32, o21, *, names=STATE_OVERLAPS, eps_null: float = EP
     three overlaps (complex scalars or broadcasting stacks), multiplied in
     that order; raises UndefinedPhaseError when one of them vanishes."""
     check_overlaps(names, (o13, o32, o21), eps_null)
-    b = o13 * o32 * o21
-    return wrap_angle(np.arctan2(b.imag, b.real))
+    return principal_phase(o13 * o32 * o21)
 
 
 def unit_constellation_rows(amplitudes: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .states import PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
-_CACHED_BLOCKS = 8       # blocks of unit rows kept: at most 8 x 288 KB
+_CACHED_BLOCKS = 8       # blocks of unit rows kept, keyed by (phi, steps, start): at most 8 x 256 KB
 _MIN_STEPS = 64
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 
@@ -99,19 +99,31 @@ def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> np.ndar
     return out
 
 
+def _alpha_grid(steps: int, start: int, stop: int) -> np.ndarray:
+    """Samples start <= k < stop of the closed grid k * (2pi/steps),
+    k = 0..steps, with sample `steps` set to 2pi: np.linspace(0, 2pi,
+    steps + 1)'s own arithmetic, so any slice has its bits."""
+    alphas = np.arange(start, stop) * (TWO_PI / steps)
+    if stop == steps + 1:
+        alphas[-1] = TWO_PI
+    return alphas
+
+
 @functools.lru_cache(maxsize=_CACHED_BLOCKS)
-def _cached_unit_rows(phi: float, block: bytes) -> np.ndarray:
-    """Unit constellation rows of the moving pair at phi over one block of
-    alphas given as its float64 bytes, read-only. They do not depend on
-    theta, and the key is the block's contents, so a sweep reuses the rows
-    of any earlier sweep at the same phi over the same alphas."""
-    rows = unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, np.frombuffer(block))))
+def _cached_unit_rows(phi: float, steps: int, start: int) -> np.ndarray:
+    """Unit constellation rows of the moving pair at the reduced phi over
+    the block of _alpha_grid(steps) that begins at sample `start`,
+    read-only. They do not depend on theta, so a sweep reuses the rows of
+    any earlier sweep at the same (phi, steps)."""
+    alphas = np.fmod(_alpha_grid(steps, start, min(start + _BLOCK, steps + 1)), TWO_PI)  # 2pi -> 0
+    rows = unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, alphas)))
     rows.setflags(write=False)
     return rows
 
 
-def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
-    """Wrapped family phase at every alpha through the constellation route.
+def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
+    """Wrapped family phase at every alpha of the closed grid of `steps`
+    intervals through the constellation route.
 
     Per block of samples: moving qubits (one complex exp) -> symmetrized
     product state (unnormalized: the roots depend only on coefficient
@@ -123,20 +135,18 @@ def _pipeline_wrapped(theta: float, phi: float, alphas: np.ndarray) -> np.ndarra
     consulted.
 
     The unit rows depend on phi and the block's alphas only. They come from
-    _cached_unit_rows, which keeps the last _CACHED_BLOCKS = 8 blocks (at
-    most 8 x 288 KB with their keys) for the life of the process: a sweep
-    at a phi and grid already swept computes only the theta-dependent
-    overlaps, phases and sum, and a process that runs one sweep computes
-    every block as before, plus one hash of its bytes. A grid of more than
-    8 blocks, swept in order, evicts each block before a repeat sweep
-    reaches it, so it gets no reuse.
+    _cached_unit_rows, keyed by (phi, steps, block start), which keeps the
+    last _CACHED_BLOCKS = 8 blocks (at most 8 x 256 KB) for the life of the
+    process: a sweep at a phi and grid already swept computes only the
+    theta-dependent overlaps, phases and sum, and a process that runs one
+    sweep computes every block as before. A grid of more than 8 blocks,
+    swept in order, evicts each block before a repeat sweep reaches it, so
+    it gets no reuse.
     """
     q2, q3 = _fixed_qubits(theta)
-    out = np.empty(alphas.shape)
-    for start in range(0, alphas.size, _BLOCK):
-        block = np.fmod(alphas[start:start + _BLOCK], TWO_PI)  # alphas lie in [0, 2pi]
-        rows = _cached_unit_rows(phi, block.tobytes())
-        overlaps = point_overlaps(rows, q2, q3)
+    out = np.empty(steps + 1)
+    for start in range(0, steps + 1, _BLOCK):
+        overlaps = point_overlaps(_cached_unit_rows(phi, steps, start), q2, q3)
         out[start:start + _BLOCK] = wrap_angle(bargmann_phases(*overlaps, names=POINT_OVERLAPS).sum(axis=-1))
     return out
 
@@ -257,9 +267,10 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     sweep takes about 0.6 s (median of 8 x 5 runs; 2-vCPU Xeon VM, Python
     3.11.7, numpy 2.4.6). The cross-check's theta-independent half, the
     unit constellation rows, is kept across calls for the last 8 blocks of
-    4096 samples (at most 2.3 MB), so a later sweep at the same phi on a
-    grid of at most 32768 samples, at any theta, reuses it; a process that
-    runs one sweep pays the full cost.
+    4096 samples, keyed by (phi, steps, block start) (at most 2 MB), so a
+    later sweep at the same phi and steps, on a grid of at most 32768
+    samples, at any theta, reuses it; a process that runs one sweep pays
+    the full cost.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and
@@ -273,9 +284,9 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         raise ValueError(f"theta must lie in (-pi/2, pi/2) and be nonzero, got {theta}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    phi = reduce_angle(phi)
+    phi, steps = reduce_angle(phi), int(steps)
 
-    alphas = np.linspace(0.0, TWO_PI, int(steps) + 1)
+    alphas = _alpha_grid(steps, 0, steps + 1)
     g1, g2 = _branches(theta, phi, alphas)
     total = g1 + g2
     return SweepResult(
@@ -284,6 +295,6 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         gamma2=g2,
         gamma_total=total,
         gamma_wrapped=wrap_angle(total),
-        gamma_pipeline_wrapped=_pipeline_wrapped(theta, phi, alphas),
+        gamma_pipeline_wrapped=_pipeline_wrapped(theta, phi, steps),
         singular_alphas=_steep_loci(theta, phi, float(alphas[1])),
     )

@@ -299,6 +299,11 @@ def wrap_angle_where(x):
     return float(w) if w.ndim == 0 else w
 
 
+def principal_phase_where(z):
+    """angles.principal_phase as the wrapped arctan2 it replaced."""
+    return wrap_angle_where(np.arctan2(z.imag, z.real))
+
+
 def composite_by_division(psi1: PureState, psi2: PureState) -> np.ndarray:
     """eraser.composite_intermediate, divided by sqrt(2)."""
     out = np.empty(2 * psi1.dim, dtype=complex)
@@ -346,12 +351,12 @@ def canonicalize_by_stacking(phi1: PureState, phi2: PureState, phi3: PureState) 
     return span, rotation, psi1.amplitudes
 
 
-def pipeline_wrapped_by_division(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
-    """sweep._pipeline_wrapped in one block, with every qubit row scaled by
-    division and the -pi fix-up by np.where."""
+def pipeline_wrapped_by_division(theta: float, phi: float, steps: int) -> np.ndarray:
+    """sweep._pipeline_wrapped in one block on np.linspace's grid, with every
+    qubit row scaled by division and the -pi fix-up by np.where."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     q2, q3 = np.array([[c - s, c + s], [c + s, c - s]], dtype=complex) / math.sqrt(2.0)
-    alphas = np.fmod(alphas, TWO_PI)
+    alphas = np.fmod(np.linspace(0.0, TWO_PI, steps + 1), TWO_PI)
     half = np.array([phi + alphas, alphas - phi]) / 2.0
     moving = np.empty((2,) + half.shape, dtype=complex)
     moving[1] = np.exp(1j * half) / math.sqrt(2.0)
@@ -360,6 +365,11 @@ def pipeline_wrapped_by_division(theta: float, phi: float, alphas: np.ndarray) -
     points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
     products = (points.conj() * q3).sum(-1) * (q3.conj() * q2).sum(-1) * (q2.conj() * points).sum(-1)
     return wrap_angle_where(wrap_angle_where(np.arctan2(products.imag, products.real)).sum(axis=-1))
+
+
+def alpha_grid_by_linspace(steps: int, start: int, stop: int) -> np.ndarray:
+    """sweep._alpha_grid as a slice of np.linspace."""
+    return np.linspace(0.0, TWO_PI, steps + 1)[start:stop]
 
 
 def closed_forms_per_series(theta: float, phi: float, alphas) -> tuple:

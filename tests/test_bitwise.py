@@ -24,6 +24,7 @@ from triphase import (
     wrap_angle,
 )
 from triphase import eraser, majorana, phases, sweep
+from triphase.angles import principal_phase
 from triphase.majorana import symmetric_amplitudes
 from triphase.states import vector_norm
 
@@ -49,6 +50,31 @@ def test_wrap_angle_matches_the_where_form():
             new, old = wrap_angle(x), reference.wrap_angle_where(x)
             assert type(new) is float
             assert bits(np.float64(new)) == bits(np.float64(old))
+
+
+def test_principal_phase_matches_the_wrapped_arctan2():
+    # signed zeros, infinities and tiny parts by hand; an imaginary part of
+    # -0.0 or just below zero on the negative real axis makes arctan2 -pi,
+    # and one that underflows the quotient makes it -0.0
+    parts = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+             1e-17, -1e-17, 3e-16, -3e-16, 4e-16, -4e-16, math.inf, -math.inf]
+    special = [complex(x, y) for x in parts for y in parts]
+    rng = np.random.default_rng(19)
+    size = 10**5 // 4
+    scaled = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-300, 300, size)
+    # near the negative real axis, from either side, at every distance
+    real = -(10.0 ** rng.uniform(-300, 300, size))
+    near_axis = real + 1j * real * rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-330, 0, size)
+    unit = np.exp(1j * rng.uniform(-4.0, 4.0, size))
+    values = np.concatenate([special, scaled, near_axis, unit, unit.conj() * -1.0])
+    assert values.size >= 10**5
+    for z in (values, values.reshape(2, -1).T):  # contiguous, and strided as in the sweep
+        assert bits(principal_phase(z)) == bits(reference.principal_phase_where(z))
+    for z in [*special, *values[len(special):len(special) + 1000].tolist()]:
+        for scalar in (z, np.complex128(z)):
+            new, old = principal_phase(scalar), reference.principal_phase_where(scalar)
+            assert type(new) is float
+            assert bits(np.float64(new)) == bits(np.float64(old)), z
 
 
 def test_vector_norm_matches_linalg_norm():
@@ -77,6 +103,7 @@ def test_fringe_pair_matches_the_division_forms(grid, monkeypatch):
     monkeypatch.setattr(eraser, "composite_intermediate", reference.composite_by_division)
     monkeypatch.setattr(eraser, "_projected_fringe", reference.projected_fringe_by_division)
     monkeypatch.setattr(eraser, "wrap_angle", reference.wrap_angle_where)
+    monkeypatch.setattr(eraser, "principal_phase", reference.principal_phase_where)
     for t, (projected, plain, gamma) in zip(triples, new):
         old_projected, old_plain = fringe_pair(*t, cfg)
         for scan, old in ((projected, old_projected), (plain, old_plain)):
@@ -97,6 +124,7 @@ def test_triple_phases_match_the_where_form(monkeypatch):
 
     new = list(outputs())
     monkeypatch.setattr(phases, "wrap_angle", reference.wrap_angle_where)
+    monkeypatch.setattr(phases, "principal_phase", reference.principal_phase_where)
     assert new == list(outputs())
 
 
@@ -130,6 +158,7 @@ def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
     new = sweep_alpha(theta, phi, steps)
     monkeypatch.setattr(sweep, "wrap_angle", reference.wrap_angle_where)
     monkeypatch.setattr(sweep, "_pipeline_wrapped", reference.pipeline_wrapped_by_division)
+    monkeypatch.setattr(sweep, "_alpha_grid", reference.alpha_grid_by_linspace)
     old = sweep_alpha(theta, phi, steps)
     for name in ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped"):
         assert bits(getattr(new, name)) == bits(getattr(old, name)), name

@@ -304,6 +304,17 @@ def test_eraser_config_validation():
         EraserConfig(grid_size=MAX_GRID_SIZE + 1)
 
 
+def test_eraser_config_takes_only_whole_grids():
+    # 100.5 would sample 101 deltas ending at 6.2519, not the uniform grid on [0, 2pi)
+    with pytest.raises(ValueError, match=r"whole number.*100\.5"):
+        EraserConfig(grid_size=100.5)
+    cfg = EraserConfig(grid_size=100.0)
+    assert type(cfg.grid_size) is int and cfg.grid_size == 100
+    scan = fringe_scan(PLUS, ZERO, YPLUS, cfg)
+    assert scan.deltas.tobytes() == fringe_scan(PLUS, ZERO, YPLUS, EraserConfig(grid_size=100)).deltas.tobytes()
+    assert scan.deltas.size == 100
+
+
 def test_extract_trivial_and_quarter_turn():
     psi, chi = random_pure_state(3, 11), random_pure_state(3, 12)
     assert extract_geometric_phase(psi, psi, chi) == pytest.approx(0.0, abs=1e-12)

@@ -146,6 +146,13 @@ def test_product_state_power_cap():
             product_state(q, n)
 
 
+def test_product_state_takes_only_whole_powers():
+    q = random_pure_state(2, 1)
+    with pytest.raises(ValueError, match=r"whole number.*3\.5"):
+        product_state(q, 3.5)
+    assert product_state(q, 3.0).amplitudes.tobytes() == product_state(q, 3).amplitudes.tobytes()
+
+
 # --- oracles -----------------------------------------------------------------
 
 def test_symmetrize_full_basics():

@@ -493,13 +493,36 @@ def test_second_theta_takes_the_rows_from_the_cache(monkeypatch):
 
 def test_cached_rows_are_read_only():
     sweep_alpha(PI / 6, 1.0, 256)
-    block = np.fmod(np.linspace(0.0, 2 * PI, 257), 2 * PI)
-    rows = sweep._cached_unit_rows(1.0, block.tobytes())  # the sweep's own entry
+    rows = sweep._cached_unit_rows(1.0, 256, 0)  # the sweep's own entry: (phi, steps, block start)
     assert sweep._cached_unit_rows.cache_info().hits == 1
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         rows *= 2.0
+
+
+def test_row_cache_keys_on_phi_and_steps():
+    # 256 and 257 intervals at one phi share no entry; a repeat at the same
+    # (phi, steps) hits every block, at any theta, and gives the cold bits
+    sweep_alpha(0.3, 1.0, 256)
+    sweep_alpha(0.3, 1.0, 257)
+    assert sweep._cached_unit_rows.cache_info()[:2] == (0, 2)
+    cold = sweep_bytes(sweep_alpha(-0.5, 1.0, 8192))  # 8193 samples: three blocks
+    assert sweep._cached_unit_rows.cache_info()[:2] == (0, 5)
+    sweep._cached_unit_rows.cache_clear()
+    sweep_alpha(0.7, 1.0, 8192)
+    assert sweep_bytes(sweep_alpha(-0.5, 1.0, 8192)) == cold
+    assert sweep._cached_unit_rows.cache_info()[:2] == (3, 3)
+
+
+def test_alpha_grid_is_linspace_bit_for_bit():
+    # every block slice the row cache builds, and the whole grid sweep_alpha returns
+    for steps in [*range(64, 5001), *(2 ** k for k in range(6, 21))]:
+        want = np.linspace(0.0, 2 * PI, steps + 1)
+        assert sweep._alpha_grid(steps, 0, steps + 1).tobytes() == want.tobytes(), steps
+        for start in range(0, steps + 1, sweep._BLOCK):
+            stop = min(start + sweep._BLOCK, steps + 1)
+            assert sweep._alpha_grid(steps, start, stop).tobytes() == want[start:stop].tobytes(), (steps, start)
 
 
 def test_signed_zero_phi_gives_the_same_bits():
@@ -522,5 +545,5 @@ def test_row_cache_stays_within_its_bound():
         result = sweep_alpha(0.5, 2.0, 2 ** 16)
     assert result.alphas.size == 2 ** 16 + 1
     assert sweep._cached_unit_rows.cache_info() == (info.hits, info.misses + 34, 8, 8)
-    want = pipeline_wrapped_by_division(0.5, 2.0, result.alphas)
+    want = pipeline_wrapped_by_division(0.5, 2.0, 2 ** 16)
     assert result.gamma_pipeline_wrapped.tobytes() == want.tobytes()
