@@ -20,14 +20,12 @@ from .phases import (
     UndefinedPhaseError,
     canonicalize_triple,
     decompose_phase,
-    solid_angle_triangle,
     three_vertex_phase,
 )
 from .states import (
     BlochPoint,
     DimensionMismatchError,
     PureState,
-    bloch_to_qubit,
     inner_product,
     qubit_to_bloch,
     random_pure_state,
@@ -51,7 +49,6 @@ __all__ = [
     "PureState",
     "SweepResult",
     "UndefinedPhaseError",
-    "bloch_to_qubit",
     "build_family_states",
     "canonicalize_triple",
     "decompose_phase",
@@ -64,7 +61,6 @@ __all__ = [
     "product_state",
     "qubit_to_bloch",
     "random_pure_state",
-    "solid_angle_triangle",
     "state_to_points",
     "sweep_alpha",
     "three_vertex_phase",

@@ -101,6 +101,15 @@ def _load_json(path: str):
         raise CliInputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _number_pair(item) -> tuple[float, float]:
+    """The floats of a JSON array of exactly two numbers. A string, an object
+    or a bool is no number, though Python would unpack or convert it."""
+    if not (isinstance(item, list) and len(item) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)):
+        raise TypeError("expected a pair of numbers")
+    return float(item[0]), float(item[1])  # float(10**400) overflows
+
+
 def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
     if not isinstance(obj, dict) or "dim" not in obj or "amplitudes" not in obj:
         raise CliInputError(f"{label}: expected an object with 'dim' and 'amplitudes'")
@@ -111,8 +120,8 @@ def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
     if not isinstance(pairs, list) or len(pairs) != dim:
         raise CliInputError(f"{label}: expected {dim} amplitude pairs")
     try:
-        vec = np.array([complex(float(re), float(im)) for re, im in pairs])
-    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
+        vec = np.array([complex(*_number_pair(pair)) for pair in pairs])
+    except (TypeError, OverflowError):
         raise CliInputError(f"{label}: amplitudes must be [re, im] number pairs") from None
     with np.errstate(over="ignore"):  # a huge amplitude gives norm inf, rejected below
         norm = vector_norm(vec)
@@ -174,8 +183,7 @@ def _parse_points(path: str) -> tuple[BlochPoint, ...]:
     points = []
     for i, pair in enumerate(pts):
         try:
-            polar, azimuth = (float(v) for v in pair)
-            points.append(BlochPoint(polar, azimuth))
+            points.append(BlochPoint(*_number_pair(pair)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise CliInputError(f"{path}: point {i}: {exc}") from None
     return tuple(points)

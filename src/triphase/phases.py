@@ -10,10 +10,9 @@ import numpy as np
 
 from .angles import principal_phase, wrap_angle
 from .majorana import constellation_qubits, product_state
-from .states import BlochPoint, DimensionMismatchError, PureState, check_unitary, inner_product
+from .states import DimensionMismatchError, PureState, check_unitary, inner_product
 
 EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
-ANTIPODAL_TOL = 1e-9  # |a + b| below this means antipodal vertices
 _PARALLEL_TOL = 1e-12
 _KET0 = PureState.basis(2, 0)  # the fixed qubit |0> of every canonical triple
 STATE_OVERLAPS = ("<psi1|psi3>", "<psi3|psi2>", "<psi2|psi1>")
@@ -90,32 +89,6 @@ def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
     """
     return bargmann_phases(inner_product(s1, s3), inner_product(s3, s2), inner_product(s2, s1),
                            eps_null=eps_null)
-
-
-def solid_angle_triangle(p1: BlochPoint, p2: BlochPoint, p3: BlochPoint) -> float:
-    """Signed solid angle of the geodesic triangle with the given vertices.
-
-    Positive for counterclockwise vertex order viewed from outside the
-    sphere, which makes  qubit phase = -solid_angle/2  (mod 2pi) hold for the
-    matching qubit triple. Evaluates
-
-        tan(omega/2) = a.(b x c) / (1 + a.b + b.c + c.a)
-
-    through atan2, so the branch is correct when the denominator is <= 0 and
-    the result lies in (-2pi, 2pi]. Coincident or locally collinear vertices
-    give 0; antipodal pairs (orthogonal qubits) raise UndefinedPhaseError.
-    That guard is its own, not check_overlaps: the Cartesian formula loses
-    accuracy like eps / |a + b| (worst of 300 seeded triangles: 9.0e-12 rad
-    at |a + b| ~ 1e-3, 2.6e-9 at 1e-6), so ANTIPODAL_TOL bounds its
-    conditioning, not an overlap.
-    """
-    a, b, c = p1.to_cartesian(), p2.to_cartesian(), p3.to_cartesian()
-    for u, v in ((a, b), (b, c), (c, a)):
-        if float(np.linalg.norm(u + v)) < ANTIPODAL_TOL:
-            raise UndefinedPhaseError("a vertex pair is antipodal")
-    num = float(np.dot(a, np.cross(b, c)))
-    den = float(1.0 + a @ b + b @ c + c @ a)
-    return 2.0 * math.atan2(num, den)
 
 
 @dataclass(frozen=True, eq=False)

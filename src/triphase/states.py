@@ -111,10 +111,6 @@ class BlochPoint:
         object.__setattr__(self, "polar", t)
         object.__setattr__(self, "azimuth", p)
 
-    def to_cartesian(self) -> np.ndarray:
-        st = math.sin(self.polar)
-        return np.array([st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)])
-
 
 def check_unitary(m: np.ndarray) -> None:
     """Raise ValueError unless M^dagger M = I entrywise within UNITARY_TOL."""
@@ -159,11 +155,6 @@ def qubit_to_bloch(q: PureState) -> BlochPoint:
         raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
     polar, azimuth = bloch_angles(q.amplitudes)
     return BlochPoint(float(polar), float(azimuth))
-
-
-def bloch_to_qubit(p: BlochPoint) -> PureState:
-    """The qubit cos(polar/2)|0> + e^{i azimuth} sin(polar/2)|1>."""
-    return PureState(bloch_qubits(p.polar, p.azimuth))
 
 
 def random_pure_state(dim: int, seed: int) -> PureState:

@@ -3,7 +3,9 @@
 Brute-force oracles in the full multi-qubit space, the factored fringe law,
 the comparisons the tests need between angles, rays and point sets, the
 companion-matrix root finder, overlap and eigvals counters, and the textbook
-qubit triple (|+>, |0>, |y+>), whose phase is pi/4, a JSON integer
+qubit triple (|+>, |0>, |y+>), whose phase is pi/4, the Bloch qubit and
+the Cartesian signed solid angle of a geodesic triangle (the independent
+side of the solid-angle law), a JSON integer
 beyond float range, the conditioning bounds of a canonicalized triple,
 Haar-random unitaries as plain matrices, triples with prescribed overlaps
 and their phase at 50 digits, the factored canonicalizing
@@ -15,18 +17,20 @@ one closed-form pass per series, a Python loop over each row's peak runs).
 None of it is on a production path.
 """
 
+import cmath
 import itertools
 import math
 
 import mpmath
 import numpy as np
 
-from triphase import PureState, inner_product, product_state, wrap_angle
+from triphase import PureState, UndefinedPhaseError, inner_product, product_state, wrap_angle
 from triphase.angles import TWO_PI, reduce_angle
 from triphase.majorana import _binomial_weights, constellation_qubits
 from triphase.states import check_unitary
 
 MAX_ORACLE_QUBITS = 12  # factorial permutation sum; resource guard
+ANTIPODAL_TOL = 1e-9     # |a + b| below this means antipodal vertices
 
 SQRT2 = math.sqrt(2.0)
 ZERO = PureState.basis(2, 0)
@@ -80,10 +84,46 @@ def states_equal(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
     return abs(abs(inner_product(a, b)) - 1.0) <= tol
 
 
+def cartesian(p) -> np.ndarray:
+    """Unit vector (x, y, z) of a BlochPoint."""
+    st = math.sin(p.polar)
+    return np.array([st * math.cos(p.azimuth), st * math.sin(p.azimuth), math.cos(p.polar)])
+
+
+def bloch_qubit(p) -> PureState:
+    """The qubit cos(polar/2)|0> + e^{i azimuth} sin(polar/2)|1> of a BlochPoint."""
+    return PureState([math.cos(p.polar / 2.0), cmath.exp(1j * p.azimuth) * math.sin(p.polar / 2.0)])
+
+
 def sphere_distance(a, b) -> float:
     """Geodesic angle between two BlochPoints, in [0, pi]."""
-    u, v = a.to_cartesian(), b.to_cartesian()
+    u, v = cartesian(a), cartesian(b)
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+
+
+def solid_angle(p1, p2, p3) -> float:
+    """Signed solid angle of the geodesic triangle with BlochPoint vertices.
+
+    Positive for counterclockwise vertex order viewed from outside the
+    sphere, which makes  qubit phase = -solid_angle/2  (mod 2pi) hold for the
+    matching qubit triple. Evaluates
+
+        tan(omega/2) = a.(b x c) / (1 + a.b + b.c + c.a)
+
+    through atan2, so the branch is correct when the denominator is <= 0 and
+    the result lies in (-2pi, 2pi]. Coincident or locally collinear vertices
+    give 0; antipodal pairs (orthogonal qubits) raise UndefinedPhaseError.
+    The Cartesian formula loses accuracy like eps / |a + b| (worst of 300
+    seeded triangles: 9.0e-12 rad at |a + b| ~ 1e-3, 2.6e-9 at 1e-6), so
+    ANTIPODAL_TOL bounds its conditioning.
+    """
+    a, b, c = cartesian(p1), cartesian(p2), cartesian(p3)
+    for u, v in ((a, b), (b, c), (c, a)):
+        if float(np.linalg.norm(u + v)) < ANTIPODAL_TOL:
+            raise UndefinedPhaseError("a vertex pair is antipodal")
+    num = float(np.dot(a, np.cross(b, c)))
+    den = float(1.0 + a @ b + b @ c + c @ a)
+    return 2.0 * math.atan2(num, den)
 
 
 def matches(points, others, tol: float = 1e-8) -> bool:

@@ -13,11 +13,10 @@ import sys
 import mpmath
 import numpy as np
 
-from reference import angle_dist, dicke_embed, random_unitary, symmetrize_full
+from reference import angle_dist, bloch_qubit, dicke_embed, random_unitary, solid_angle, symmetrize_full
 from triphase import (
     EraserConfig,
     PureState,
-    bloch_to_qubit,
     canonicalize_triple,
     decompose_phase,
     extract_geometric_phase,
@@ -27,7 +26,6 @@ from triphase import (
     points_to_state,
     qubit_to_bloch,
     random_pure_state,
-    solid_angle_triangle,
     state_to_points,
     sweep_alpha,
     three_vertex_phase,
@@ -98,8 +96,8 @@ def test_c2_solid_angle_law():
     for _ in range(500):
         pts = [qubit_to_bloch(PureState.normalized(
             rng.standard_normal(2) + 1j * rng.standard_normal(2))) for _ in range(3)]
-        gamma = three_vertex_phase(*(bloch_to_qubit(p) for p in pts))
-        omega = solid_angle_triangle(*pts)
+        gamma = three_vertex_phase(*(bloch_qubit(p) for p in pts))
+        omega = solid_angle(*pts)
         worst = max(worst, angle_dist(gamma, -omega / 2.0))
     assert worst <= 1e-9, worst
 

@@ -591,6 +591,35 @@ def test_integer_beyond_float_range_exits_1(tmp_path, capsys, command):
     assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
+# each of these unpacks as two items that float() takes, but no item is a
+# JSON number: digit strings, an object (its keys), bools
+NOT_NUMBER_PAIRS = [["10", "00"], {"1": 0, "0": 0}, [True, False], ["1", 0.0]]
+
+
+@pytest.mark.parametrize("pair", NOT_NUMBER_PAIRS + [[1.0], [1.0, 0.0, 0.0], 1.0, "10"])
+@pytest.mark.parametrize("command", ["phase", "majorana"])
+def test_amplitude_must_be_an_array_of_two_numbers(tmp_path, capsys, command, pair):
+    state = {"dim": 2, "amplitudes": [pair, [0.0, 0.0]]}
+    if command == "majorana":
+        path = label = write_json(tmp_path / "s.json", state)
+    else:
+        obj = quarter_turn_triple()
+        obj["psi2"] = state
+        path = write_json(tmp_path / "t.json", obj)
+        label = f"{path}:psi2"
+    code, out, err = run_cli([command, path], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {label}: amplitudes must be [re, im] number pairs\n"
+
+
+@pytest.mark.parametrize("pair", NOT_NUMBER_PAIRS + ["12", [1.0, 0.0, 0.0], 1.0])
+def test_point_must_be_an_array_of_two_numbers(tmp_path, capsys, pair):
+    path = write_json(tmp_path / "p.json", {"points": [[0.5, 1.0], pair]})
+    code, out, err = run_cli(["majorana", "--from-points", path], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: point 1: expected a pair of numbers\n"
+
+
 @pytest.mark.parametrize("extra", ["STATE", "--degrees", "--renormalize"])
 def test_majorana_from_points_refuses_inputs_it_never_reads(tmp_path, capsys, extra):
     state = write_json(tmp_path / "s3.json", state_obj([0.6 + 0j, 0j, 0.8 + 0j]))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import (
     SQRT2,
+    bloch_qubit,
     companion_roots,
     count_eigvals,
     dicke_embed,
@@ -21,7 +22,6 @@ from reference import (
 from triphase import (
     BlochPoint,
     PureState,
-    bloch_to_qubit,
     inner_product,
     points_to_state,
     product_state,
@@ -99,7 +99,7 @@ def test_points_to_state_matches_pairwise_symmetrization():
     # compared in the full two-qubit space
     phi = math.pi / 4
     pts = [BlochPoint(math.pi / 2, phi), BlochPoint(math.pi / 2, 2 * math.pi - phi)]
-    qa, qb = (bloch_to_qubit(p).amplitudes for p in pts)
+    qa, qb = (bloch_qubit(p).amplitudes for p in pts)
     raw = np.kron(qa, qb) + np.kron(qb, qa)
     overlap = abs(np.vdot(qa, qb)) ** 2
     oracle = raw / math.sqrt(2 * (1 + overlap))  # K applied to the sum
@@ -192,7 +192,7 @@ def test_constellation_agrees_with_permutation_oracle(seed, n):
     rng = np.random.default_rng(seed)
     pts = random_points(rng, n)
     state = points_to_state(pts)
-    oracle = symmetrize_full([bloch_to_qubit(p) for p in pts])
+    oracle = symmetrize_full([bloch_qubit(p) for p in pts])
     embedded = dicke_embed(state)
     cos = abs(np.vdot(embedded, oracle)) / (np.linalg.norm(embedded) * np.linalg.norm(oracle))
     assert cos == pytest.approx(1.0, abs=1e-10)

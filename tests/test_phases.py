@@ -13,15 +13,16 @@ from reference import (
     ZERO,
     angle_dist,
     apply_factored,
+    bloch_qubit,
     canonical_bounds,
     random_unitary,
+    solid_angle,
     sphere_distance,
 )
 from triphase import (
     BlochPoint,
     PureState,
     UndefinedPhaseError,
-    bloch_to_qubit,
     canonicalize_triple,
     decompose_phase,
     inner_product,
@@ -29,7 +30,6 @@ from triphase import (
     product_state,
     qubit_to_bloch,
     random_pure_state,
-    solid_angle_triangle,
     three_vertex_phase,
 )
 from triphase.phases import bargmann_phases, point_overlaps, unit_constellation_rows
@@ -161,21 +161,21 @@ def test_phase_cyclic_and_antisymmetric(s1, s2, s3, dim):
 
 def test_solid_angle_octant():
     x, y, z = BlochPoint(math.pi / 2, 0), BlochPoint(math.pi / 2, math.pi / 2), BlochPoint(0)
-    assert solid_angle_triangle(x, y, z) == pytest.approx(math.pi / 2, abs=1e-14)
-    assert solid_angle_triangle(x, z, y) == pytest.approx(-math.pi / 2, abs=1e-14)
+    assert solid_angle(x, y, z) == pytest.approx(math.pi / 2, abs=1e-14)
+    assert solid_angle(x, z, y) == pytest.approx(-math.pi / 2, abs=1e-14)
 
 
 def test_solid_angle_degenerate_triangles():
     p = BlochPoint(1.0, 2.0)
-    assert solid_angle_triangle(p, p, BlochPoint(0.5, 0.1)) == pytest.approx(0.0, abs=1e-14)
+    assert solid_angle(p, p, BlochPoint(0.5, 0.1)) == pytest.approx(0.0, abs=1e-14)
     # three points on the equatorial great circle, close together
     eq = [BlochPoint(math.pi / 2, a) for a in (0.1, 0.5, 0.9)]
-    assert solid_angle_triangle(*eq) == pytest.approx(0.0, abs=1e-14)
+    assert solid_angle(*eq) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_solid_angle_rejects_antipodal_vertices():
     with pytest.raises(UndefinedPhaseError, match="antipodal"):
-        solid_angle_triangle(BlochPoint(0), BlochPoint(math.pi), BlochPoint(1.0, 1.0))
+        solid_angle(BlochPoint(0), BlochPoint(math.pi), BlochPoint(1.0, 1.0))
 
 
 @given(seeds)
@@ -184,12 +184,12 @@ def test_qubit_phase_is_minus_half_solid_angle(seed):
     rng = np.random.default_rng(seed)
     pts = [BlochPoint(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
            for _ in range(3)]
-    qubits = [bloch_to_qubit(p) for p in pts]
+    qubits = [bloch_qubit(p) for p in pts]
     try:
         gamma = three_vertex_phase(*qubits)
     except UndefinedPhaseError:
         return
-    omega = solid_angle_triangle(*pts)
+    omega = solid_angle(*pts)
     assert angle_dist(gamma, -omega / 2.0) <= 1e-9
 
 
@@ -229,6 +229,24 @@ def test_decompose_reports_component_phases_and_triangles():
                for row, g in zip(result.point_qubits, result.qubit_phases))
     assert angle_dist(result.total, math.fsum(result.qubit_phases)) <= 1e-12
     assert all(-math.pi < g <= math.pi for g in result.qubit_phases)
+
+
+def test_decompose_phases_are_minus_half_triangle_solid_angles():
+    # the paper's per-triangle law: each point's qubit phase is -1/2 the
+    # signed solid angle of its triangle (point, q2, q3), read here from the
+    # reference's Cartesian formula, which shares no code with the overlaps
+    worst = 0.0
+    for dim in range(3, 42):
+        for seed in range(20):
+            base = 1000 * dim + 3 * seed
+            sym = random_pure_state(dim, base)
+            q2, q3 = random_pure_state(2, base + 1), random_pure_state(2, base + 2)
+            result = decompose_phase(sym, q2, q3)
+            b2, b3 = qubit_to_bloch(q2), qubit_to_bloch(q3)
+            for row, gamma in zip(result.point_qubits, result.qubit_phases):
+                omega = solid_angle(qubit_to_bloch(PureState(row)), b2, b3)
+                worst = max(worst, angle_dist(gamma, -omega / 2.0))
+    assert worst <= 1e-12, worst
 
 
 def test_decompose_names_the_vanishing_component():

