@@ -193,6 +193,16 @@ def build(root: Path, cases: int) -> None:
 
     # appended after every other case, so none of them is renumbered
     corpus.triple("faint-product", triple_obj(*faint_product_triple()), grid=4096)
+    # points_to_state of (0.17992142840489828, 0.0) and (2.285188015156939,
+    # 3.3795400070170674): the first point's azimuth comes back just below 0,
+    # which must print as 0, not 2pi
+    azimuth_zero = state_obj([0.5546193735473431, -0.7996063556911124 - 0.20251843465543387j,
+                              -0.10651699233109499 - 0.02583486779105398j])
+    # <psi2|psi1> = -1 - 1e-17j, whose principal argument is pi, not -pi
+    minus_pi = triple_obj([1, 0], [-1 + 1e-17j, 0], [S, S])
+    for flags in ([], ["--json"]):
+        corpus.run("azimuth-zero-majorana", ["majorana", "state.json", *flags], {"state.json": azimuth_zero})
+        corpus.run("minus-pi-phase", ["phase", "triple.json", *flags], {"triple.json": minus_pi})
 
 
 def main() -> None:

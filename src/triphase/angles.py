@@ -9,10 +9,14 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def reduce_angle(x: float) -> float:
-    """Reduce a finite angle to [0, 2pi). x % 2pi rounds to 2pi itself for a
-    tiny negative x (-1e-300, -1e-17); that result is the angle 0.0."""
-    r = float(x) % TWO_PI
+def reduce_angle(x: float, name: str = "angle") -> float:
+    """Reduce a finite angle to [0, 2pi); a NaN or infinite x raises
+    ValueError naming it. x % 2pi rounds to 2pi itself for a tiny negative
+    x (-1e-300, -1e-17); that result is the angle 0.0."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    r = x % TWO_PI
     return 0.0 if r == TWO_PI else r
 
 

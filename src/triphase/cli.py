@@ -4,9 +4,13 @@ constellations, canonical form, eraser fringes, and family sweeps out.
 Exit codes: 0 success, 1 I/O / parse / usage error, 2 mathematically
 undefined request (an overlap the result is computed from has modulus at
 most --tolerance, or for sweep at most 1e-12). Emitted angles are radians
-(--degrees changes human output only, never JSON or files); floats
-are formatted with 12 significant digits and lowercase exponents, lines end
-with \\n, so repeated invocations are byte-identical.
+(--degrees changes human output only, never JSON or files), each on one
+range: polar angles on [0, pi]; azimuths, singular_alphas and eraser scan
+deltas on [0, 2pi); phases, eraser landmarks and overlap args on (-pi, pi],
+except the sweep's unwrapped series and winding; sweep alphas on the
+closed [0, 2pi]. Floats are formatted with 12 significant digits and
+lowercase exponents, lines end with \\n, so repeated invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .angles import TWO_PI, wrap_angle
+from .angles import TWO_PI, principal_phase, wrap_angle
 from .eraser import EraserConfig, FringeScan, fringe_pair
 from .majorana import points_to_state, state_to_points
 from .phases import EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple, three_vertex_phase
@@ -161,7 +165,7 @@ def cmd_phase(args) -> int:
     gamma = bargmann_phases(o13, o32, o21, eps_null=args.tolerance)
     b = o13 * o32 * o21  # the cyclic product, from the overlaps printed below
     overlaps = {
-        name: {"abs": abs(v), "arg": float(np.angle(v))}
+        name: {"abs": abs(v), "arg": principal_phase(v)}
         for name, v in (("psi1_psi3", o13), ("psi3_psi2", o32), ("psi2_psi1", o21))
     }
     if args.json:

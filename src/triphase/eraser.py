@@ -33,16 +33,14 @@ three_vertex_phase does: the two fringes need the same three overlaps.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI, principal_phase, wrap_angle
 from .phases import EPS_NULL, check_overlaps
-from .states import DimensionMismatchError, PureState, inner_product, vector_norm
+from .states import _INV_SQRT2, DimensionMismatchError, PureState, inner_product, vector_norm
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
 

@@ -14,7 +14,6 @@ from .states import DimensionMismatchError, PureState, check_unitary, inner_prod
 
 EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
 _PARALLEL_TOL = 1e-12
-_KET0 = PureState.basis(2, 0)  # the fixed qubit |0> of every canonical triple
 STATE_OVERLAPS = ("<psi1|psi3>", "<psi3|psi2>", "<psi2|psi1>")
 POINT_OVERLAPS = ("<point|q3>", "<q3|q2>", "<q2|point>")
 
@@ -137,8 +136,8 @@ class CanonicalTriple:
     U x = x + W (R W^dagger x - W^dagger x).
     """
 
+    psi2_qubit = PureState.basis(2, 0)  # a class constant: every canonical psi2 is |0>^(N-1)
     psi1: PureState
-    psi2_qubit: PureState
     psi3_qubit: PureState
     span: np.ndarray      # W
     rotation: np.ndarray  # R
@@ -149,8 +148,8 @@ class CanonicalTriple:
         return self.psi1.dim
 
     def psi2(self) -> PureState:
-        """Transformed second state, as the tensor power of its qubit."""
-        return product_state(self.psi2_qubit, self.dim - 1)
+        """Transformed second state |0>^(N-1), the basis state e0."""
+        return PureState.basis(self.dim, 0)
 
     def psi3(self) -> PureState:
         return product_state(self.psi3_qubit, self.dim - 1)
@@ -190,4 +189,4 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     check_unitary(rotation)
     c1 = span.conj().T @ phi1.amplitudes
     psi1 = PureState.normalized(phi1.amplitudes + span @ (rotation @ c1 - c1))
-    return CanonicalTriple(psi1, _KET0, q3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)
+    return CanonicalTriple(psi1, q3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI
+from .angles import reduce_angle
 
 NORM_TOL = 1e-6       # constructor rejection threshold on the input norm
 UNITARY_TOL = 1e-10   # entrywise tolerance on U^dagger U - I
 _POLE_TOL = 1e-12
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2), by the rule above
 
 
 class DimensionMismatchError(ValueError):
@@ -100,10 +101,7 @@ class BlochPoint:
         if not -1e-9 <= t <= math.pi + 1e-9:
             raise ValueError(f"polar angle {t} outside [0, pi]")
         t = min(max(t, 0.0), math.pi)
-        p = float(self.azimuth)
-        if not math.isfinite(p):
-            raise ValueError(f"azimuth {p} is not finite")
-        p %= TWO_PI
+        p = reduce_angle(self.azimuth, "azimuth")
         if t <= _POLE_TOL:
             t, p = 0.0, 0.0
         elif t >= math.pi - _POLE_TOL:

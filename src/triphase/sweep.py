@@ -30,13 +30,12 @@ import numpy as np
 from .angles import TWO_PI, reduce_angle, wrap_angle
 from .majorana import product_state, symmetric_amplitudes
 from .phases import POINT_OVERLAPS, bargmann_phases, point_overlaps, unit_constellation_rows
-from .states import PureState
+from .states import _INV_SQRT2, PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
 _CACHED_BLOCKS = 8       # blocks of unit rows kept, keyed by (phi, steps, start): at most 8 x 256 KB
 _MIN_STEPS = 64
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,9 @@ class FamilyParams:
         t = float(self.theta)
         if not -math.pi / 2 < t < math.pi / 2:
             raise ValueError(f"theta must lie strictly inside (-pi/2, pi/2), got {t}")
-        phi, alpha = float(self.phi), float(self.alpha)
-        if not (math.isfinite(phi) and math.isfinite(alpha)):
-            raise ValueError(f"phi and alpha must be finite, got {phi}, {alpha}")
         object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "phi", reduce_angle(phi))
-        object.__setattr__(self, "alpha", reduce_angle(alpha))
+        object.__setattr__(self, "phi", reduce_angle(self.phi, "phi"))
+        object.__setattr__(self, "alpha", reduce_angle(self.alpha, "alpha"))
 
 
 def _moving_qubits(phi: float, alphas: np.ndarray) -> np.ndarray:
@@ -113,8 +109,17 @@ def _alpha_grid(steps: int, start: int, stop: int) -> np.ndarray:
 def _cached_unit_rows(phi: float, steps: int, start: int) -> np.ndarray:
     """Unit constellation rows of the moving pair at the reduced phi over
     the block of _alpha_grid(steps) that begins at sample `start`,
-    read-only. They do not depend on theta, so a sweep reuses the rows of
-    any earlier sweep at the same (phi, steps)."""
+    read-only: the theta-independent half of the sweep's cross-check.
+
+    The cache keeps the last _CACHED_BLOCKS = 8 blocks of _BLOCK = 4096
+    samples (at most 8 x 256 KB = 2 MB) for the life of the process, and a
+    hit hashes the three key numbers, not the block. So a sweep at a phi
+    and steps already swept, at any theta, computes only the overlaps with
+    the fixed pair, the phases and their sum. A grid of more than 8 blocks
+    (32768 samples), swept in order, evicts each block before a repeat
+    sweep reaches it, and a process that runs one sweep, such as each CLI
+    call, computes every block.
+    """
     alphas = np.fmod(_alpha_grid(steps, start, min(start + _BLOCK, steps + 1)), TWO_PI)  # 2pi -> 0
     rows = unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, alphas)))
     rows.setflags(write=False)
@@ -132,16 +137,7 @@ def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
     phases, under the same vanishing rule -> wrapped sum. Every stage hands
     the next a view of component-major memory (majorana's stack layout), so
     each pass runs over whole rows of samples. The closed forms are not
-    consulted.
-
-    The unit rows depend on phi and the block's alphas only. They come from
-    _cached_unit_rows, keyed by (phi, steps, block start), which keeps the
-    last _CACHED_BLOCKS = 8 blocks (at most 8 x 256 KB) for the life of the
-    process: a sweep at a phi and grid already swept computes only the
-    theta-dependent overlaps, phases and sum, and a process that runs one
-    sweep computes every block as before. A grid of more than 8 blocks,
-    swept in order, evicts each block before a repeat sweep reaches it, so
-    it gets no reuse.
+    consulted. The unit rows come from the row cache, _cached_unit_rows.
     """
     q2, q3 = _fixed_qubits(theta)
     out = np.empty(steps + 1)
@@ -265,12 +261,8 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     The constellation cross-check runs batched in fixed-size blocks of
     sample-contiguous stacks, so memory stays flat and a 2**20-interval
     sweep takes about 0.6 s (median of 8 x 5 runs; 2-vCPU Xeon VM, Python
-    3.11.7, numpy 2.4.6). The cross-check's theta-independent half, the
-    unit constellation rows, is kept across calls for the last 8 blocks of
-    4096 samples, keyed by (phi, steps, block start) (at most 2 MB), so a
-    later sweep at the same phi and steps, on a grid of at most 32768
-    samples, at any theta, reuses it; a process that runs one sweep pays
-    the full cost.
+    3.11.7, numpy 2.4.6). Its theta-independent half, the unit
+    constellation rows, is kept across calls by _cached_unit_rows.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and
@@ -282,9 +274,7 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         raise ValueError(f"steps must be a whole number of intervals, got {steps}")
     if not -math.pi / 2 < theta < math.pi / 2 or theta == 0.0:
         raise ValueError(f"theta must lie in (-pi/2, pi/2) and be nonzero, got {theta}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
-    phi, steps = reduce_angle(phi), int(steps)
+    phi, steps = reduce_angle(phi, "phi"), int(steps)
 
     alphas = _alpha_grid(steps, 0, steps + 1)
     g1, g2 = _branches(theta, phi, alphas)

@@ -80,6 +80,16 @@ def test_phase_repeated_state_gives_zero(tmp_path, capsys):
     assert json.loads(out)["gamma"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_phase_overlap_args_lie_on_the_principal_branch(tmp_path, capsys):
+    # <psi2|psi1> = -1 - 1e-17j, whose argument rounds to -pi; on (-pi, pi] it is pi
+    s = 1 / SQRT2
+    obj = {"psi1": state_obj([1 + 0j, 0j]), "psi2": state_obj([-1 + 1e-17j, 0j]),
+           "psi3": state_obj([s + 0j, s + 0j])}
+    code, out, _ = run_cli(["phase", write_json(tmp_path / "t.json", obj), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["overlaps"]["psi2_psi1"]["arg"] == 3.14159265359
+
+
 def test_phase_orthogonal_pair_exits_2(tmp_path, capsys):
     obj = quarter_turn_triple()
     obj["psi1"] = state_obj([1 + 0j, 0j])

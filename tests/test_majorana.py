@@ -224,6 +224,16 @@ def test_degenerate_root_cluster_survives_roundtrip():
     assert fidelity >= 1.0 - 1e-6
 
 
+def test_roundtrip_azimuth_stays_below_two_pi():
+    # a point at azimuth 0 often comes back at an azimuth of about -1e-17,
+    # and -1e-17 % 2pi rounds to 2pi itself; the reduction maps that to 0
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        src = [BlochPoint(math.acos(rng.uniform(-1, 1)), 0.0), *random_points(rng, int(rng.integers(1, 6)))]
+        out = state_to_points(points_to_state(src))
+        assert all(0.0 <= p.azimuth < 2 * math.pi for p in out), out
+
+
 @pytest.mark.parametrize("dim", [2, 5, 13, 21, 41, 61, *range(62, MAX_DIM + 1)])
 def test_haar_roundtrip_accuracy_up_to_dim_61(dim):
     # the accuracy the module docstring states, at every dim up to MAX_DIM;

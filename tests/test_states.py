@@ -16,6 +16,7 @@ from triphase import (
     qubit_to_bloch,
     random_pure_state,
 )
+from triphase.angles import reduce_angle
 from triphase.states import check_unitary
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -68,8 +69,12 @@ def test_non_finite_input_is_rejected(bad):
         PureState([complex(0.6, bad), 0.8])
     with pytest.raises(ValueError):
         PureState.normalized([bad, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="azimuth must be finite"):
         BlochPoint(1.0, bad)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        reduce_angle(bad, "phi")
+    with pytest.raises(ValueError, match="angle must be finite"):
+        reduce_angle(bad)
 
 
 def test_qubit_to_bloch_axes():
@@ -94,6 +99,7 @@ def test_bloch_point_normalizes_poles_and_azimuth():
     assert BlochPoint(0.0, 1.234).azimuth == 0.0
     assert BlochPoint(math.pi, -2.0).azimuth == 0.0
     assert BlochPoint(1.0, -math.pi / 4).azimuth == pytest.approx(7 * math.pi / 4)
+    assert BlochPoint(1.0, -1e-17).azimuth == 0.0  # -1e-17 % 2pi rounds to 2pi
     assert np.linalg.norm(cartesian(BlochPoint(1.0, 2.0))) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         BlochPoint(3.5, 0.0)

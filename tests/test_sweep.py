@@ -126,10 +126,12 @@ def test_sweep_validation():
         sweep_alpha(0.5, 1.0, 32)
     with pytest.raises(ValueError):
         sweep_alpha(0.0, 1.0, 128)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi must be finite"):
         sweep_alpha(0.5, math.nan, 128)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi must be finite"):
         FamilyParams(0.5, math.inf)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        FamilyParams(0.5, 1.0, -math.inf)
     # validation only: the cap is checked before any grid is allocated
     with pytest.raises(ValueError, match="steps"):
         sweep_alpha(0.5, 1.0, MAX_SWEEP_INTERVALS + 1)
