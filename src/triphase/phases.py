@@ -23,18 +23,20 @@ class UndefinedPhaseError(ValueError):
     phase is defined. For qubits: antipodal Bloch vertices (orthogonal qubits)."""
 
 
-def check_overlaps(names, overlaps, eps_null: float = EPS_NULL) -> None:
+def check_overlaps(names, overlaps, eps_null: float = EPS_NULL, offset: int = 0) -> None:
     """The one vanishing rule: a phase is undefined exactly when an overlap
     it is computed from (a complex scalar or stack) has modulus <= eps_null,
     or NaN. Raises UndefinedPhaseError naming the first such overlap, in
-    order, and for a stack its first such component."""
+    order, and for a stack its first such component. Stacks that are one
+    block of longer ones, cut along the first axis at component `offset`,
+    have the longer stacks' component named."""
     for name, overlap in zip(names, overlaps):
         modulus, where = abs(overlap), ""
         if isinstance(modulus, np.ndarray):
             if modulus.min() > eps_null:
                 continue
             index = np.unravel_index(int(np.argmin(modulus > eps_null)), modulus.shape)
-            modulus, where = modulus[index], f"component {', '.join(map(str, index))}: "
+            modulus, where = modulus[index], f"component {', '.join(map(str, (index[0] + offset, *index[1:])))}: "
         elif modulus > eps_null:
             continue
         raise UndefinedPhaseError(f"undefined phase: {where}{name} has modulus {float(modulus):.3g}, "

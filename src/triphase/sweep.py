@@ -17,6 +17,15 @@ value) / 2pi, at any grid. With t = tan(theta/2) and u = (phi +- alpha)/2,
 each component's slope t / (cos^2 u + t^2 sin^2 u) peaks at 1/|t| on its
 tangent pole, alpha = pi - phi for gamma1 and pi + phi for gamma2, and
 has median 2|t| / (1 + t^2) over the loop.
+
+The cross-check re-derives the wrapped phase through the constellation
+route in factor form: the roots are found once per phi, at alpha = 0, and
+rotating the pair multiplies each point row's second component by
+w = e^{i alpha}, so each point's overlaps with q2 and q3 are affine in w.
+Each sample then takes one arg, of the product of the points' triangle
+Bargmann invariants. Two bounded caches hold the theta-independent parts:
+the alpha = 0 rows of the last 8 phi (64 B each) and the w blocks of the
+last 8 (steps, block start) (64 KB each, at most 512 KB).
 """
 
 from __future__ import annotations
@@ -27,14 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, reduce_angle, wrap_angle
+from .angles import TWO_PI, principal_phase, reduce_angle, wrap_angle
 from .majorana import product_state, symmetric_amplitudes
-from .phases import POINT_OVERLAPS, bargmann_phases, point_overlaps, unit_constellation_rows
+from .phases import POINT_OVERLAPS, check_overlaps, unit_constellation_rows
 from .states import _INV_SQRT2, PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
-_CACHED_BLOCKS = 8       # blocks of unit rows kept, keyed by (phi, steps, start): at most 8 x 256 KB
+_CACHED_BLOCKS = 8       # entries kept per cache: rows by phi, w blocks by (steps, start)
 _MIN_STEPS = 64
 
 
@@ -106,44 +115,65 @@ def _alpha_grid(steps: int, start: int, stop: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_CACHED_BLOCKS)
-def _cached_unit_rows(phi: float, steps: int, start: int) -> np.ndarray:
-    """Unit constellation rows of the moving pair at the reduced phi over
-    the block of _alpha_grid(steps) that begins at sample `start`,
-    read-only: the theta-independent half of the sweep's cross-check.
-
-    The cache keeps the last _CACHED_BLOCKS = 8 blocks of _BLOCK = 4096
-    samples (at most 8 x 256 KB = 2 MB) for the life of the process, and a
-    hit hashes the three key numbers, not the block. So a sweep at a phi
-    and steps already swept, at any theta, computes only the overlaps with
-    the fixed pair, the phases and their sum. A grid of more than 8 blocks
-    (32768 samples), swept in order, evicts each block before a repeat
-    sweep reaches it, and a process that runs one sweep, such as each CLI
-    call, computes every block.
-    """
-    alphas = np.fmod(_alpha_grid(steps, start, min(start + _BLOCK, steps + 1)), TWO_PI)  # 2pi -> 0
-    rows = unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, alphas)))
+def _cached_rows(phi: float) -> np.ndarray:
+    """Unit constellation rows of the moving pair at alpha = 0 and the
+    reduced phi, shape (N-1, 2), read-only: the one root find of every
+    sweep at that phi. The last _CACHED_BLOCKS = 8 phi are kept, 64 B each
+    for the qutrit."""
+    rows = unit_constellation_rows(symmetric_amplitudes(_moving_qubits(phi, np.zeros(1))))[0]
     rows.setflags(write=False)
     return rows
 
 
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _cached_rotations(steps: int, start: int) -> np.ndarray:
+    """w = e^{i alpha} over the block of _alpha_grid(steps) that begins at
+    sample `start`, with alpha = 2pi taken as 0, read-only. w depends on
+    neither theta nor phi. The last _CACHED_BLOCKS = 8 blocks of _BLOCK =
+    4096 samples are kept, 64 KB each, at most 512 KB."""
+    w = np.exp(1j * np.fmod(_alpha_grid(steps, start, min(start + _BLOCK, steps + 1)), TWO_PI))
+    w.setflags(write=False)
+    return w
+
+
 def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
     """Wrapped family phase at every alpha of the closed grid of `steps`
-    intervals through the constellation route.
+    intervals through the constellation route, in factor form.
 
-    Per block of samples: moving qubits (one complex exp) -> symmetrized
-    product state (unnormalized: the roots depend only on coefficient
-    ratios) -> unit constellation rows -> point_overlaps against (q2, q3),
-    the kernels that decompose_phase wraps for one state -> per-point qubit
-    phases, under the same vanishing rule -> wrapped sum. Every stage hands
-    the next a view of component-major memory (majorana's stack layout), so
-    each pass runs over whole rows of samples. The closed forms are not
-    consulted. The unit rows come from the row cache, _cached_unit_rows.
+    The roots are found once, at alpha = 0 (_cached_rows): moving qubits ->
+    symmetrized product state -> unit constellation rows, the kernels that
+    decompose_phase wraps for one state. Rotating the pair about z by alpha
+    multiplies each row's second component by w = e^{i alpha}, up to a
+    global phase that cancels, so each point's overlaps are affine in w:
+    <q2|point> = a + b w and <point|q3> = c + d conj(w), where a, b and
+    c, d are the two terms of point_overlaps' sums at alpha = 0. Per block of
+    samples, on component-major (points, block) memory: both overlap stacks
+    from the cached w (_cached_rotations), every overlap checked under the
+    one vanishing rule, and one principal_phase of
+    prod_j <point_j|q3><q3|q2><q2|point_j>, the product of the triangles'
+    Bargmann invariants. The closed forms are not consulted. Every overlap
+    lies in (EPS_NULL, 1], so the qutrit's product of five cannot
+    underflow; many more points would need the factors rescaled.
     """
     q2, q3 = _fixed_qubits(theta)
+    rows = _cached_rows(phi)
+    a, b = (q2.conj() * rows).T[:, :, None]
+    c, d = (rows.conj() * q3).T[:, :, None]
+    o32 = q3.conj() @ q2
+    scale = o32 ** rows.shape[0]
     out = np.empty(steps + 1)
     for start in range(0, steps + 1, _BLOCK):
-        overlaps = point_overlaps(_cached_unit_rows(phi, steps, start), q2, q3)
-        out[start:start + _BLOCK] = wrap_angle(bargmann_phases(*overlaps, names=POINT_OVERLAPS).sum(axis=-1))
+        w = _cached_rotations(steps, start)
+        o21 = b * w
+        o21 += a
+        o13 = d * w.conj()
+        o13 += c
+        check_overlaps(POINT_OVERLAPS, (o13.T, o32, o21.T), offset=start)
+        o13 *= o21  # each point's <point|q3><q2|point>
+        product = o13[0] * scale
+        for factor in o13[1:]:
+            product *= factor
+        out[start:start + _BLOCK] = principal_phase(product)
     return out
 
 
@@ -157,13 +187,16 @@ class SweepResult:
     principal value. singular_alphas are the tangent poles pi -+ phi, in
     [0, 2pi), when they are steep loci (see sweep_alpha).
     gamma_pipeline_wrapped re-derives the wrapped total at every sample
-    through the constellation + triangle kernel that decompose_phase also
-    wraps, so the closed forms are the independent side of this
-    cross-check. On build_family_states' state decompose_phase agrees with
-    it within 1e-12 for |theta| >= 0.02 (measured 4.3e-13): the gap is that
-    state's normalization rounding and grows with the slope 2/|tan(theta/2)|
-    (worst over every sample, 1024 steps, phi in {0, pi/4, 3}: 4.6e-12 at
-    theta = 0.01, 2.3e-11 at 0.005, 3.8e-10 at 0.001).
+    through the constellation route in factor form: the roots found once,
+    at alpha = 0, by the kernels decompose_phase also wraps, and one arg
+    per sample of the product of the points' triangle Bargmann invariants
+    (see _pipeline_wrapped). The closed forms are the independent side of
+    this cross-check. On build_family_states' state decompose_phase,
+    which finds the roots of each sample's rotated state, agrees with it
+    within 1e-12 for |theta| >= 0.02 (measured 6.6e-13). The gap is
+    rounding in the two routes and grows with the slope 2/|tan(theta/2)|
+    (worst over every sample, 1024 steps, phi in {0, pi/4, 3}: 1.5e-12 at
+    theta = 0.01, 3.5e-12 at 0.005, 1.8e-12 at 0.001).
     """
 
     alphas: np.ndarray
@@ -247,22 +280,26 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
 
     Small theta meets two limits, both at a sample on or next to a pole:
     - the cross-check gap (SweepResult.pipeline_gap) grows like eps/|t|,
-      eps = 2.2e-16: 1.5e-9 at (theta, phi, steps) = (1e-7, pi/4, 64) and
-      1.5e-6 at (1e-10, pi/4, 1024). Over 4000 seeded sweeps with |theta| in
-      [3e-12, 1e-2], half of them with a sample on a pole, it stayed below
-      360 eps/|t|, and below 720 eps/|t| with phi under 2e-3, where the two
-      moving points nearly coincide; the tests hold it to 1024 eps/|t|;
+      eps = 2.2e-16: 4.1e-9 at (theta, phi, steps) = (1e-7, pi/4, 64) and
+      4.5e-6 at (1e-10, pi/4, 1024), both about 0.93 eps/|t|. Over 4000
+      seeded sweeps with |theta| in [3e-12, 1e-2], half of them with a
+      sample on a pole, it stayed below 190 eps/|t|, and below 690 eps/|t|
+      over 1000 with |phi| under 2e-3, where the two moving points nearly
+      coincide; the tests hold it to 1024 eps/|t|;
     - a sample whose point has an overlap of modulus at most EPS_NULL =
       1e-12 with q2 or q3 (the point lies next to that state's antipode)
       raises UndefinedPhaseError. On a pole that overlap is about |t|, so
       this takes |theta| below about 2e-12: at (1e-12, pi/4, 1024),
       <point|q3> = 5e-13.
 
-    The constellation cross-check runs batched in fixed-size blocks of
-    sample-contiguous stacks, so memory stays flat and a 2**20-interval
-    sweep takes about 0.6 s (median of 8 x 5 runs; 2-vCPU Xeon VM, Python
-    3.11.7, numpy 2.4.6). Its theta-independent half, the unit
-    constellation rows, is kept across calls by _cached_unit_rows.
+    The constellation cross-check finds the roots once, at alpha = 0, and
+    takes one arg per sample (the module docstring's factor form), batched
+    in fixed-size blocks, so memory stays flat and a 2**20-interval sweep
+    at a new phi takes about 0.15 s (medians of 3 x 5 runs 0.14-0.17 s;
+    2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6). Its theta-independent
+    parts are kept across calls: the alpha = 0 rows of the last 8 phi
+    (_cached_rows) and the w = e^{i alpha} blocks of the last 8 (steps,
+    block start) (_cached_rotations).
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and

@@ -4,8 +4,9 @@ from triphase import sweep
 
 
 @pytest.fixture(autouse=True)
-def cold_row_cache():
-    """Every test starts with an empty cache of the sweep cross-check's unit
-    rows, so a test that counts kernel calls sees those of a first sweep,
-    whatever ran before it."""
-    sweep._cached_unit_rows.cache_clear()
+def cold_sweep_caches():
+    """Every test starts with empty caches of the sweep cross-check's
+    alpha = 0 rows and w = e^{i alpha} blocks, so a test that counts kernel
+    calls sees those of a first sweep, whatever ran before it."""
+    sweep._cached_rows.cache_clear()
+    sweep._cached_rotations.cache_clear()

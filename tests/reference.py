@@ -392,8 +392,11 @@ def canonicalize_by_stacking(phi1: PureState, phi2: PureState, phi3: PureState) 
 
 
 def pipeline_wrapped_by_division(theta: float, phi: float, steps: int) -> np.ndarray:
-    """sweep._pipeline_wrapped in one block on np.linspace's grid, with every
-    qubit row scaled by division and the -pi fix-up by np.where."""
+    """The sweep's wrapped phase through the per-sample constellation route,
+    the comparison side of sweep._pipeline_wrapped's factor form: roots of
+    the rotated state at every alpha of np.linspace's grid, in one block,
+    with every qubit row scaled by division, one arg per point and the -pi
+    fix-up by np.where."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     q2, q3 = np.array([[c - s, c + s], [c + s, c - s]], dtype=complex) / math.sqrt(2.0)
     alphas = np.fmod(np.linspace(0.0, TWO_PI, steps + 1), TWO_PI)

@@ -155,14 +155,20 @@ def test_symmetric_amplitudes_match_the_division_form():
     (0.02, math.pi / 4, 256),  # steep: 1/|tan(theta/2)| = 100
 ])
 def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
+    # the closed-form fields keep the division forms' bits. The cross-check
+    # finds its roots once and multiplies the triangles' Bargmann invariants
+    # before one arg, so it parts from the per-sample root route by rounding
+    # only: measured at most 4.2 eps/|t| on these cases, t = tan(theta/2)
     new = sweep_alpha(theta, phi, steps)
     monkeypatch.setattr(sweep, "wrap_angle", reference.wrap_angle_where)
     monkeypatch.setattr(sweep, "_pipeline_wrapped", reference.pipeline_wrapped_by_division)
     monkeypatch.setattr(sweep, "_alpha_grid", reference.alpha_grid_by_linspace)
     old = sweep_alpha(theta, phi, steps)
-    for name in ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped"):
+    for name in ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped"):
         assert bits(getattr(new, name)) == bits(getattr(old, name)), name
     assert bits(new.singular_alphas) == bits(old.singular_alphas)
+    gap = np.max(np.abs(reference.wrap_angle_where(new.gamma_pipeline_wrapped - old.gamma_pipeline_wrapped)))
+    assert gap * abs(math.tan(theta / 2)) <= 8 * np.finfo(float).eps, gap
 
 
 def seeded_sweeps(seed, count):

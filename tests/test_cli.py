@@ -383,6 +383,15 @@ def test_sweep_exits_2_only_under_the_vanishing_rule(tmp_path, capsys):
     assert code == 0
 
 
+def test_sweep_exit_2_names_the_global_sample(tmp_path, capsys):
+    # 32768 steps put the pole alpha = 3pi/4 at sample 12288, in the fourth
+    # block of 4096 samples: stderr names that sample, not 12288 - 3 x 4096
+    code, stdout, err = run_cli(["sweep", "--theta", "1e-12", "--phi", repr(math.pi / 4),
+                                 "--steps", "32768", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and stdout == "" and not (tmp_path / "x.csv").exists()
+    assert err == "error: undefined phase: component 12288, 1: <point|q3> has modulus 5e-13, not above 1e-12\n"
+
+
 def test_negative_exponent_value_is_a_number(tmp_path, capsys):
     # argparse's own negative-number pattern takes "-1e-07" for a flag, which
     # exits 1 with "expected one argument"

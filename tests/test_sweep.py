@@ -24,6 +24,7 @@ from triphase import (
     state_to_points,
     sweep_alpha,
     three_vertex_phase,
+    wrap_angle,
 )
 from triphase import phases, sweep
 from triphase.sweep import MAX_SWEEP_INTERVALS, _closed_form_arrays
@@ -350,8 +351,8 @@ def test_cross_check_gap_grows_like_eps_over_t():
     # by about eps / |t|, t = tan(theta/2): seeded |theta| in [3e-12, 1e-2],
     # every other sweep with a sample on gamma1's pole pi - phi (to the float)
     eps = float(np.finfo(float).eps)
-    assert sweep_alpha(1e-7, PI / 4, 64).pipeline_gap == pytest.approx(1.5e-9, rel=0.05)
-    assert sweep_alpha(1e-10, PI / 4, 1024).pipeline_gap == pytest.approx(1.5e-6, rel=0.05)
+    assert sweep_alpha(1e-7, PI / 4, 64).pipeline_gap == pytest.approx(4.1e-9, rel=0.05)
+    assert sweep_alpha(1e-10, PI / 4, 1024).pipeline_gap == pytest.approx(4.5e-6, rel=0.05)
     rng = np.random.default_rng(12)
     on_pole = []
     for k in range(400):
@@ -376,6 +377,15 @@ def test_vanishing_rule_bounds_the_small_theta_domain():
     # the same theta off the poles keeps its exact winding and loci
     result = sweep_alpha(1e-12, 1.0, 1024)
     assert result.winding == 4 * PI and result.singular_alphas == (PI - 1.0, PI + 1.0)
+
+
+def test_vanishing_sample_is_named_by_its_global_index():
+    # the pole alpha = 3pi/4 is sample 3 steps / 8; past 4096 steps it lies
+    # beyond the first block of the batched pass, and the error still names
+    # the sample of the whole grid
+    for steps in (1024, 8192, 32768):
+        with pytest.raises(UndefinedPhaseError, match=f"component {3 * steps // 8}, 1: <point"):
+            sweep_alpha(1e-12, PI / 4, steps)
 
 
 def test_sweep_dual_path_and_invariants():
@@ -456,69 +466,90 @@ def test_slope_profile_flattens_toward_wide_angles():
     assert slope < 1.1
 
 
-# --- the cross-check's cache of unit constellation rows ---------------------
+# --- the cross-check's caches: alpha = 0 rows by phi, w blocks by (steps, start)
 
 SWEEP_FIELDS = ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped")
+CACHES = (sweep._cached_rows, sweep._cached_rotations)
 
 
 def sweep_bytes(result):
     return [getattr(result, name).tobytes() for name in SWEEP_FIELDS] + [result.singular_alphas]
 
 
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def cache_counts():
+    """(hits, misses) of the rows cache, then of the w cache."""
+    return tuple(cache.cache_info()[:2] for cache in CACHES)
+
+
 def test_cached_rows_give_the_bits_of_a_cold_sweep():
     # per (phi, steps), at least four theta run warm one after another and
-    # each cold after cache_clear(): one-block, two-block (4097 and 5001
-    # samples), a steep theta (0.02) and two phi on one grid, so that a key
-    # missing phi would show
+    # each cold after both caches are cleared: one-block, two-block (4097
+    # and 5001 samples), a steep theta (0.02), and two phi on one grid and
+    # one phi on two grids, so that a key missing phi or steps would show
     cases = [(PI / 4, 1024), (3.0, 1024), (PI / 4, 256), (1.0, 5000), (2.0, 4096), (0.0, 1000), (PI, 64)]
     thetas = (PI / 3, -0.4, 0.02, PI / 12, 1.5)
     warm = {(theta, phi, steps): sweep_bytes(sweep_alpha(theta, phi, steps))
             for phi, steps in cases for theta in thetas}
-    assert sweep._cached_unit_rows.cache_info().hits >= 3 * len(cases)
+    for cache in CACHES:
+        assert cache.cache_info().hits >= 4 * len(cases)
     for (theta, phi, steps), got in warm.items():
-        sweep._cached_unit_rows.cache_clear()
+        clear_caches()
         assert got == sweep_bytes(sweep_alpha(theta, phi, steps)), (theta, phi, steps)
 
 
-def test_second_theta_takes_the_rows_from_the_cache(monkeypatch):
+def test_a_sweep_finds_its_roots_once_per_phi(monkeypatch):
+    # one root find per new phi, at any steps: one block, two and 17; a
+    # repeat at that phi, at any theta and steps, finds none
     calls = []
     record_calls(monkeypatch, calls, phases, "constellation_qubits")
     record_calls(monkeypatch, calls, sweep, "symmetric_amplitudes")
-    sweep_alpha(PI / 6, 1.0, 5000)  # 5001 samples: two blocks
-    assert sorted(calls) == ["constellation_qubits"] * 2 + ["symmetric_amplitudes"] * 2
-    calls.clear()
-    sweep_alpha(-0.3, 1.0, 5000)
-    assert calls == []
-    sweep_alpha(-0.3, 1.5, 5000)
-    assert sorted(calls) == ["constellation_qubits"] * 2 + ["symmetric_amplitudes"] * 2
+    for phi, steps in [(1.0, 64), (1.5, 5000), (2.0, 2 ** 16)]:
+        sweep_alpha(PI / 6, phi, steps)
+        assert sorted(calls) == ["constellation_qubits", "symmetric_amplitudes"], (phi, steps)
+        calls.clear()
+        sweep_alpha(-0.3, phi, steps)
+        sweep_alpha(0.02, phi, 1000)
+        assert calls == [], (phi, steps)
 
 
 def test_cached_rows_are_read_only():
     sweep_alpha(PI / 6, 1.0, 256)
-    rows = sweep._cached_unit_rows(1.0, 256, 0)  # the sweep's own entry: (phi, steps, block start)
-    assert sweep._cached_unit_rows.cache_info().hits == 1
-    with pytest.raises(ValueError, match="read-only"):
-        rows[0, 0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        rows *= 2.0
+    # the sweep's own entries: rows by the reduced phi, w by (steps, block start)
+    entries = (sweep._cached_rows(1.0), sweep._cached_rotations(256, 0))
+    assert cache_counts() == ((1, 1), (1, 1))
+    assert entries[0].shape == (2, 2) and entries[1].shape == (257,)
+    for entry in entries:
+        with pytest.raises(ValueError, match="read-only"):
+            entry[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            entry *= 2.0
 
 
 def test_row_cache_keys_on_phi_and_steps():
-    # 256 and 257 intervals at one phi share no entry; a repeat at the same
-    # (phi, steps) hits every block, at any theta, and gives the cold bits
+    # rows key on phi alone, w on (steps, block start) alone: 256 and 257
+    # intervals at one phi share the rows and no w block, and a second phi
+    # on one grid shares every w block
     sweep_alpha(0.3, 1.0, 256)
     sweep_alpha(0.3, 1.0, 257)
-    assert sweep._cached_unit_rows.cache_info()[:2] == (0, 2)
+    assert cache_counts() == ((1, 1), (0, 2))
     cold = sweep_bytes(sweep_alpha(-0.5, 1.0, 8192))  # 8193 samples: three blocks
-    assert sweep._cached_unit_rows.cache_info()[:2] == (0, 5)
-    sweep._cached_unit_rows.cache_clear()
+    assert cache_counts() == ((2, 1), (0, 5))
+    sweep_alpha(-0.5, 2.0, 8192)
+    assert cache_counts() == ((2, 2), (3, 5))
+    # a repeat at the same (phi, steps) hits both, at any theta, and gives the cold bits
+    clear_caches()
     sweep_alpha(0.7, 1.0, 8192)
     assert sweep_bytes(sweep_alpha(-0.5, 1.0, 8192)) == cold
-    assert sweep._cached_unit_rows.cache_info()[:2] == (3, 3)
+    assert cache_counts() == ((1, 1), (3, 3))
 
 
 def test_alpha_grid_is_linspace_bit_for_bit():
-    # every block slice the row cache builds, and the whole grid sweep_alpha returns
+    # every block slice the w cache builds, and the whole grid sweep_alpha returns
     for steps in [*range(64, 5001), *(2 ** k for k in range(6, 21))]:
         want = np.linspace(0.0, 2 * PI, steps + 1)
         assert sweep._alpha_grid(steps, 0, steps + 1).tobytes() == want.tobytes(), steps
@@ -528,24 +559,39 @@ def test_alpha_grid_is_linspace_bit_for_bit():
 
 
 def test_signed_zero_phi_gives_the_same_bits():
+    # phi = -0.0 reduces to 0.0, so it keys the rows 0.0 keys
     for steps in (256, 5000):
-        sweep._cached_unit_rows.cache_clear()
+        clear_caches()
         plus = sweep_bytes(sweep_alpha(0.3, 0.0, steps))
-        sweep._cached_unit_rows.cache_clear()
+        clear_caches()
         minus = sweep_bytes(sweep_alpha(0.3, -0.0, steps))
         assert plus == minus == sweep_bytes(sweep_alpha(0.3, 0.0, steps))
+        assert sweep._cached_rows.cache_info()[:2] == (1, 1)
 
 
 def test_row_cache_stays_within_its_bound():
+    # the rows keep the last 8 phi, 64 B each for the qutrit
+    for k in range(10):
+        sweep_alpha(0.5, 0.1 * k, 64)
+    info = sweep._cached_rows.cache_info()
+    assert info.misses == 10 and info.currsize == info.maxsize == 8
+    assert sweep._cached_rows(0.9).nbytes == 64
+    # the w blocks keep the last 8, 64 KB each: 28_000 steps span 7 blocks,
+    # which a second phi on that grid hits
     for phi in (1.0, 2.0):
-        assert sweep_alpha(0.5, phi, 28_000).alphas.size == 28_001  # 7 blocks each
-    info = sweep._cached_unit_rows.cache_info()
-    assert info.misses == 14 and info.currsize == info.maxsize == 8
+        assert sweep_alpha(0.5, phi, 28_000).alphas.size == 28_001
+    info = sweep._cached_rotations.cache_info()
+    assert info.misses == 8 and info.currsize == 8  # the 64-step block, then 7
     # 2^16 + 1 samples span 17 blocks: each is a miss, and the cache keeps
     # the last 8; a repeat sweep in order evicts each block before reaching it
     for _ in range(2):
         result = sweep_alpha(0.5, 2.0, 2 ** 16)
     assert result.alphas.size == 2 ** 16 + 1
-    assert sweep._cached_unit_rows.cache_info() == (info.hits, info.misses + 34, 8, 8)
+    assert sweep._cached_rotations.cache_info() == (info.hits, info.misses + 34, 8, 8)
+    assert sweep._cached_rotations(2 ** 16, 2 ** 16).nbytes == 16  # the endpoint block: one sample
+    assert sweep._cached_rotations(2 ** 16, 0).nbytes == 64 * 1024
+    # every sample of all 17 blocks against the per-sample root route,
+    # within the bound of test_bitwise's comparison
     want = pipeline_wrapped_by_division(0.5, 2.0, 2 ** 16)
-    assert result.gamma_pipeline_wrapped.tobytes() == want.tobytes()
+    gap = float(np.max(np.abs(wrap_angle(result.gamma_pipeline_wrapped - want))))
+    assert gap * math.tan(0.25) <= 8 * np.finfo(float).eps, gap
