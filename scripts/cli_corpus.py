@@ -13,10 +13,11 @@ the same command line can be compared.
 
 The corpus covers all five commands in text, `--json` and `--degrees` output,
 eraser's three `--mode`s with `--scan-csv`, sweep CSVs with their sidecars
-(two on grids too coarse for their steep theta), and requests that exit
-with code 1 or 2. N
-seeded Haar triples (dims 2-20) run through phase, canonicalize, eraser and
-majorana; fixed triples, states and point sets cover the special cases.
+(two on grids too coarse for their steep theta, and three straddling the
+theta below which the sweep's vanishing scan runs), and requests that exit
+with code 1 or 2. N seeded Haar triples (dims 2-20) run through phase,
+canonicalize, eraser and majorana; fixed triples, states and point sets
+cover the special cases.
 """
 
 from __future__ import annotations
@@ -203,6 +204,14 @@ def build(root: Path, cases: int) -> None:
     for flags in ([], ["--json"]):
         corpus.run("azimuth-zero-majorana", ["majorana", "state.json", *flags], {"state.json": azimuth_zero})
         corpus.run("minus-pi-phase", ["phase", "triple.json", *flags], {"triple.json": minus_pi})
+    # sweeps on both sides of |theta| = 2 asin(1e-12 + 1e-14), about
+    # 2.02e-12, the orbit floor above which the cross-check skips its
+    # elementwise vanishing scan: 3e-12 and -2.05e-12 exit 0, 2e-12 exits 2
+    # at sample 640
+    for flags in ([], ["--json"]):
+        corpus.sweep("floor-above", 3e-12, math.pi / 4, 1024, *flags)
+        corpus.sweep("floor-below", 2e-12, math.pi / 4, 1024, *flags)
+        corpus.sweep("floor-negative", -2.05e-12, 0.3, 4096, *flags)
 
 
 def main() -> None:

@@ -23,11 +23,18 @@ def reduce_angle(x: float, name: str = "angle") -> float:
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to the principal branch (-pi, pi]."""
     w = np.asarray(x, dtype=float)[()]  # a numpy scalar for a scalar x
-    w = w - TWO_PI * np.rint(w / TWO_PI)
     # np.rint ties to even, so odd multiples of pi can land on -pi; adding
     # 0.0 elsewhere keeps every bit, as no w here is -0.0 (x - x is +0.0)
-    w = w + TWO_PI * (w <= -np.pi)
-    return float(w) if w.ndim == 0 else w
+    if w.ndim == 0:
+        w = w - TWO_PI * np.rint(w / TWO_PI)
+        return float(w + TWO_PI * (w <= -np.pi))
+    # the same operations on an array, in place on one new array
+    t = w / TWO_PI
+    np.rint(t, out=t)
+    t *= TWO_PI
+    np.subtract(w, t, out=t)
+    t += TWO_PI * (t <= -np.pi)
+    return t
 
 
 def principal_phase(z):

@@ -23,7 +23,11 @@ route in factor form: the roots are found once per phi, at alpha = 0, and
 rotating the pair multiplies each point row's second component by
 w = e^{i alpha}, so each point's overlaps with q2 and q3 are affine in w.
 Each sample then takes one arg, of the product of the points' triangle
-Bargmann invariants. Two bounded caches hold the theta-independent parts:
+Bargmann invariants. Over the whole orbit |w| = 1 the overlap a + b w
+never falls below ||a| - |b||, for the qutrit |sin(theta/2)|, so the
+elementwise vanishing scan runs only when that floor, less a rounding
+margin, can reach EPS_NULL: |theta| below about 2.02e-12. Two bounded
+caches hold the theta-independent parts:
 the alpha = 0 rows of the last 8 phi (64 B each) and the w blocks of the
 last 8 (steps, block start) (64 KB each, at most 512 KB).
 """
@@ -38,13 +42,20 @@ import numpy as np
 
 from .angles import TWO_PI, principal_phase, reduce_angle, wrap_angle
 from .majorana import product_state, symmetric_amplitudes
-from .phases import POINT_OVERLAPS, check_overlaps, unit_constellation_rows
+from .phases import EPS_NULL, POINT_OVERLAPS, check_overlaps, unit_constellation_rows
 from .states import _INV_SQRT2, PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass
 _CACHED_BLOCKS = 8       # entries kept per cache: rows by phi, w blocks by (steps, start)
 _MIN_STEPS = 64
+# Bound on how far a computed |a + b w| can fall below the orbit floor
+# ||a| - |b||. With u = 2**-53: |w| = 1 within u, the product b w is within
+# sqrt(5) u |b| of exact, the sum and abs add u (|a| + |b|) each, and the
+# floor computed from |a| and |b| is within 3 u (|a| + |b|) of its own
+# exact value. That is under 9 u (|a| + |b|), and |a| + |b| <= 2, so
+# under 18 u = 2.0e-15, five times inside this margin.
+_FLOOR_MARGIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -95,10 +106,15 @@ def build_family_states(p: FamilyParams) -> tuple[PureState, PureState, PureStat
     return psi1, q2, q3
 
 
-def _closed_form_arrays(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
-    # rows gamma1, gamma2, in (-pi, pi); at a tangent pole the huge-but-finite
-    # float tan makes atan return +-pi/2, so a term approaches +-pi, no gap
-    out = np.arctan(math.tan(theta / 2.0) * np.tan(np.array([phi + alphas, phi - alphas]) / 2.0))
+def _closed_form_arrays(theta: float, angles: np.ndarray) -> np.ndarray:
+    """Rows gamma1, gamma2, in (-pi, pi), from the stack angles = (phi +
+    alpha, phi - alpha), which is left as it is. At a tangent pole the
+    huge-but-finite float tan makes atan return +-pi/2, so a term
+    approaches +-pi, no gap."""
+    out = angles / 2.0
+    np.tan(out, out=out)
+    out *= math.tan(theta / 2.0)
+    np.arctan(out, out=out)
     out[0] *= 2.0
     out[1] *= -2.0
     return out
@@ -154,12 +170,24 @@ def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
     Bargmann invariants. The closed forms are not consulted. Every overlap
     lies in (EPS_NULL, 1], so the qutrit's product of five cannot
     underflow; many more points would need the factors rescaled.
+
+    The check is check_overlaps on every block, unless no computed overlap
+    can reach EPS_NULL: when |<q3|q2>| > EPS_NULL and each point's floor
+    min(||a| - |b||, ||c| - |d||), the least modulus of its overlaps over
+    the orbit |w| = 1, exceeds EPS_NULL by _FLOOR_MARGIN, a bound on the
+    rounding of a computed overlap and of the floor. Then the scan would
+    pass every sample, so it is skipped: the same rule, with the same
+    errors and bits.
     """
     q2, q3 = _fixed_qubits(theta)
     rows = _cached_rows(phi)
-    a, b = (q2.conj() * rows).T[:, :, None]
-    c, d = (rows.conj() * q3).T[:, :, None]
+    ab, cd = (q2.conj() * rows).T, (rows.conj() * q3).T
+    a, b = ab[:, :, None]
+    c, d = cd[:, :, None]
     o32 = q3.conj() @ q2
+    # each point's floors ||a| - |b|| and ||c| - |d|| (see the docstring)
+    floors = (abs(abs(x) - abs(y)) for x, y in (*zip(*ab.tolist()), *zip(*cd.tolist())))
+    scan = not (abs(o32) > EPS_NULL and all(floor > EPS_NULL + _FLOOR_MARGIN for floor in floors))
     scale = o32 ** rows.shape[0]
     out = np.empty(steps + 1)
     for start in range(0, steps + 1, _BLOCK):
@@ -168,7 +196,8 @@ def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
         o21 += a
         o13 = d * w.conj()
         o13 += c
-        check_overlaps(POINT_OVERLAPS, (o13.T, o32, o21.T), offset=start)
+        if scan:
+            check_overlaps(POINT_OVERLAPS, (o13.T, o32, o21.T), offset=start)
         o13 *= o21  # each point's <point|q3><q2|point>
         product = o13[0] * scale
         for factor in o13[1:]:
@@ -240,10 +269,22 @@ def _branches(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
     margin to the rounding edge is pi - |component - linear term|, and a
     sample on a tangent pole, where the principal value is +-pi, has the
     widest margin, pi."""
-    raw = _closed_form_arrays(theta, phi, alphas)
-    linear = math.copysign(1.0, theta) * np.array([phi + alphas, alphas - phi])
-    turns = np.rint((linear - raw) / TWO_PI)
-    return raw + TWO_PI * (turns - turns[:, :1])
+    angles = np.array([phi + alphas, phi - alphas])
+    raw = _closed_form_arrays(theta, angles)
+    # in place on the stack: the linear terms sign(theta) (phi + alpha,
+    # alpha - phi), then raw + 2pi (turns - turns at alpha = 0). alpha - phi
+    # is recomputed, not negated: -(phi - alpha) is -0.0 where alpha == phi
+    out = angles
+    np.subtract(alphas, phi, out=out[1])
+    if theta < 0.0:
+        np.negative(out, out=out)
+    out -= raw
+    out /= TWO_PI
+    np.rint(out, out=out)  # the turns
+    out -= out[:, :1].copy()
+    out *= TWO_PI
+    out += raw
+    return out
 
 
 def _steep_loci(theta: float, phi: float, step: float) -> tuple[float, ...]:
@@ -290,16 +331,20 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
       1e-12 with q2 or q3 (the point lies next to that state's antipode)
       raises UndefinedPhaseError. On a pole that overlap is about |t|, so
       this takes |theta| below about 2e-12: at (1e-12, pi/4, 1024),
-      <point|q3> = 5e-13.
+      <point|q3> = 5e-13. No overlap falls below |sin(theta/2)| anywhere
+      on the loop, so the cross-check scans its overlaps elementwise only
+      when that floor is within a rounding margin of EPS_NULL, |theta|
+      below about 2.02e-12; above it the scan could not fire, and skipping
+      it applies the same rule.
 
     The constellation cross-check finds the roots once, at alpha = 0, and
     takes one arg per sample (the module docstring's factor form), batched
     in fixed-size blocks, so memory stays flat and a 2**20-interval sweep
-    at a new phi takes about 0.15 s (medians of 3 x 5 runs 0.14-0.17 s;
-    2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6). Its theta-independent
-    parts are kept across calls: the alpha = 0 rows of the last 8 phi
-    (_cached_rows) and the w = e^{i alpha} blocks of the last 8 (steps,
-    block start) (_cached_rotations).
+    at a new phi takes about 0.13 s (15 medians of 5 runs, over five
+    processes, 0.10-0.16 s; 2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6).
+    Its theta-independent parts are kept across calls: the alpha = 0 rows
+    of the last 8 phi (_cached_rows) and the w = e^{i alpha} blocks of the
+    last 8 (steps, block start) (_cached_rotations).
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and

@@ -185,7 +185,7 @@ def test_closed_forms_match_the_per_series_form():
     for theta, phi, result in seeded_sweeps(18, 60):
         phi %= 2 * math.pi
         for alphas in (result.alphas, result.alphas[:-1], result.alphas[1:8], 2.5):
-            g1, g2 = sweep._closed_form_arrays(theta, phi, alphas)
+            g1, g2 = sweep._closed_form_arrays(theta, np.array([phi + alphas, phi - alphas]))
             old1, old2 = reference.closed_forms_per_series(theta, phi, alphas)
             assert bits(g1) == bits(old1) and bits(g2) == bits(old2), (theta, phi, np.size(alphas))
 

@@ -33,9 +33,9 @@ PI = math.pi
 
 
 def record_calls(monkeypatch, calls, module, name):
-    """Append name to calls at each call of module.name (one argument)."""
+    """Append name to calls at each call of module.name."""
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda a: calls.append(name) or original(a))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
 
 
 def test_family_params_validation():
@@ -81,17 +81,22 @@ def test_rotation_consistency_against_permutation_oracle():
     assert cos == pytest.approx(1.0, abs=1e-12)
 
 
+def closed_forms(p):
+    """sweep._closed_form_arrays at the one alpha of p."""
+    return _closed_form_arrays(p.theta, np.array([p.phi + p.alpha, p.phi - p.alpha]))
+
+
 def test_closed_form_zero_rotation_cancels_exactly():
     for theta, phi in [(0.3, 0.9), (-0.7, 2.0), (1.2, 5.5)]:
         p = FamilyParams(theta, phi, 0.0)
-        g1, g2 = _closed_form_arrays(p.theta, p.phi, p.alpha)
+        g1, g2 = closed_forms(p)
         assert g1 == -g2
         assert g1 + g2 == 0.0
 
 
 def test_closed_form_specific_value_against_pipeline():
     p = FamilyParams(theta=PI / 3, phi=PI / 4, alpha=PI / 2)
-    g1, g2 = _closed_form_arrays(p.theta, p.phi, p.alpha)
+    g1, g2 = closed_forms(p)
     assert g1 == pytest.approx(2 * math.atan(math.tan(PI / 6) * math.tan(3 * PI / 8)))
     assert g2 == pytest.approx(2 * math.atan(math.tan(PI / 6) * math.tan(PI / 8)))
     psi1, psi2, psi3 = build_family_states(p)
@@ -101,20 +106,20 @@ def test_closed_form_specific_value_against_pipeline():
 def test_closed_form_vanishes_with_theta():
     for alpha in np.linspace(0, 2 * PI, 7):
         p = FamilyParams(0.0, 1.0, float(alpha))
-        assert sum(_closed_form_arrays(p.theta, p.phi, p.alpha)) == 0.0
+        assert sum(closed_forms(p)) == 0.0
 
 
 def test_closed_form_pole_reaches_plus_minus_pi():
     # (phi + alpha)/2 lands on the float closest to pi/2
     p = FamilyParams(theta=0.8, phi=PI / 2, alpha=PI / 2)
-    g1, _ = _closed_form_arrays(p.theta, p.phi, p.alpha)
+    g1, _ = closed_forms(p)
     assert abs(g1) == pytest.approx(PI, abs=1e-9)
 
 
 def test_closed_form_odd_in_alpha_and_theta():
     for theta, phi, alpha in [(0.5, 1.0, 0.7), (0.9, 2.4, 2.9), (-0.2, 0.3, 4.4)]:
         plus, minus, flipped = (
-            float(sum(_closed_form_arrays(p.theta, p.phi, p.alpha)))
+            float(sum(closed_forms(p)))
             for p in (FamilyParams(theta, phi, alpha), FamilyParams(theta, phi, -alpha),
                       FamilyParams(-theta, phi, alpha))
         )
@@ -163,6 +168,20 @@ def test_batched_pipeline_matches_scalar_decomposition():
     for i in (0, 4095, 4096, 4500):
         scalar = scalar_pipeline(PI / 6, 1.0, result.alphas[i])
         assert angle_dist(result.gamma_pipeline_wrapped[i], scalar) <= 1e-12, i
+
+
+def test_cross_check_meets_its_documented_accuracy():
+    # SweepResult's figures below theta = 0.02: decompose_phase, which finds
+    # the roots of each sample's rotated state, at every sample of 1024
+    # steps, phi in {0, pi/4, 3}; worst measured 1.5e-12 at theta = 0.01,
+    # 3.5e-12 at 0.005 and 1.8e-12 at 0.001
+    for theta in (0.01, 0.005, 0.001):
+        for phi in (0.0, PI / 4, 3.0):
+            result = sweep_alpha(theta, phi, 1024)
+            _, _, q2, q3 = family_qubits(FamilyParams(theta, phi))
+            want = [decompose_phase(build_family_states(FamilyParams(theta, phi, float(alpha)))[0], q2, q3).total
+                    for alpha in result.alphas]
+            assert np.max(angle_dist(result.gamma_pipeline_wrapped, want)) <= 5e-12, (theta, phi)
 
 
 def test_sweep_cross_check_takes_quadratic_roots_in_closed_form(monkeypatch):
@@ -386,6 +405,47 @@ def test_vanishing_sample_is_named_by_its_global_index():
     for steps in (1024, 8192, 32768):
         with pytest.raises(UndefinedPhaseError, match=f"component {3 * steps // 8}, 1: <point"):
             sweep_alpha(1e-12, PI / 4, steps)
+
+
+def sweep_outcome(theta, phi, steps):
+    """sweep_bytes of the sweep, or the text of its UndefinedPhaseError."""
+    try:
+        return sweep_bytes(sweep_alpha(theta, phi, steps))
+    except UndefinedPhaseError as error:
+        return str(error)
+
+
+def test_the_orbit_floor_skips_the_scan_only_where_it_cannot_fire(monkeypatch):
+    # the qutrit's orbit floor min ||a| - |b|| is |sin(theta/2)|, so the
+    # scan is skipped above |theta| = 2 asin(EPS_NULL + margin). Seeded
+    # |theta| within 1e-13 of that, random phi, two thirds of the grids
+    # with a sample on a pole pi -+ phi (on a pole the overlap is about
+    # |theta|/2, so from 2e-12 down the rule fires): the same error text or
+    # the same bits as with the scan forced on every block
+    threshold = 2 * math.asin(phases.EPS_NULL + sweep._FLOOR_MARGIN)
+    rng = np.random.default_rng(27)
+    cases = []
+    for k in range(60):
+        theta = float((threshold + rng.uniform(-1e-13, 1e-13)) * rng.choice([-1.0, 1.0]))
+        steps = int(rng.integers(64, 9001))
+        alpha = float(np.linspace(0.0, 2 * PI, steps + 1)[rng.integers(0, steps + 1)])
+        cases.append((theta, (PI - alpha, alpha - PI, float(rng.uniform(0.0, 2 * PI)))[k % 3], steps))
+    skipping = [sweep_outcome(*case) for case in cases]
+    monkeypatch.setattr(sweep, "_FLOOR_MARGIN", math.inf)
+    for case, got in zip(cases, skipping):
+        assert got == sweep_outcome(*case), case
+    assert {isinstance(got, str) for got in skipping} == {True, False}
+    assert any(abs(theta) > threshold for theta, _, _ in cases)
+
+
+def test_the_scan_runs_only_below_the_floor(monkeypatch):
+    calls = []
+    record_calls(monkeypatch, calls, sweep, "check_overlaps")
+    sweep_alpha(PI / 12, PI / 4, 5000)
+    assert calls == []
+    # 5001 samples are two blocks, each scanned; no sample meets the rule
+    assert sweep_alpha(1e-12, 1.0, 5000).winding == 4 * PI
+    assert calls == ["check_overlaps"] * 2
 
 
 def test_sweep_dual_path_and_invariants():
