@@ -33,12 +33,13 @@ three_vertex_phase does: the two fringes need the same three overlaps.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI, principal_phase, wrap_angle
-from .phases import EPS_NULL, check_overlaps
+from .phases import _TINY, EPS_NULL, check_overlaps, normal_product, scale_by_power_of_two
 from .states import _INV_SQRT2, DimensionMismatchError, PureState, inner_product, vector_norm
 
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
@@ -101,8 +102,14 @@ def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarra
 
 def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
     """|<delta|path>|^2 of the renormalized path qubit at each phase factor
-    e^{-i delta} of the grid."""
-    path_spinor = path_spinor * (1.0 / vector_norm(path_spinor))
+    e^{-i delta} of the grid. A spinor whose squared norm would leave the
+    normal float range is first scaled by a power of two (as in
+    phases.normal_product)."""
+    norm = vector_norm(path_spinor)
+    if norm * norm < _TINY:
+        path_spinor = scale_by_power_of_two(path_spinor, -math.frexp(np.abs(path_spinor).max())[1])
+        norm = vector_norm(path_spinor)
+    path_spinor = path_spinor * (1.0 / norm)
     amps = (path_spinor[0] + phase_factors * path_spinor[1]) * _INV_SQRT2
     return np.abs(amps) ** 2
 
@@ -135,7 +142,9 @@ def _landmarks(psi1: PureState, psi2: PureState, psi3: PureState | None,
     """Closed-form (visibility, center) of one fringe, from its overlaps.
 
     Raises UndefinedPhaseError naming the first overlap the fringe needs
-    that vanishes (check_overlaps).
+    that vanishes (check_overlaps). Faint overlaps whose products would
+    leave the normal float range are scaled by a power of two first (as in
+    phases.normal_product), so the visibility and center keep their digits.
     """
     if psi3 is None:
         o12 = inner_product(psi1, psi2)
@@ -145,8 +154,11 @@ def _landmarks(psi1: PureState, psi2: PureState, psi3: PureState | None,
     o32 = inner_product(psi3, psi2)
     check_overlaps(("<psi3|psi1>", "<psi3|psi2>"), (o31, o32), eps_null)
     a, b = abs(o31), abs(o32)
+    if 2.0 * a * b < _TINY:  # 2ab <= a * a + b * b: the smaller side left the normal range
+        e = math.frexp(max(a, b))[1]
+        a, b = math.ldexp(a, -e), math.ldexp(b, -e)
     vis = min(1.0, 2.0 * a * b / (a * a + b * b))
-    return vis, principal_phase(o31.conjugate() * o32)
+    return vis, principal_phase(normal_product(o31.conjugate(), o32))
 
 
 def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,

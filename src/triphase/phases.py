@@ -3,7 +3,9 @@ the unitary reduction of arbitrary state triples to product-state form."""
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
 _PARALLEL_TOL = 1e-12
 STATE_OVERLAPS = ("<psi1|psi3>", "<psi3|psi2>", "<psi2|psi1>")
 POINT_OVERLAPS = ("<point|q3>", "<q3|q2>", "<q2|point>")
+_TINY = np.finfo(float).tiny  # the smallest normal float, 2**-1022
 
 
 class UndefinedPhaseError(ValueError):
@@ -29,7 +32,11 @@ def check_overlaps(names, overlaps, eps_null: float = EPS_NULL, offset: int = 0)
     or NaN. Raises UndefinedPhaseError naming the first such overlap, in
     order, and for a stack its first such component. Stacks that are one
     block of longer ones, cut along the first axis at component `offset`,
-    have the longer stacks' component named."""
+    have the longer stacks' component named. eps_null must be a finite
+    number >= 0 (ValueError): a negative one would take a zero overlap for
+    a phase, and NaN or inf would leave no phase defined."""
+    if not 0.0 <= eps_null < math.inf:
+        raise ValueError(f"eps_null must be a finite number >= 0, got {eps_null!r}")
     for name, overlap in zip(names, overlaps):
         modulus, where = abs(overlap), ""
         if isinstance(modulus, np.ndarray):
@@ -43,12 +50,46 @@ def check_overlaps(names, overlaps, eps_null: float = EPS_NULL, offset: int = 0)
                                   f"not above {eps_null:.3g}")
 
 
+def scale_by_power_of_two(z, e):
+    """Complex z (a scalar or array) times 2**e, e an integer or an integer
+    array broadcasting against z: exact unless a part falls below the
+    normal float range. numpy's ldexp takes real parts only."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(np.broadcast_shapes(z.shape, np.shape(e)), dtype=complex)
+    np.ldexp(z.real, e, out=out.real)
+    np.ldexp(z.imag, e, out=out.imag)
+    return out
+
+
+def normal_product(*factors):
+    """The product of complex overlaps (scalars or broadcasting stacks, each
+    of modulus at most about 1), in order, with the arg of the exact
+    product up to rounding.
+
+    A product or square of faint values can fall below the normal float
+    range (2**-1022), where it loses digits or becomes 0: for three
+    factors, moduli near 1e-103 apiece. Then each factor is first scaled by
+    2**-e, e the binary exponent of its modulus: exact, so no rounding is
+    added, and every arg stays as it was. The eraser's visibility and
+    spinor take the same step. It is taken only when the plain product
+    leaves the normal range; inside it the scaled arithmetic would give the
+    same bits.
+    """
+    product = functools.reduce(operator.mul, factors)
+    modulus = abs(product)
+    if (modulus.min() if isinstance(modulus, np.ndarray) else modulus) >= _TINY:
+        return product
+    return functools.reduce(operator.mul, (scale_by_power_of_two(f, -np.frexp(abs(f))[1]) for f in factors))
+
+
 def bargmann_phases(o13, o32, o21, *, names=STATE_OVERLAPS, eps_null: float = EPS_NULL):
     """Principal-branch phases arg(<1|3><3|2><2|1>) in (-pi, pi], from the
     three overlaps (complex scalars or broadcasting stacks), multiplied in
-    that order; raises UndefinedPhaseError when one of them vanishes."""
+    that order (normal_product, so faint overlaps whose product underflows
+    keep their phase); raises UndefinedPhaseError when one of them
+    vanishes."""
     check_overlaps(names, (o13, o32, o21), eps_null)
-    return principal_phase(o13 * o32 * o21)
+    return principal_phase(normal_product(o13, o32, o21))
 
 
 def unit_constellation_rows(amplitudes: np.ndarray) -> np.ndarray:
@@ -65,12 +106,16 @@ def unit_constellation_rows(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def point_overlaps(points: np.ndarray, q2, q3) -> tuple:
-    """The overlaps <point|q3>, <q3|q2>, <q2|point> (POINT_OVERLAPS) of each
-    point's qubit triple (point, q2, q3), for a stack of unit point rows,
-    shape (..., 2), and qubit rows q2 and q3: two stacks of the points'
-    leading shape around one scalar, each an elementwise product and sum.
+    """The overlaps of each point's qubit triple (point, q2, q3), in factor
+    form, for a stack of unit point rows, shape (..., 2), and qubit rows q2
+    and q3: (t13, o32, t21), where t13 = conj(point) * q3 and
+    t21 = conj(q2) * point, shape (..., 2), hold the two terms whose sums
+    are <point|q3> and <q2|point>, and o32 = <q3|q2> is their scalar
+    (POINT_OVERLAPS, in order). Rotating a point row's second component by
+    w scales t21[..., 1] by w and t13[..., 1] by conj(w), so the overlaps
+    are affine in w: <q2|point> = t21[..., 0] + t21[..., 1] w.
     """
-    return (points.conj() * q3).sum(-1), (q3.conj() * q2).sum(-1), (q2.conj() * points).sum(-1)
+    return points.conj() * q3, (q3.conj() * q2).sum(-1), q2.conj() * points
 
 
 def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
@@ -114,15 +159,15 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
     triple (point, q2, q3), one spherical triangle apiece; the parts sum to
     the phase of the full triple mod 2pi. A thin wrapper over
     unit_constellation_rows and point_overlaps on a one-row stack, the
-    kernels the sweep's cross-check runs on whole blocks of samples.
-    Raises UndefinedPhaseError naming the point (component) of a vanishing
-    per-point overlap.
+    kernels the sweep's cross-check runs once per phi, at alpha = 0, before
+    it rotates the overlaps' terms. Raises UndefinedPhaseError naming the
+    point (component) of a vanishing per-point overlap.
     """
     if q2.dim != 2 or q3.dim != 2:
         raise DimensionMismatchError("q2 and q3 must be qubits")
     points = unit_constellation_rows(sym1.amplitudes[None, :])
-    o13, o32, o21 = point_overlaps(points, q2.amplitudes, q3.amplitudes)
-    phases = bargmann_phases(o13[0], o32, o21[0], names=POINT_OVERLAPS).tolist()
+    t13, o32, t21 = point_overlaps(points, q2.amplitudes, q3.amplitudes)
+    phases = bargmann_phases(t13.sum(-1)[0], o32, t21.sum(-1)[0], names=POINT_OVERLAPS).tolist()
     points.setflags(write=False)  # point_qubits is a read-only view, like PureState's amplitudes
     return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), points[0])
 

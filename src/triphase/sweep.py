@@ -19,9 +19,10 @@ tangent pole, alpha = pi - phi for gamma1 and pi + phi for gamma2, and
 has median 2|t| / (1 + t^2) over the loop.
 
 The cross-check re-derives the wrapped phase through the constellation
-route in factor form: the roots are found once per phi, at alpha = 0, and
-rotating the pair multiplies each point row's second component by
-w = e^{i alpha}, so each point's overlaps with q2 and q3 are affine in w.
+route in factor form: the roots are found once per phi, at alpha = 0,
+where phases.point_overlaps gives each point's overlaps with q2 and q3 as
+two terms each, and rotating the pair multiplies each point row's second
+component by w = e^{i alpha}, so those overlaps are affine in w.
 Each sample then takes one arg, of the product of the points' triangle
 Bargmann invariants. Over the whole orbit |w| = 1 the overlap a + b w
 never falls below ||a| - |b||, for the qutrit |sin(theta/2)|, so the
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, principal_phase, reduce_angle, wrap_angle
-from .majorana import product_state, symmetric_amplitudes
-from .phases import EPS_NULL, POINT_OVERLAPS, check_overlaps, unit_constellation_rows
+from .majorana import symmetric_amplitudes
+from .phases import EPS_NULL, POINT_OVERLAPS, check_overlaps, point_overlaps, unit_constellation_rows
 from .states import _INV_SQRT2, PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
@@ -100,10 +101,12 @@ def family_qubits(p: FamilyParams) -> tuple[PureState, PureState, PureState, Pur
 
 
 def build_family_states(p: FamilyParams) -> tuple[PureState, PureState, PureState]:
-    """The dimension-3 triple (psi1(alpha), q2 tensor square, q3 tensor square)."""
-    psi1 = PureState.normalized(symmetric_amplitudes(_moving_qubits(p.phi, np.asarray(p.alpha))))
-    q2, q3 = (product_state(PureState(row), 2) for row in _fixed_qubits(p.theta))
-    return psi1, q2, q3
+    """The dimension-3 triple (psi1(alpha), q2 tensor square, q3 tensor
+    square), symmetrized from one (3, 2, 2) stack of qubit rows: the moving
+    pair, (q2, q2) and (q3, q3)."""
+    fixed = _fixed_qubits(p.theta)
+    rows = np.array([_moving_qubits(p.phi, np.asarray(p.alpha)), fixed[[0, 0]], fixed[[1, 1]]])
+    return tuple(PureState.normalized(amplitudes) for amplitudes in symmetric_amplitudes(rows))
 
 
 def _closed_form_arrays(theta: float, angles: np.ndarray) -> np.ndarray:
@@ -158,18 +161,20 @@ def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
 
     The roots are found once, at alpha = 0 (_cached_rows): moving qubits ->
     symmetrized product state -> unit constellation rows, the kernels that
-    decompose_phase wraps for one state. Rotating the pair about z by alpha
-    multiplies each row's second component by w = e^{i alpha}, up to a
-    global phase that cancels, so each point's overlaps are affine in w:
-    <q2|point> = a + b w and <point|q3> = c + d conj(w), where a, b and
-    c, d are the two terms of point_overlaps' sums at alpha = 0. Per block of
+    decompose_phase wraps for one state. point_overlaps gives the overlaps
+    there in factor form, the terms a, b of <q2|point> and c, d of
+    <point|q3> and the scalar <q3|q2>, and this function forms none of its
+    own. Rotating the pair about z by alpha multiplies each row's second
+    component by w = e^{i alpha}, up to a global phase that cancels, so
+    <q2|point> = a + b w and <point|q3> = c + d conj(w). Per block of
     samples, on component-major (points, block) memory: both overlap stacks
     from the cached w (_cached_rotations), every overlap checked under the
     one vanishing rule, and one principal_phase of
     prod_j <point_j|q3><q3|q2><q2|point_j>, the product of the triangles'
     Bargmann invariants. The closed forms are not consulted. Every overlap
     lies in (EPS_NULL, 1], so the qutrit's product of five cannot
-    underflow; many more points would need the factors rescaled.
+    underflow; many more points would need phases.normal_product's
+    rescaling.
 
     The check is check_overlaps on every block, unless no computed overlap
     can reach EPS_NULL: when |<q3|q2>| > EPS_NULL and each point's floor
@@ -177,16 +182,15 @@ def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
     the orbit |w| = 1, exceeds EPS_NULL by _FLOOR_MARGIN, a bound on the
     rounding of a computed overlap and of the floor. Then the scan would
     pass every sample, so it is skipped: the same rule, with the same
-    errors and bits.
+    errors and bits. The floors are taken in Python floats from the
+    terms' list: for a handful of points that is cheaper than numpy calls.
     """
-    q2, q3 = _fixed_qubits(theta)
     rows = _cached_rows(phi)
-    ab, cd = (q2.conj() * rows).T, (rows.conj() * q3).T
-    a, b = ab[:, :, None]
-    c, d = cd[:, :, None]
-    o32 = q3.conj() @ q2
+    cd, o32, ab = point_overlaps(rows, *_fixed_qubits(theta))
+    a, b = ab.T[:, :, None]
+    c, d = cd.T[:, :, None]
     # each point's floors ||a| - |b|| and ||c| - |d|| (see the docstring)
-    floors = (abs(abs(x) - abs(y)) for x, y in (*zip(*ab.tolist()), *zip(*cd.tolist())))
+    floors = (abs(abs(x) - abs(y)) for x, y in (*ab.tolist(), *cd.tolist()))
     scan = not (abs(o32) > EPS_NULL and all(floor > EPS_NULL + _FLOOR_MARGIN for floor in floors))
     scale = o32 ** rows.shape[0]
     out = np.empty(steps + 1)

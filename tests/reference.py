@@ -13,7 +13,8 @@ unitary U = I + W (R - I) W^dagger applied in O(N), a sweep's printed
 series computed one component at a time, and the forms the library
 replaced by faster or shorter ones with the same bits (complex division by
 a real, np.linalg.norm, np.where in wrap_angle, |0>^n from product_state,
-one closed-form pass per series, a Python loop over each row's peak runs).
+one closed-form pass per series, a Python loop over each row's peak runs,
+the sweep's inline triangle overlaps).
 None of it is on a production path.
 """
 
@@ -408,6 +409,12 @@ def pipeline_wrapped_by_division(theta: float, phi: float, steps: int) -> np.nda
     points /= np.sqrt((points.real ** 2 + points.imag ** 2).sum(-1, keepdims=True))
     products = (points.conj() * q3).sum(-1) * (q3.conj() * q2).sum(-1) * (q2.conj() * points).sum(-1)
     return wrap_angle_where(wrap_angle_where(np.arctan2(products.imag, products.real)).sum(axis=-1))
+
+
+def point_overlaps_inline(points: np.ndarray, q2: np.ndarray, q3: np.ndarray) -> tuple:
+    """phases.point_overlaps as the sweep's cross-check once wrote it
+    inline: the two term products, and <q3|q2> as a matmul."""
+    return points.conj() * q3, q3.conj() @ q2, q2.conj() * points
 
 
 def alpha_grid_by_linspace(steps: int, start: int, stop: int) -> np.ndarray:

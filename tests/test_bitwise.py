@@ -171,6 +171,29 @@ def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
     assert gap * abs(math.tan(theta / 2)) <= 8 * np.finfo(float).eps, gap
 
 
+def test_point_overlaps_match_the_inline_form():
+    # the kernel's terms and its elementwise <q3|q2> against the sweep's old
+    # inline products and matmul, at the sweep's fixed pair for seeded
+    # theta of both signs down to 1e-12: on the family's alpha = 0 rows at
+    # seeded phi and on Haar unit rows (component-major, as
+    # unit_constellation_rows returns them). The pair is real; on a complex
+    # pair the matmul and the elementwise sum can part in the last bit
+    rng = np.random.default_rng(20)
+    for k in range(400):
+        theta = float(10 ** rng.uniform(-12, math.log10(1.5)) * rng.choice([-1.0, 1.0]))
+        phi = (0.0, math.pi, -math.pi / 2)[k] if k < 3 else float(rng.uniform(0.0, 2 * math.pi))
+        family = phases.unit_constellation_rows(symmetric_amplitudes(sweep._moving_qubits(phi, np.zeros(1))))[0]
+        dim = int(rng.integers(2, 14))
+        haar = phases.unit_constellation_rows(rng.standard_normal((20, dim)) + 1j * rng.standard_normal((20, dim)))
+        for points in (family, haar):
+            q2, q3 = sweep._fixed_qubits(theta)
+            new = phases.point_overlaps(points, q2, q3)
+            old = reference.point_overlaps_inline(points, q2, q3)
+            for got, want in zip(new, old):
+                assert np.shape(got) == np.shape(want)
+                assert bits(got) == bits(want), (theta, phi, dim)
+
+
 def seeded_sweeps(seed, count):
     rng = np.random.default_rng(seed)
     for k in range(count):

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from reference import BEYOND_FLOAT, SQRT2, angle_dist, count_overlaps, phase_mp, triple_with_overlaps
-from triphase import EraserConfig, PureState, fringe_pair, inner_product, points_to_state, sweep_alpha, wrap_angle
+from triphase import (
+    EraserConfig,
+    PureState,
+    fringe_pair,
+    inner_product,
+    points_to_state,
+    sweep_alpha,
+    three_vertex_phase,
+    wrap_angle,
+)
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
 from triphase.majorana import MAX_DIM, MAX_POWER
@@ -141,6 +150,36 @@ def test_faint_product_is_a_phase_for_every_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verification"]["phase_delta"] <= 1e-9
 
 
+def test_underflowing_products_keep_phase_and_visibility(tmp_path, capsys):
+    # psi1 = e0 and a psi3 whose first two amplitudes are so faint that the
+    # products of its overlaps leave the normal float range; --tolerance 0
+    # keeps them defined. The phase is the 50-digit reference's, and the
+    # projected fringe's visibility the closed form 2 sqrt(2)/3 = 2ab/(a^2 + b^2)
+    # with b = sqrt(2) a
+    e0, s = [1, 0, 0], 1 / SQRT2
+    path, states = triple_file_of(tmp_path / "t.json", [np.array(v, dtype=complex) for v in (
+        e0, [s, s * 1j, 0], [1e-170 * cmath.exp(1j), 1e-170, 1])])
+    want = phase_mp(*states)
+    assert abs(want - 1.2853981633974483) <= 1e-15
+    assert angle_dist(three_vertex_phase(*states, eps_null=0.0), want) <= 1e-15
+    projected, plain = fringe_pair(*states, EraserConfig(16), eps_null=0.0)
+    assert angle_dist(projected.center - plain.center, want) <= 1e-15
+    for command in ("phase", "eraser"):  # the product 1e-340 used to read gamma = 0
+        code, out, err = run_cli([command, path, "--json", "--tolerance", "0"], capsys)
+        assert code == 0, err
+        assert angle_dist(json.loads(out)["gamma"], want) <= 1e-11, command  # 12 printed digits
+    for faint in (1e-170, 1e-160):  # a ZeroDivisionError, then 0.942852437418
+        path, states = triple_file_of(tmp_path / "t.json", [np.array(v, dtype=complex) for v in (
+            e0, [s, s, 0], [faint, faint, 1])])
+        for mode in ("both", "grid_argmax"):
+            code, out, err = run_cli(["eraser", path, "--json", "--tolerance", "0", "--mode", mode], capsys)
+            assert code == 0 and err == "", err
+            payload = json.loads(out)
+            assert payload["visibility"] == pytest.approx(2 * SQRT2 / 3, rel=1e-11), faint
+            bound = 2 * math.pi / 4096 if mode == "grid_argmax" else 1e-11
+            assert angle_dist(payload["gamma"], phase_mp(*states)) <= bound
+
+
 def test_commands_agree_on_vanishing_overlaps(tmp_path, capsys):
     # each overlap log-uniform in [1e-14, 1e-8] about the 1e-12 tolerance:
     # phase and eraser fail, and canonicalize's check reads n/a, together
@@ -170,6 +209,24 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     wrong = write_json(tmp_path / "wrong.json", {"psi1": state_obj([1 + 0j, 0j])})
     assert run_cli(["phase", wrong], capsys)[0] == 1
     assert run_cli(["nonsense-command"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("case", ["dims", "majorana-no-input", "sweep-out", "eraser-scan-csv"])
+def test_usage_and_write_errors_exit_1(tmp_path, triple_file, capsys, case):
+    missing = str(tmp_path / "no-such-dir" / "x.csv")
+    mixed = quarter_turn_triple()
+    mixed["psi2"] = state_obj([1 + 0j, 0j, 0j])
+    args, message = {
+        "dims": (["phase", write_json(tmp_path / "m.json", mixed)],
+                 "states must share one dimension, got 2, 3, 2"),
+        "majorana-no-input": (["majorana"], "majorana needs a state file or --from-points"),
+        "sweep-out": (["sweep", "--theta", "0.5", "--phi", "0.2", "--steps", "64", "--out", missing],
+                      f"cannot write {missing}: "),
+        "eraser-scan-csv": (["eraser", triple_file, "--scan-csv", missing], f"cannot write {missing}: "),
+    }[case]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_norm_gate_and_renormalize_flag(tmp_path, capsys):

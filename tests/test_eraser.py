@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reference import PLUS, SQRT2, YPLUS, ZERO, count_overlaps, output_probability_closed_form
 from triphase import (
+    DimensionMismatchError,
     EraserConfig,
     PureState,
     UndefinedPhaseError,
@@ -43,6 +44,13 @@ def test_composite_factorizes_for_equal_arms():
     composite = composite_intermediate(psi, psi)
     plus_path = np.kron(psi.amplitudes, np.array([1.0, 1.0]) / SQRT2)
     assert np.allclose(composite, plus_path, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (4, 2)])
+def test_composite_rejects_arms_of_different_dimensions(dims):
+    psi1, psi2 = (random_pure_state(dim, dim) for dim in dims)
+    with pytest.raises(DimensionMismatchError, match=f"^state dimensions differ: {dims[0]} != {dims[1]}$"):
+        composite_intermediate(psi1, psi2)
 
 
 @given(seeds, seeds, st.integers(min_value=2, max_value=6))

@@ -21,6 +21,7 @@ from reference import (
 )
 from triphase import (
     BlochPoint,
+    DimensionMismatchError,
     PureState,
     inner_product,
     points_to_state,
@@ -144,6 +145,18 @@ def test_product_state_power_cap():
     for n in (0, MAX_POWER + 1):
         with pytest.raises(ValueError, match="MAX_POWER"):
             product_state(q, n)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: constellation_qubits(np.array([1.0, 0.0])), ValueError,
+     r"^expected a \(states, dim >= 2\) stack, got shape \(2,\)$"),
+    (lambda: constellation_qubits(np.ones((3, 1))), ValueError,
+     r"^expected a \(states, dim >= 2\) stack, got shape \(3, 1\)$"),
+    (lambda: product_state(PureState.basis(3, 0), 2), DimensionMismatchError, "^expected a qubit, got dim 3$"),
+], ids=["constellation-1d", "constellation-dim-1", "product_state-qutrit"])
+def test_majorana_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_product_state_takes_only_whole_powers():
@@ -335,7 +348,8 @@ def test_stacked_kernels_are_bitwise_row_invariant():
 
     def triangle_kernel(amps):  # decompose_phase's one row, the sweep's whole block
         points = unit_constellation_rows(amps)
-        o13, o32, o21 = point_overlaps(points, q2, q3)
+        t13, o32, t21 = point_overlaps(points, q2, q3)  # the terms of <point|q3>, <q2|point>
+        o13, o21 = t13.sum(-1), t21.sum(-1)
         columns = np.broadcast_arrays(o13, o32, o21, o13 * o32 * o21)  # the overlaps and their product
         return np.concatenate((points, np.stack(columns, axis=-1)), axis=-1)
 

@@ -21,10 +21,13 @@ from reference import (
 )
 from triphase import (
     BlochPoint,
+    DimensionMismatchError,
     PureState,
     UndefinedPhaseError,
     canonicalize_triple,
     decompose_phase,
+    fringe_pair,
+    fringe_scan,
     inner_product,
     points_to_state,
     product_state,
@@ -32,7 +35,14 @@ from triphase import (
     random_pure_state,
     three_vertex_phase,
 )
-from triphase.phases import bargmann_phases, point_overlaps, unit_constellation_rows
+from triphase.angles import principal_phase
+from triphase.phases import (
+    STATE_OVERLAPS,
+    bargmann_phases,
+    check_overlaps,
+    point_overlaps,
+    unit_constellation_rows,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -78,7 +88,8 @@ def test_stacked_bargmann_products_match_per_row_vdot():
         assert not component_major.flags.c_contiguous
         for amplitudes in (unit_rows(rng, (50, dim)), component_major):
             points = unit_constellation_rows(amplitudes)
-            o13, o32, o21 = point_overlaps(points, q2, q3)
+            t13, o32, t21 = point_overlaps(points, q2, q3)  # the terms of <point|q3>, <q2|point>
+            o13, o21 = t13.sum(-1), t21.sum(-1)
             assert points.shape == (len(amplitudes), dim - 1, 2)
             assert abs(o32 - tail) <= 2 * eps
             want = np.zeros(points.shape[:-1], dtype=complex)
@@ -87,6 +98,27 @@ def test_stacked_bargmann_products_match_per_row_vdot():
                 assert abs(o21[i] - np.vdot(q2, points[i])) <= 2 * eps
                 want[i] = np.vdot(points[i], q3) * tail * np.vdot(q2, points[i])
             assert np.abs(o13 * o32 * o21 - want).max() <= 4 * eps
+
+
+def test_bargmann_keeps_the_phase_of_an_underflowing_product():
+    # overlap moduli down to 1e-300, so that most products leave the normal
+    # float range (1e-103 apiece is enough); the phases are the sums of the
+    # overlaps' args, and rows whose partial and full products have every
+    # part in the normal range keep the plain product's bits
+    rng = np.random.default_rng(32)
+    args = rng.uniform(-math.pi, math.pi, (3, 400))
+    overlaps = 10.0 ** rng.uniform(-300, 0, (3, 400)) * np.exp(1j * args)
+    partial = overlaps[0] * overlaps[1]
+    product = partial * overlaps[2]
+    parts = np.abs(np.stack([partial.real, partial.imag, product.real, product.imag]))
+    normal = (parts >= np.finfo(float).tiny).all(0)
+    assert 0 < normal.sum() < 200
+    got = bargmann_phases(*overlaps, eps_null=0.0)
+    assert angle_dist(got, args.sum(0)).max() <= 8 * np.finfo(float).eps
+    assert got[normal].tobytes() == principal_phase(product[normal]).tobytes()
+    for row in range(0, 400, 40):  # the scalar route
+        gamma = bargmann_phases(*(complex(o) for o in overlaps[:, row]), eps_null=0.0)
+        assert angle_dist(gamma, args[:, row].sum()) <= 8 * np.finfo(float).eps
 
 
 def test_canonicalize_keeps_the_phase_of_faint_triples():
@@ -127,6 +159,37 @@ def test_phase_of_real_triples_is_zero_or_pi():
 def test_phase_undefined_on_orthogonal_pair():
     with pytest.raises(UndefinedPhaseError):
         three_vertex_phase(ZERO, PureState.basis(2, 1), PLUS)
+
+
+# e0, (e0 + e1)/sqrt(2) and e2: <e2|e0> = <e2|psi2> = 0, so no phase and no
+# projected fringe under any valid eps_null
+ORTHOGONAL_THIRD = (PureState.basis(3, 0), PureState(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)),
+                    PureState.basis(3, 2))
+EPS_NULL_CALLS = {
+    "check_overlaps": lambda eps: check_overlaps(STATE_OVERLAPS, (0.5, 0.5j, -0.5), eps),
+    "three_vertex_phase": lambda eps: three_vertex_phase(*ORTHOGONAL_THIRD, eps_null=eps),
+    "fringe_scan": lambda eps: fringe_scan(*ORTHOGONAL_THIRD, eps_null=eps),
+    "fringe_pair": lambda eps: fringe_pair(*ORTHOGONAL_THIRD, eps_null=eps),
+}
+
+
+@pytest.mark.parametrize("eps_null", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", list(EPS_NULL_CALLS))
+def test_eps_null_must_be_a_finite_number_at_least_zero(call, eps_null):
+    # the range the CLI's --tolerance enforces: a negative eps_null would
+    # take a zero overlap for a phase, NaN or inf would leave none defined
+    with pytest.raises(ValueError, match=r"^eps_null must be a finite number >= 0, got ") as info:
+        EPS_NULL_CALLS[call](eps_null)
+    assert not isinstance(info.value, UndefinedPhaseError)
+    assert repr(eps_null) in str(info.value)
+
+
+@pytest.mark.parametrize("eps_null", [0.0, -0.0])
+def test_eps_null_zero_of_either_sign_is_valid(eps_null):
+    check_overlaps(STATE_OVERLAPS, (1e-300, 0.5, 0.5), eps_null)
+    assert three_vertex_phase(PLUS, ZERO, YPLUS, eps_null=eps_null) == pytest.approx(math.pi / 4, abs=1e-12)
+    with pytest.raises(UndefinedPhaseError, match="<psi3|psi1> has modulus 0,"):
+        fringe_pair(*ORTHOGONAL_THIRD, eps_null=eps_null)
 
 
 @given(seeds, seeds, seeds, st.floats(min_value=-math.pi, max_value=math.pi),
@@ -247,6 +310,21 @@ def test_decompose_phases_are_minus_half_triangle_solid_angles():
                 omega = solid_angle(qubit_to_bloch(PureState(row)), b2, b3)
                 worst = max(worst, angle_dist(gamma, -omega / 2.0))
     assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: decompose_phase(PureState.basis(3, 0), PureState.basis(3, 1), PLUS),
+     DimensionMismatchError, "^q2 and q3 must be qubits$"),
+    (lambda: decompose_phase(PureState.basis(3, 0), PLUS, PureState.basis(3, 1)),
+     DimensionMismatchError, "^q2 and q3 must be qubits$"),
+    (lambda: canonicalize_triple(PureState.basis(3, 0), PLUS, ZERO),
+     DimensionMismatchError, "^dimensions differ: 3, 2, 2$"),
+    (lambda: canonicalize_triple(PLUS, ZERO, PureState.basis(4, 3)),
+     DimensionMismatchError, "^dimensions differ: 2, 2, 4$"),
+], ids=["decompose-q2", "decompose-q3", "canonicalize-phi1", "canonicalize-phi3"])
+def test_phases_reject_mismatched_dimensions(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_decompose_names_the_vanishing_component():

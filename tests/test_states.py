@@ -52,6 +52,16 @@ def test_inner_product_dimension_mismatch():
         inner_product(PureState.basis(2, 0), PureState.basis(3, 0))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: qubit_to_bloch(PureState.basis(3, 0)), DimensionMismatchError, "^expected a qubit, got dim 3$"),
+    (lambda: PureState.basis(3, 3), ValueError, "^basis index 3 out of range for dim 3$"),
+    (lambda: PureState.basis(2, -1), ValueError, "^basis index -1 out of range for dim 2$"),
+], ids=["qubit_to_bloch-qutrit", "basis-past-end", "basis-negative"])
+def test_states_reject_out_of_range_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState([0.9, 0.0])  # norm off by more than the tolerance
