@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, principal_phase, wrap_angle
-from .phases import _TINY, EPS_NULL, check_overlaps, normal_product, scale_by_power_of_two
-from .states import _INV_SQRT2, DimensionMismatchError, PureState, inner_product, vector_norm
+from .phases import EPS_NULL, check_overlaps, normal_product
+from .states import _INV_SQRT2, _TINY, DimensionMismatchError, PureState, inner_product, scaled_norm
 
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
@@ -103,12 +103,8 @@ def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarra
 def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
     """|<delta|path>|^2 of the renormalized path qubit at each phase factor
     e^{-i delta} of the grid. A spinor whose squared norm would leave the
-    normal float range is first scaled by a power of two (as in
-    phases.normal_product)."""
-    norm = vector_norm(path_spinor)
-    if norm * norm < _TINY:
-        path_spinor = scale_by_power_of_two(path_spinor, -math.frexp(np.abs(path_spinor).max())[1])
-        norm = vector_norm(path_spinor)
+    normal float range is first scaled by a power of two (states.scaled_norm)."""
+    path_spinor, norm = scaled_norm(path_spinor)
     path_spinor = path_spinor * (1.0 / norm)
     amps = (path_spinor[0] + phase_factors * path_spinor[1]) * _INV_SQRT2
     return np.abs(amps) ** 2

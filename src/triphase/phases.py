@@ -12,13 +12,12 @@ import numpy as np
 
 from .angles import principal_phase, wrap_angle
 from .majorana import constellation_qubits, product_state
-from .states import DimensionMismatchError, PureState, check_unitary, inner_product
+from .states import _TINY, DimensionMismatchError, PureState, check_unitary, inner_product, scale_by_power_of_two
 
 EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
 _PARALLEL_TOL = 1e-12
 STATE_OVERLAPS = ("<psi1|psi3>", "<psi3|psi2>", "<psi2|psi1>")
 POINT_OVERLAPS = ("<point|q3>", "<q3|q2>", "<q2|point>")
-_TINY = np.finfo(float).tiny  # the smallest normal float, 2**-1022
 
 
 class UndefinedPhaseError(ValueError):
@@ -48,17 +47,6 @@ def check_overlaps(names, overlaps, eps_null: float = EPS_NULL, offset: int = 0)
             continue
         raise UndefinedPhaseError(f"undefined phase: {where}{name} has modulus {float(modulus):.3g}, "
                                   f"not above {eps_null:.3g}")
-
-
-def scale_by_power_of_two(z, e):
-    """Complex z (a scalar or array) times 2**e, e an integer or an integer
-    array broadcasting against z: exact unless a part falls below the
-    normal float range. numpy's ldexp takes real parts only."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(np.broadcast_shapes(z.shape, np.shape(e)), dtype=complex)
-    np.ldexp(z.real, e, out=out.real)
-    np.ldexp(z.imag, e, out=out.imag)
-    return out
 
 
 def normal_product(*factors):

@@ -19,6 +19,7 @@ vector without its dispatch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ NORM_TOL = 1e-6       # constructor rejection threshold on the input norm
 UNITARY_TOL = 1e-10   # entrywise tolerance on U^dagger U - I
 _POLE_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2), by the rule above
+_TINY = sys.float_info.min  # the smallest normal float, 2**-1022, as a Python float: fast to compare
 
 
 class DimensionMismatchError(ValueError):
@@ -40,6 +42,30 @@ def vector_norm(vec: np.ndarray) -> float:
     the sum of the dot products of the real and imaginary parts, rooted."""
     x = vec.ravel(order="K")
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def scale_by_power_of_two(z, e):
+    """Complex z (a scalar or array) times 2**e, e an integer or an integer
+    array broadcasting against z: exact unless a part falls below the
+    normal float range. numpy's ldexp takes real parts only."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(np.broadcast_shapes(z.shape, np.shape(e)), dtype=complex)
+    np.ldexp(z.real, e, out=out.real)
+    np.ldexp(z.imag, e, out=out.imag)
+    return out
+
+
+def scaled_norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """vec and its vector_norm, vec first scaled by 2**-e, e the binary
+    exponent of its largest modulus, when its squared norm falls below the
+    normal float range (a norm below about 1.5e-154), where the squares
+    lose digits or become 0. The scaling is exact, so the direction keeps
+    its bits; inside the normal range vec is returned as it is."""
+    norm = vector_norm(vec)
+    if norm * norm < _TINY:
+        vec = scale_by_power_of_two(vec, -math.frexp(np.abs(vec).max(initial=0.0))[1])
+        norm = vector_norm(vec)
+    return vec, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +87,13 @@ class PureState:
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
-        """Build a state from an arbitrary-norm nonzero vector."""
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = vector_norm(vec)
+        """Build a state from an arbitrary-norm nonzero vector. A faint one,
+        down to subnormal moduli, is scaled by a power of two first
+        (scaled_norm). The overflow side is not covered: a norm above about
+        1e154 overflows the squares, and the vector is rejected as of norm
+        inf, after numpy's overflow warning; scaling it would cost a pass
+        over every vector."""
+        vec, norm = scaled_norm(np.asarray(amplitudes, dtype=complex).reshape(-1))
         if not 0.0 < norm < math.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm}")
         return cls(vec / norm)

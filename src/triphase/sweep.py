@@ -27,10 +27,15 @@ Each sample then takes one arg, of the product of the points' triangle
 Bargmann invariants. Over the whole orbit |w| = 1 the overlap a + b w
 never falls below ||a| - |b||, for the qutrit |sin(theta/2)|, so the
 elementwise vanishing scan runs only when that floor, less a rounding
-margin, can reach EPS_NULL: |theta| below about 2.02e-12. Two bounded
-caches hold the theta-independent parts:
-the alpha = 0 rows of the last 8 phi (64 B each) and the w blocks of the
-last 8 (steps, block start) (64 KB each, at most 512 KB).
+margin, can reach EPS_NULL: |theta| below about 2.02e-12.
+
+Three bounded caches hold the theta-independent parts, so repeated
+(phi, steps), as in a theta scan, pay only the theta-dependent rest: the
+cross-check's alpha = 0 rows of the last 8 phi (64 B each) and w blocks
+of the last 8 (steps, block start) (64 KB each, at most 512 KB), and the
+closed forms' grid, tangent rows tan((phi +- alpha)/2) and linear terms
+of the last 8 (phi, steps), for grids of at most 4096 intervals (at most
+164 KB each, about 1.3 MB).
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from .phases import EPS_NULL, POINT_OVERLAPS, check_overlaps, point_overlaps, un
 from .states import _INV_SQRT2, PureState
 
 MAX_SWEEP_INTERVALS = 2 ** 20
-_BLOCK = 4096            # alpha samples per batched pipeline pass
-_CACHED_BLOCKS = 8       # entries kept per cache: rows by phi, w blocks by (steps, start)
+_BLOCK = 4096            # alpha samples per batched pipeline pass, and intervals of the largest cached grid
+_CACHED_BLOCKS = 8       # entries kept per cache: rows by phi, w blocks by (steps, start), halves by (phi, steps)
 _MIN_STEPS = 64
 # Bound on how far a computed |a + b w| can fall below the orbit floor
 # ||a| - |b||. With u = 2**-53: |w| = 1 within u, the product b w is within
@@ -57,6 +62,7 @@ _MIN_STEPS = 64
 # exact value. That is under 9 u (|a| + |b|), and |a| + |b| <= 2, so
 # under 18 u = 2.0e-15, five times inside this margin.
 _FLOOR_MARGIN = 1e-14
+_ATAN_FACTORS = np.array([[2.0], [-2.0]])  # gamma1 = +2 atan(...), gamma2 = -2 atan(...)
 
 
 @dataclass(frozen=True)
@@ -109,25 +115,39 @@ def build_family_states(p: FamilyParams) -> tuple[PureState, PureState, PureStat
     return tuple(PureState.normalized(amplitudes) for amplitudes in symmetric_amplitudes(rows))
 
 
-def _closed_form_arrays(theta: float, angles: np.ndarray) -> np.ndarray:
-    """Rows gamma1, gamma2, in (-pi, pi), from the stack angles = (phi +
-    alpha, phi - alpha), which is left as it is. At a tangent pole the
-    huge-but-finite float tan makes atan return +-pi/2, so a term
-    approaches +-pi, no gap."""
-    out = angles / 2.0
-    np.tan(out, out=out)
-    out *= math.tan(theta / 2.0)
+def _closed_form_arrays(theta: float, tangents: np.ndarray) -> np.ndarray:
+    """Rows gamma1, gamma2, in (-pi, pi), from the (2, S) stack tangents =
+    (tan((phi + alpha)/2), tan((phi - alpha)/2)), which is left as it is.
+    At a tangent pole the huge-but-finite float tan makes atan return
+    +-pi/2, so a term approaches +-pi, no gap."""
+    out = tangents * math.tan(theta / 2.0)
     np.arctan(out, out=out)
-    out[0] *= 2.0
-    out[1] *= -2.0
+    out *= _ATAN_FACTORS
     return out
+
+
+def _closed_form_half(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The theta-independent half of the closed forms on the closed grid of
+    `steps` intervals: the grid alphas, the rows tan((phi + alpha)/2),
+    tan((phi - alpha)/2) and the linear terms (phi + alpha, alpha - phi).
+    alpha - phi is computed, not negated from phi - alpha: -(phi - alpha)
+    is -0.0 where alpha == phi. Halving is multiplying by 0.5, exact as
+    dividing by 2.0 is, and cheaper."""
+    alphas = _alpha_grid(steps, 0, steps + 1)
+    linear = np.array([phi + alphas, phi - alphas])
+    tangents = linear * 0.5
+    np.tan(tangents, out=tangents)
+    np.subtract(alphas, phi, out=linear[1])
+    return alphas, tangents, linear
 
 
 def _alpha_grid(steps: int, start: int, stop: int) -> np.ndarray:
     """Samples start <= k < stop of the closed grid k * (2pi/steps),
     k = 0..steps, with sample `steps` set to 2pi: np.linspace(0, 2pi,
-    steps + 1)'s own arithmetic, so any slice has its bits."""
-    alphas = np.arange(start, stop) * (TWO_PI / steps)
+    steps + 1)'s own arithmetic, so any slice has its bits. A float
+    arange holds the whole numbers k exactly."""
+    alphas = np.arange(start, stop, dtype=float)
+    alphas *= TWO_PI / steps
     if stop == steps + 1:
         alphas[-1] = TWO_PI
     return alphas
@@ -153,6 +173,18 @@ def _cached_rotations(steps: int, start: int) -> np.ndarray:
     w = np.exp(1j * np.fmod(_alpha_grid(steps, start, min(start + _BLOCK, steps + 1)), TWO_PI))
     w.setflags(write=False)
     return w
+
+
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _cached_half(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_closed_form_half at the reduced phi, read-only: what repeated
+    (phi, steps), as in a theta scan, share. Only grids of at most _BLOCK =
+    4096 intervals are cached (see sweep_alpha); the last _CACHED_BLOCKS =
+    8 are kept, at most 4097 x 40 B = 164 KB each, about 1.3 MB in all."""
+    half = _closed_form_half(phi, steps)
+    for rows in half:
+        rows.setflags(write=False)
+    return half
 
 
 def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
@@ -266,23 +298,22 @@ class SweepResult:
         return float(np.max(np.abs(wrap_angle(self.gamma_wrapped - self.gamma_pipeline_wrapped))))
 
 
-def _branches(theta: float, phi: float, alphas: np.ndarray) -> np.ndarray:
+def _branches(theta: float, tangents: np.ndarray, linear: np.ndarray) -> np.ndarray:
     """The closed forms on their continuous branches, rows gamma1, gamma2,
-    each starting at its principal value. The nearest whole turn to
+    each starting at its principal value, from the theta-independent half
+    (_closed_form_half), which is left as it is. The nearest whole turn to
     (linear term - principal value) / 2pi is that sample's branch: the
     margin to the rounding edge is pi - |component - linear term|, and a
     sample on a tangent pole, where the principal value is +-pi, has the
     widest margin, pi."""
-    angles = np.array([phi + alphas, phi - alphas])
-    raw = _closed_form_arrays(theta, angles)
-    # in place on the stack: the linear terms sign(theta) (phi + alpha,
-    # alpha - phi), then raw + 2pi (turns - turns at alpha = 0). alpha - phi
-    # is recomputed, not negated: -(phi - alpha) is -0.0 where alpha == phi
-    out = angles
-    np.subtract(alphas, phi, out=out[1])
+    raw = _closed_form_arrays(theta, tangents)
+    # sign(theta) times the linear terms, less raw; then in place raw +
+    # 2pi (turns - turns at alpha = 0)
     if theta < 0.0:
-        np.negative(out, out=out)
-    out -= raw
+        out = np.negative(linear)
+        out -= raw
+    else:
+        out = linear - raw
     out /= TWO_PI
     np.rint(out, out=out)  # the turns
     out -= out[:, :1].copy()
@@ -346,9 +377,13 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     in fixed-size blocks, so memory stays flat and a 2**20-interval sweep
     at a new phi takes about 0.13 s (15 medians of 5 runs, over five
     processes, 0.10-0.16 s; 2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6).
-    Its theta-independent parts are kept across calls: the alpha = 0 rows
-    of the last 8 phi (_cached_rows) and the w = e^{i alpha} blocks of the
-    last 8 (steps, block start) (_cached_rotations).
+    Three caches keep the theta-independent parts across calls, so a
+    theta scan at one (phi, steps) computes them once: the cross-check's
+    alpha = 0 rows of the last 8 phi (_cached_rows) and w = e^{i alpha}
+    blocks of the last 8 (steps, block start) (_cached_rotations), and the
+    closed forms' grid, tangent rows and linear terms of the last 8 (phi,
+    steps) with steps <= 4096 (_cached_half); a larger grid builds that
+    half afresh at each call, with the same arithmetic and bits.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and
@@ -362,8 +397,12 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
         raise ValueError(f"theta must lie in (-pi/2, pi/2) and be nonzero, got {theta}")
     phi, steps = reduce_angle(phi, "phi"), int(steps)
 
-    alphas = _alpha_grid(steps, 0, steps + 1)
-    g1, g2 = _branches(theta, phi, alphas)
+    if steps <= _BLOCK:
+        alphas, tangents, linear = _cached_half(phi, steps)
+        alphas = alphas.copy()  # the result's own, writable
+    else:
+        alphas, tangents, linear = _closed_form_half(phi, steps)
+    g1, g2 = _branches(theta, tangents, linear)
     total = g1 + g2
     return SweepResult(
         alphas=alphas,

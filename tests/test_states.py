@@ -17,7 +17,7 @@ from triphase import (
     random_pure_state,
 )
 from triphase.angles import reduce_angle
-from triphase.states import check_unitary
+from triphase.states import check_unitary, vector_norm
 
 seeds = st.integers(min_value=0, max_value=10**9)
 dims = st.integers(min_value=2, max_value=9)
@@ -67,8 +67,22 @@ def test_pure_state_validation():
         PureState([0.9, 0.0])  # norm off by more than the tolerance
     with pytest.raises(ValueError):
         PureState([1.0])  # dim 1
-    with pytest.raises(ValueError):
-        PureState.normalized([0.0, 0.0])
+    for zero in ([0.0, 0.0], [0j, -0.0, 0.0]):  # no power of two makes these normal
+        with pytest.raises(ValueError, match=r"^cannot normalize a vector of norm 0\.0$"):
+            PureState.normalized(zero)
+
+
+@pytest.mark.parametrize("vec", [[1e-160, 2e-160], [1e-170, 2e-170], [5e-324, 1e-323], [1e-170j, 0.0, -2e-170]],
+                         ids=["squares-subnormal", "squares-zero", "subnormal", "complex"])
+def test_normalized_takes_vectors_whose_squares_underflow(vec):
+    # the norm's squares fall below the normal range (or to 0); a power of
+    # two brings the vector back first, so the state is the unit (1, 2) ray
+    amplitudes = PureState.normalized(vec).amplitudes
+    assert np.abs(amplitudes[amplitudes != 0]) == pytest.approx([1 / math.sqrt(5), 2 / math.sqrt(5)], abs=1e-15)
+    assert vector_norm(amplitudes) == pytest.approx(1.0, abs=1e-15)
+    # a power of two apart from (1, 2) exactly: the same bits
+    if vec[0] == 5e-324:
+        assert amplitudes.tobytes() == PureState.normalized([1.0, 2.0]).amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

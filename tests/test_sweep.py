@@ -82,8 +82,9 @@ def test_rotation_consistency_against_permutation_oracle():
 
 
 def closed_forms(p):
-    """sweep._closed_form_arrays at the one alpha of p."""
-    return _closed_form_arrays(p.theta, np.array([p.phi + p.alpha, p.phi - p.alpha]))
+    """sweep._closed_form_arrays at the one alpha of p, from the (2, 1)
+    tangents tan((phi +- alpha)/2) as sweep._closed_form_half forms them."""
+    return _closed_form_arrays(p.theta, np.tan(np.array([[p.phi + p.alpha], [p.phi - p.alpha]]) / 2.0))[:, 0]
 
 
 def test_closed_form_zero_rotation_cancels_exactly():
@@ -526,7 +527,8 @@ def test_slope_profile_flattens_toward_wide_angles():
     assert slope < 1.1
 
 
-# --- the cross-check's caches: alpha = 0 rows by phi, w blocks by (steps, start)
+# --- the sweep's caches: the cross-check's alpha = 0 rows by phi and w
+# blocks by (steps, start), and the closed forms' theta-free halves by (phi, steps)
 
 SWEEP_FIELDS = ("alphas", "gamma1", "gamma2", "gamma_total", "gamma_wrapped", "gamma_pipeline_wrapped")
 CACHES = (sweep._cached_rows, sweep._cached_rotations)
@@ -537,7 +539,7 @@ def sweep_bytes(result):
 
 
 def clear_caches():
-    for cache in CACHES:
+    for cache in (*CACHES, sweep._cached_half):
         cache.cache_clear()
 
 
@@ -578,11 +580,16 @@ def test_a_sweep_finds_its_roots_once_per_phi(monkeypatch):
 
 
 def test_cached_rows_are_read_only():
-    sweep_alpha(PI / 6, 1.0, 256)
-    # the sweep's own entries: rows by the reduced phi, w by (steps, block start)
-    entries = (sweep._cached_rows(1.0), sweep._cached_rotations(256, 0))
+    result = sweep_alpha(PI / 6, 1.0, 256)
+    # the sweep's own entries: rows by the reduced phi, w by (steps, block
+    # start), the grid, tangent rows and linear terms by (phi, steps)
+    entries = (sweep._cached_rows(1.0), sweep._cached_rotations(256, 0), *sweep._cached_half(1.0, 256))
     assert cache_counts() == ((1, 1), (1, 1))
+    assert sweep._cached_half.cache_info()[:2] == (1, 1)
     assert entries[0].shape == (2, 2) and entries[1].shape == (257,)
+    assert entries[2].shape == (257,) and entries[3].shape == entries[4].shape == (2, 257)
+    # the result's grid is its own copy, writable as before
+    assert result.alphas.flags.writeable and not np.shares_memory(result.alphas, entries[2])
     for entry in entries:
         with pytest.raises(ValueError, match="read-only"):
             entry[0] = 0.0
@@ -606,6 +613,47 @@ def test_row_cache_keys_on_phi_and_steps():
     sweep_alpha(0.7, 1.0, 8192)
     assert sweep_bytes(sweep_alpha(-0.5, 1.0, 8192)) == cold
     assert cache_counts() == ((1, 1), (3, 3))
+
+
+def test_cached_halves_give_the_bits_of_cold_and_uncached_sweeps(monkeypatch):
+    # a seeded theta scan of both signs per (phi, steps), with a tangent
+    # pole at alpha = 0 (phi = pi), on grids at and around the one-block
+    # bound: run warm one after another, each cold after every cache is
+    # cleared, and with the half built afresh at every call; the warm
+    # series also against the per-component reference
+    rng = np.random.default_rng(30)
+    thetas = [float(t) for t in rng.uniform(0.02, 1.5, 4) * [1.0, -1.0, 1.0, -1.0]]
+    keys = [(phi, steps) for phi in (0.0, PI, float(rng.uniform(-7.0, 7.0))) for steps in (64, 4095, 4096, 4097)]
+    warm = {}
+    for phi, steps in keys:
+        for theta in thetas:
+            result = sweep_alpha(theta, phi, steps)
+            warm[theta, phi, steps] = sweep_bytes(result)
+            series = sweep_series_per_component(theta, phi, result.alphas)
+            assert [s.tobytes() for s in series] == warm[theta, phi, steps][1:5], (theta, phi, steps)
+    assert sweep._cached_half.cache_info()[:2] == (9 * 3, 9)  # all but 4097 steps are cached
+    cold = {}
+    for key in warm:
+        clear_caches()
+        cold[key] = sweep_bytes(sweep_alpha(*key))
+    monkeypatch.setattr(sweep, "_cached_half", sweep._closed_form_half)
+    for key, got in warm.items():
+        assert got == cold[key] == sweep_bytes(sweep_alpha(*key)), key
+
+
+def test_half_cache_holds_one_block_grids_and_eight_entries():
+    # 4096 intervals are cached, 4097 are not; each entry is the grid and
+    # two (2, S) float stacks, and the cache keeps the last eight (phi, steps)
+    sweep_alpha(0.3, 1.0, 4096)
+    sweep_alpha(0.3, 1.0, 4097)
+    sweep_alpha(-0.3, 1.0, 4097)
+    info = sweep._cached_half.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    assert sum(rows.nbytes for rows in sweep._cached_half(1.0, 4096)) == 4097 * 40
+    for k in range(12):
+        sweep_alpha(0.3, 0.25 * k, 64)
+    info = sweep._cached_half.cache_info()
+    assert info.currsize == info.maxsize == 8
 
 
 def test_alpha_grid_is_linspace_bit_for_bit():
