@@ -11,6 +11,11 @@ except the sweep's unwrapped series and winding; sweep alphas on the
 closed [0, 2pi]. Floats are formatted with 12 significant digits and
 lowercase exponents, lines end with \\n, so repeated invocations are
 byte-identical.
+
+Each command returns its JSON object and its text lines; main writes one
+of them to stdout, once, after the command succeeds: the JSON with --json,
+the lines otherwise. A failing command writes nothing to stdout, only its
+error to stderr.
 """
 
 from __future__ import annotations
@@ -87,10 +92,6 @@ def _json_text(obj) -> str:
     return json.dumps(_clean(obj), indent=2, allow_nan=False) + "\n"
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(_json_text(obj))
-
-
 def _angle_text(x: float, degrees: bool) -> str:
     return f"{_fmt(x * _DEG)} deg" if degrees else _fmt(x)
 
@@ -159,7 +160,7 @@ def _state_obj(s: PureState) -> dict:
     return {"dim": s.dim, "amplitudes": _pairs(s.amplitudes)}
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> tuple[dict, list[str]]:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     o13, o32, o21 = inner_product(psi1, psi3), inner_product(psi3, psi2), inner_product(psi2, psi1)
     gamma = bargmann_phases(o13, o32, o21, eps_null=args.tolerance)
@@ -168,15 +169,11 @@ def cmd_phase(args) -> int:
         name: {"abs": abs(v), "arg": principal_phase(v)}
         for name, v in (("psi1_psi3", o13), ("psi3_psi2", o32), ("psi2_psi1", o21))
     }
-    if args.json:
-        _emit_json({"gamma": gamma, "bargmann_abs": abs(b), "overlaps": overlaps})
-        return EXIT_OK
-    print(f"gamma = {_angle_text(gamma, args.degrees)}")
-    print(f"|bargmann| = {_fmt(abs(b))}")
+    lines = [f"gamma = {_angle_text(gamma, args.degrees)}", f"|bargmann| = {_fmt(abs(b))}"]
     for name, entry in overlaps.items():
-        pretty = name.replace("_", "|")
-        print(f"|<{pretty}>| = {_fmt(entry['abs'])}  arg = {_angle_text(entry['arg'], args.degrees)}")
-    return EXIT_OK
+        lines.append(f"|<{name.replace('_', '|')}>| = {_fmt(entry['abs'])}  "
+                     f"arg = {_angle_text(entry['arg'], args.degrees)}")
+    return {"gamma": gamma, "bargmann_abs": abs(b), "overlaps": overlaps}, lines
 
 
 def _parse_points(path: str) -> tuple[BlochPoint, ...]:
@@ -193,39 +190,29 @@ def _parse_points(path: str) -> tuple[BlochPoint, ...]:
     return tuple(points)
 
 
-def cmd_majorana(args) -> int:
+def cmd_majorana(args) -> tuple[dict, list[str]]:
     if args.from_points:
         if args.state or args.degrees or args.renormalize:
             raise CliInputError("--from-points reads only the points file; "
                                 "it takes no state file, --degrees or --renormalize")
         state = points_to_state(_parse_points(args.from_points))
-        if args.json:
-            _emit_json(_state_obj(state))
-            return EXIT_OK
-        print(f"dim = {state.dim}")
-        for k, a in enumerate(state.amplitudes):
-            print(f"amplitude {k}: {_fmt(a.real)} {_fmt(a.imag)}")
-        return EXIT_OK
+        return _state_obj(state), [f"dim = {state.dim}"] + [
+            f"amplitude {k}: {_fmt(a.real)} {_fmt(a.imag)}" for k, a in enumerate(state.amplitudes)]
     if not args.state:
         raise CliInputError("majorana needs a state file or --from-points")
     state = _parse_state(_load_json(args.state), renormalize=args.renormalize, label=args.state)
     points = state_to_points(state)
-    if args.json:
-        _emit_json({
-            "dim": state.dim,
-            "convention": MAJORANA_CONVENTION,
-            "points": [[p.polar, p.azimuth] for p in points],
-        })
-        return EXIT_OK
-    print(f"dim = {state.dim}")
-    print(f"convention: {MAJORANA_CONVENTION}")
-    for i, p in enumerate(points):
-        print(f"point {i}: polar = {_angle_text(p.polar, args.degrees)}  "
-              f"azimuth = {_angle_text(p.azimuth, args.degrees)}")
-    return EXIT_OK
+    payload = {
+        "dim": state.dim,
+        "convention": MAJORANA_CONVENTION,
+        "points": [[p.polar, p.azimuth] for p in points],
+    }
+    return payload, [f"dim = {state.dim}", f"convention: {MAJORANA_CONVENTION}"] + [
+        f"point {i}: polar = {_angle_text(p.polar, args.degrees)}  "
+        f"azimuth = {_angle_text(p.azimuth, args.degrees)}" for i, p in enumerate(points)]
 
 
-def cmd_canonicalize(args) -> int:
+def cmd_canonicalize(args) -> tuple[dict, list[str]]:
     phi1, phi2, phi3 = _load_triple(args.triple, args.renormalize)
     result = canonicalize_triple(phi1, phi2, phi3)
     trans2, trans3 = result.psi2(), result.psi3()
@@ -244,41 +231,37 @@ def cmd_canonicalize(args) -> int:
         )))
     except UndefinedPhaseError:
         phase_delta = None
-    verification = {
-        "gram_delta": float(gram_delta),
-        "overlap_delta": float(overlap_delta),
-        "phase_delta": phase_delta,
+    payload = {
+        "dim": result.dim,
+        "degenerate_frame": result.degenerate_frame,
+        "psi2_qubit": _pairs(result.psi2_qubit.amplitudes),
+        "psi3_qubit": _pairs(result.psi3_qubit.amplitudes),
+        "transformed": {
+            "psi1": _state_obj(result.psi1),
+            "psi2": _state_obj(trans2),
+            "psi3": _state_obj(trans3),
+        },
+        # U = I + W (R - I) W^dagger, as its factors W (N x k) and R (k x k)
+        "span": [_pairs(row) for row in result.span],
+        "rotation": [_pairs(row) for row in result.rotation],
+        "verification": {"gram_delta": float(gram_delta), "overlap_delta": float(overlap_delta),
+                         "phase_delta": phase_delta},
     }
-    if args.json:
-        _emit_json({
-            "dim": result.dim,
-            "degenerate_frame": result.degenerate_frame,
-            "psi2_qubit": _pairs(result.psi2_qubit.amplitudes),
-            "psi3_qubit": _pairs(result.psi3_qubit.amplitudes),
-            "transformed": {
-                "psi1": _state_obj(result.psi1),
-                "psi2": _state_obj(trans2),
-                "psi3": _state_obj(trans3),
-            },
-            # U = I + W (R - I) W^dagger, as its factors W (N x k) and R (k x k)
-            "span": [_pairs(row) for row in result.span],
-            "rotation": [_pairs(row) for row in result.rotation],
-            "verification": verification,
-        })
-        return EXIT_OK
-    print(f"dim = {result.dim}")
+    lines = [f"dim = {result.dim}"]
     if result.degenerate_frame:
-        print("note: psi2 and psi3 are parallel (1 - |<psi2|psi3>| < 1e-12)")
+        lines.append("note: psi2 and psi3 are parallel (1 - |<psi2|psi3>| < 1e-12)")
     for name, q in (("psi2_qubit", result.psi2_qubit), ("psi3_qubit", result.psi3_qubit)):
         a, b = q.amplitudes
-        print(f"{name}: [{_fmt(a.real)} {_fmt(a.imag)}] [{_fmt(b.real)} {_fmt(b.imag)}]")
-    print(f"gram_delta = {_fmt(gram_delta)}")
-    print(f"overlap_delta = {_fmt(overlap_delta)}")
-    print("phase_delta = " + ("n/a (undefined phase)" if phase_delta is None else _fmt(phase_delta)))
-    return EXIT_OK
+        lines.append(f"{name}: [{_fmt(a.real)} {_fmt(a.imag)}] [{_fmt(b.real)} {_fmt(b.imag)}]")
+    lines += [
+        f"gram_delta = {_fmt(gram_delta)}",
+        f"overlap_delta = {_fmt(overlap_delta)}",
+        "phase_delta = " + ("n/a (undefined phase)" if phase_delta is None else _fmt(phase_delta)),
+    ]
+    return payload, lines
 
 
-def cmd_eraser(args) -> int:
+def cmd_eraser(args) -> tuple[dict, list[str]]:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     cfg = EraserConfig(grid_size=args.grid)
     projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
@@ -302,16 +285,12 @@ def cmd_eraser(args) -> int:
         "gamma": gamma,
         "visibility": float(vis),
     }
-    if args.json:
-        _emit_json(payload)
-        return EXIT_OK
-    print(f"delta_f = {_angle_text(payload['delta_f'], args.degrees)}")
-    print(f"delta_m = {_angle_text(payload['delta_m'], args.degrees)}")
-    print(f"gamma = {_angle_text(gamma, args.degrees)}")
-    print(f"visibility = {_fmt(vis)}")
+    lines = [f"delta_f = {_angle_text(payload['delta_f'], args.degrees)}",
+             f"delta_m = {_angle_text(payload['delta_m'], args.degrees)}",
+             f"gamma = {_angle_text(gamma, args.degrees)}", f"visibility = {_fmt(vis)}"]
     if args.scan_csv:
-        print(f"scan written to {args.scan_csv}")
-    return EXIT_OK
+        lines.append(f"scan written to {args.scan_csv}")
+    return payload, lines
 
 
 def _write_text(path: str, text: str) -> None:
@@ -343,31 +322,27 @@ def scan_csv(scan: FringeScan) -> str:
     return _csv("delta,probability", scan.deltas, scan.probabilities)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, list[str]]:
     result = sweep_alpha(args.theta, args.phi, args.steps)
     _write_text(args.out, sweep_csv(result))
     sidecar = _sidecar_path(args.out)
-    sidecar_obj = {
-        "singular_alphas": list(result.singular_alphas),
+    _write_text(sidecar, _json_text({"singular_alphas": list(result.singular_alphas),
+                                     "winding": result.winding}))
+    payload = {
+        "out": args.out,
+        "sidecar": sidecar,
+        "rows": int(result.alphas.size),
         "winding": result.winding,
+        "singular_alphas": list(result.singular_alphas),
+        "diagnostics": {"pipeline_gap": result.pipeline_gap},
     }
-    _write_text(sidecar, _json_text(sidecar_obj))
-    if args.json:
-        _emit_json({
-            "out": args.out,
-            "sidecar": sidecar,
-            "rows": int(result.alphas.size),
-            "winding": result.winding,
-            "singular_alphas": list(result.singular_alphas),
-            "diagnostics": {"pipeline_gap": result.pipeline_gap},
-        })
-        return EXIT_OK
-    print(f"wrote {result.alphas.size} rows to {args.out}")
-    print(f"sidecar: {sidecar}")
-    print(f"winding = {_angle_text(result.winding, args.degrees)}")
     alphas = (_angle_text(a, args.degrees) for a in result.singular_alphas)
-    print("singular_alphas = " + " ".join(alphas))
-    return EXIT_OK
+    return payload, [
+        f"wrote {result.alphas.size} rows to {args.out}",
+        f"sidecar: {sidecar}",
+        f"winding = {_angle_text(result.winding, args.degrees)}",
+        "singular_alphas = " + " ".join(alphas),
+    ]
 
 
 def _tolerance(text: str) -> float:
@@ -440,13 +415,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        payload, lines = args.func(args)
+        text = _json_text(payload) if args.json else "".join(line + "\n" for line in lines)
     except UndefinedPhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,11 +22,15 @@ gets its roots in closed form, through the cancellation-free quadratic
 formula; a group of higher degree gets them as eigenvalues of companion
 matrices, stacked so that one numpy.linalg.eigvals call serves the group.
 Both directions stop at MAX_DIM = 64 (states of dim <= 64, at most 63
-points) with ValueError. On Haar-random states the round trip
-points_to_state(state_to_points(s)) keeps 1 - |<s|s'>| below 1e-12 at
-every tested dim up to MAX_DIM (measured worst 2.2e-16 up to dim 76, then
-1.3e-4 at dim 78). Coincident points are less accurate: both root routes
-spread a k-fold root over ~eps^(1/k).
+points) with ValueError. A leading coefficient vanishes when its amplitude
+is at most DEFICIENCY_REL_TOL of the state's largest amplitude. On
+Haar-random states the round trip points_to_state(state_to_points(s))
+keeps 1 - |<s|s'>| below 1e-12 at every tested dim up to MAX_DIM, and at
+dims 78, 80 and 96 with the cap lifted (measured worst 3.3e-16 on 20
+states at each dim 76-96). The 1.3e-4 once quoted at dim 78 came from
+an earlier rule that judged the weighted coefficients sqrt(C(n, k)) |c_k|,
+which took small leading amplitudes for zeros. Coincident points are less
+accurate: both root routes spread a k-fold root over ~eps^(1/k).
 The array kernels (constellation_qubits, symmetric_amplitudes) carry the
 arithmetic; state_to_points and points_to_state wrap them for single
 states.
@@ -56,7 +60,7 @@ from .states import (
     bloch_qubits,
 )
 
-DEFICIENCY_REL_TOL = 1e-12  # leading coefficients below this (relative) are zero
+DEFICIENCY_REL_TOL = 1e-12  # a leading amplitude at most this times the largest is zero
 MAX_DIM = 64  # largest dimension on the constellation path, in both directions
 MAX_POWER = 1029  # largest product_state power: C(n, n/2) overflows float64 from n = 1030
 
@@ -102,7 +106,9 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
     n = amps.shape[0] - 1
     # descending powers: coefficient of z^(n-k) is (-1)^k sqrt(C(n,k)) c_k
     coeffs = _signed_weights(n)[:, None] * amps
-    magnitude = np.abs(coeffs)
+    # judged on the amplitudes, not the coefficients: the weights reach
+    # sqrt(C(63, 31)) ~ 9.6e8, which would turn a small c_0 into a false zero
+    magnitude = np.abs(amps)
     scale = magnitude.max(axis=0)
     if not scale.min() > 0.0:
         raise ValueError("a state has only zero amplitudes")
@@ -118,7 +124,8 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
         cols = slice(None) if counts[d] == amps.shape[1] else deficiency == d
         degree = n - d
         # monic: z^degree + tail[0] z^(degree-1) + ... + tail[-1]; every
-        # |tail| <= 1 / DEFICIENCY_REL_TOL, so squaring it cannot overflow
+        # |tail| <= sqrt(C(n, n/2)) / DEFICIENCY_REL_TOL <= 9.6e20 for n <= 63,
+        # so squaring it (9.2e41) cannot overflow
         tail = coeffs[d + 1:, cols] / coeffs[d, cols]
         upper[d:, cols] = 1.0
         if degree == 1:

@@ -59,6 +59,7 @@ def triple_file(tmp_path):
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
+    assert code == 0 or captured.out == ""  # a failing command writes nothing to stdout
     return code, captured.out, captured.err
 
 
