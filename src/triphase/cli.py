@@ -3,14 +3,15 @@ constellations, canonical form, eraser fringes, and family sweeps out.
 
 Exit codes: 0 success, 1 I/O / parse / usage error, 2 mathematically
 undefined request (an overlap the result is computed from has modulus at
-most --tolerance, or for sweep at most 1e-12). Emitted angles are radians
-(--degrees changes human output only, never JSON or files), each on one
-range: polar angles on [0, pi]; azimuths, singular_alphas and eraser scan
-deltas on [0, 2pi); phases, eraser landmarks and overlap args on (-pi, pi],
-except the sweep's unwrapped series and winding; sweep alphas on the
-closed [0, 2pi]. Floats are formatted with 12 significant digits and
-lowercase exponents, lines end with \\n, so repeated invocations are
-byte-identical.
+most --tolerance, or for sweep at most 1e-12). Every exit-1 error is a
+ValueError, raised by the CLI or by the library; an UndefinedPhaseError,
+itself a ValueError, exits 2. Emitted angles are radians (--degrees
+changes human output only, never JSON or files), each on one range: polar
+angles on [0, pi]; azimuths, singular_alphas and eraser scan deltas on
+[0, 2pi); phases, eraser landmarks and overlap args on (-pi, pi], except
+the sweep's unwrapped series and winding; sweep alphas on the closed
+[0, 2pi]. Floats are formatted with 12 significant digits and lowercase
+exponents, lines end with \\n, so repeated invocations are byte-identical.
 
 Each command returns its JSON object and its text lines; main writes one
 of them to stdout, once, after the command succeeds: the JSON with --json,
@@ -30,7 +31,8 @@ import numpy as np
 from .angles import TWO_PI, principal_phase, wrap_angle
 from .eraser import EraserConfig, FringeScan, fringe_pair
 from .majorana import points_to_state, state_to_points
-from .phases import EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple, three_vertex_phase
+from .phases import (_PARALLEL_TOL, EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple,
+                     three_vertex_phase)
 from .states import NORM_TOL, BlochPoint, PureState, inner_product, vector_norm
 from .sweep import SweepResult, sweep_alpha
 
@@ -48,10 +50,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 _DEG = 180.0 / np.pi
 
 
-class CliInputError(Exception):
-    """Bad file, bad JSON, or bad command usage."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -62,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved for undefined math
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliInputError(message)
+        raise ValueError(message)
 
 
 def _fmt(x: float) -> str:
@@ -101,9 +99,9 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
-        raise CliInputError(f"{path} is not valid JSON: {exc}") from None
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _number_pair(item) -> tuple[float, float]:
@@ -117,38 +115,38 @@ def _number_pair(item) -> tuple[float, float]:
 
 def _parse_state(obj, *, renormalize: bool, label: str) -> PureState:
     if not isinstance(obj, dict) or "dim" not in obj or "amplitudes" not in obj:
-        raise CliInputError(f"{label}: expected an object with 'dim' and 'amplitudes'")
+        raise ValueError(f"{label}: expected an object with 'dim' and 'amplitudes'")
     dim = obj["dim"]
     pairs = obj["amplitudes"]
     if not isinstance(dim, int) or dim < 2:
-        raise CliInputError(f"{label}: dim must be an integer >= 2")
+        raise ValueError(f"{label}: dim must be an integer >= 2")
     if not isinstance(pairs, list) or len(pairs) != dim:
-        raise CliInputError(f"{label}: expected {dim} amplitude pairs")
+        raise ValueError(f"{label}: expected {dim} amplitude pairs")
     try:
         vec = np.array([complex(*_number_pair(pair)) for pair in pairs])
     except (TypeError, OverflowError):
-        raise CliInputError(f"{label}: amplitudes must be [re, im] number pairs") from None
+        raise ValueError(f"{label}: amplitudes must be [re, im] number pairs") from None
     with np.errstate(over="ignore"):  # a huge amplitude gives norm inf, rejected below
         norm = vector_norm(vec)
     tol = 1e-3 if renormalize else NORM_TOL
     if not abs(norm - 1.0) <= tol:  # also rejects NaN and inf
         hint = "" if renormalize else "; pass --renormalize to accept up to 1e-3"
-        raise CliInputError(f"{label}: norm is {norm:.9g}, not 1 within {tol:g}{hint}")
+        raise ValueError(f"{label}: norm is {norm:.9g}, not 1 within {tol:g}{hint}")
     return PureState.normalized(vec)
 
 
 def _load_triple(path: str, renormalize: bool) -> tuple[PureState, PureState, PureState]:
     obj = _load_json(path)
     if not isinstance(obj, dict):
-        raise CliInputError(f"{path}: expected an object with psi1, psi2, psi3")
+        raise ValueError(f"{path}: expected an object with psi1, psi2, psi3")
     states = []
     for key in ("psi1", "psi2", "psi3"):
         if key not in obj:
-            raise CliInputError(f"{path}: missing entry '{key}'")
+            raise ValueError(f"{path}: missing entry '{key}'")
         states.append(_parse_state(obj[key], renormalize=renormalize, label=f"{path}:{key}"))
     if not (states[0].dim == states[1].dim == states[2].dim):
         dims = ", ".join(str(s.dim) for s in states)
-        raise CliInputError(f"{path}: states must share one dimension, got {dims}")
+        raise ValueError(f"{path}: states must share one dimension, got {dims}")
     return tuple(states)
 
 
@@ -180,26 +178,26 @@ def _parse_points(path: str) -> tuple[BlochPoint, ...]:
     obj = _load_json(path)
     pts = obj.get("points") if isinstance(obj, dict) else None
     if not isinstance(pts, list) or not pts:
-        raise CliInputError(f"{path}: expected an object with a nonempty 'points' list")
+        raise ValueError(f"{path}: expected an object with a nonempty 'points' list")
     points = []
     for i, pair in enumerate(pts):
         try:
             points.append(BlochPoint(*_number_pair(pair)))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise CliInputError(f"{path}: point {i}: {exc}") from None
+            raise ValueError(f"{path}: point {i}: {exc}") from None
     return tuple(points)
 
 
 def cmd_majorana(args) -> tuple[dict, list[str]]:
     if args.from_points:
         if args.state or args.degrees or args.renormalize:
-            raise CliInputError("--from-points reads only the points file; "
-                                "it takes no state file, --degrees or --renormalize")
+            raise ValueError("--from-points reads only the points file; "
+                             "it takes no state file, --degrees or --renormalize")
         state = points_to_state(_parse_points(args.from_points))
         return _state_obj(state), [f"dim = {state.dim}"] + [
             f"amplitude {k}: {_fmt(a.real)} {_fmt(a.imag)}" for k, a in enumerate(state.amplitudes)]
     if not args.state:
-        raise CliInputError("majorana needs a state file or --from-points")
+        raise ValueError("majorana needs a state file or --from-points")
     state = _parse_state(_load_json(args.state), renormalize=args.renormalize, label=args.state)
     points = state_to_points(state)
     payload = {
@@ -249,7 +247,7 @@ def cmd_canonicalize(args) -> tuple[dict, list[str]]:
     }
     lines = [f"dim = {result.dim}"]
     if result.degenerate_frame:
-        lines.append("note: psi2 and psi3 are parallel (1 - |<psi2|psi3>| < 1e-12)")
+        lines.append(f"note: psi2 and psi3 are parallel (1 - |<psi2|psi3>| < {_PARALLEL_TOL:g})")
     for name, q in (("psi2_qubit", result.psi2_qubit), ("psi3_qubit", result.psi3_qubit)):
         a, b = q.amplitudes
         lines.append(f"{name}: [{_fmt(a.real)} {_fmt(a.imag)}] [{_fmt(b.real)} {_fmt(b.imag)}]")
@@ -298,7 +296,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _sidecar_path(out: str) -> str:
@@ -417,12 +415,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         payload, lines = args.func(args)
         text = _json_text(payload) if args.json else "".join(line + "\n" for line in lines)
-    except UndefinedPhaseError as exc:
+    except ValueError as exc:  # UndefinedPhaseError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except (CliInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_UNDEFINED if isinstance(exc, UndefinedPhaseError) else EXIT_IO
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -94,12 +94,6 @@ def composite_intermediate(psi1: PureState, psi2: PureState) -> np.ndarray:
     return out
 
 
-def _path_spinor(psi1: PureState, psi2: PureState, psi3: PureState) -> np.ndarray:
-    """Path qubit left when the composite's internal part is projected onto
-    psi3, i.e. (<psi3|psi1>, <psi3|psi2>)/sqrt(2), not renormalized."""
-    return psi3.amplitudes.conj() @ composite_intermediate(psi1, psi2).reshape(-1, 2)
-
-
 def _projected_fringe(path_spinor: np.ndarray, phase_factors) -> np.ndarray:
     """|<delta|path>|^2 of the renormalized path qubit at each phase factor
     e^{-i delta} of the grid. A spinor whose squared norm would leave the
@@ -170,15 +164,16 @@ def fringe_scan(psi1: PureState, psi2: PureState, psi3: PureState | None = None,
     """
     deltas, phase_factors = _delta_grid(cfg.grid_size)
     vis, center = _landmarks(psi1, psi2, psi3, eps_null)
+    composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
 
     if psi3 is None:
         # trace out the internal state: rho[p, q] = sum_i c_ip conj(c_iq), and
         # <delta|rho|delta> with |delta> = (|0> + e^{i delta}|1>)/sqrt(2)
-        composite = composite_intermediate(psi1, psi2).reshape(-1, 2)
         rho = composite.T @ composite.conj()
         probs = 0.5 * (rho[0, 0] + rho[1, 1]).real + (rho[1, 0] * phase_factors).real
     else:
-        probs = _projected_fringe(_path_spinor(psi1, psi2, psi3), phase_factors)
+        # the path qubit left by projecting onto psi3: (<psi3|psi1>, <psi3|psi2>)/sqrt(2)
+        probs = _projected_fringe(psi3.amplitudes.conj() @ composite, phase_factors)
 
     drift = max(float(-probs.min()), float(probs.max() - 1.0))
     if drift > 1e-12:

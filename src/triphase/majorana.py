@@ -27,10 +27,8 @@ is at most DEFICIENCY_REL_TOL of the state's largest amplitude. On
 Haar-random states the round trip points_to_state(state_to_points(s))
 keeps 1 - |<s|s'>| below 1e-12 at every tested dim up to MAX_DIM, and at
 dims 78, 80 and 96 with the cap lifted (measured worst 3.3e-16 on 20
-states at each dim 76-96). The 1.3e-4 once quoted at dim 78 came from
-an earlier rule that judged the weighted coefficients sqrt(C(n, k)) |c_k|,
-which took small leading amplitudes for zeros. Coincident points are less
-accurate: both root routes spread a k-fold root over ~eps^(1/k).
+states at each dim 76-96). Coincident points are less accurate: both root
+routes spread a k-fold root over ~eps^(1/k).
 The array kernels (constellation_qubits, symmetric_amplitudes) carry the
 arithmetic; state_to_points and points_to_state wrap them for single
 states.

@@ -75,7 +75,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        vec = np.asarray(self.amplitudes, dtype=complex)
+        if vec.ndim != 1:  # a matrix or a (1, N) row is no state of its size
+            raise ValueError(f"amplitudes must be one-dimensional, got shape {vec.shape}")
         if vec.size < 2:
             raise ValueError(f"state dimension must be >= 2, got {vec.size}")
         norm = vector_norm(vec)
@@ -93,7 +95,7 @@ class PureState:
         1e154 overflows the squares, and the vector is rejected as of norm
         inf, after numpy's overflow warning; scaling it would cost a pass
         over every vector."""
-        vec, norm = scaled_norm(np.asarray(amplitudes, dtype=complex).reshape(-1))
+        vec, norm = scaled_norm(np.asarray(amplitudes, dtype=complex))
         if not 0.0 < norm < math.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm}")
         return cls(vec / norm)
@@ -189,6 +191,9 @@ def random_pure_state(dim: int, seed: int) -> PureState:
     """Haar-random ray: normalized vector of iid standard complex Gaussians."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
+    if dim % 1 != 0:  # inf included, which int() would not convert
+        raise ValueError(f"dim must be a whole number, got {dim}")
+    dim = int(dim)
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.normalized(vec)

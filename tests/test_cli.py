@@ -11,8 +11,10 @@ import pytest
 
 from reference import BEYOND_FLOAT, SQRT2, angle_dist, count_overlaps, phase_mp, triple_with_overlaps
 from triphase import (
+    DimensionMismatchError,
     EraserConfig,
     PureState,
+    UndefinedPhaseError,
     fringe_pair,
     inner_product,
     points_to_state,
@@ -20,6 +22,7 @@ from triphase import (
     three_vertex_phase,
     wrap_angle,
 )
+from triphase import cli
 from triphase.cli import _json_text, main
 from triphase.eraser import MAX_GRID_SIZE
 from triphase.majorana import MAX_DIM, MAX_POWER
@@ -210,6 +213,18 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     wrong = write_json(tmp_path / "wrong.json", {"psi1": state_obj([1 + 0j, 0j])})
     assert run_cli(["phase", wrong], capsys)[0] == 1
     assert run_cli(["nonsense-command"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (UndefinedPhaseError, 2), (DimensionMismatchError, 1), (ValueError, 1),
+])
+def test_exit_code_follows_the_exception_type(triple_file, capsys, monkeypatch, error, code):
+    # UndefinedPhaseError is a ValueError: main must test for it first
+    def failing_command(args):
+        raise error("the command failed")
+
+    monkeypatch.setattr(cli, "cmd_phase", failing_command)
+    assert run_cli(["phase", triple_file], capsys) == (code, "", "error: the command failed\n")
 
 
 @pytest.mark.parametrize("case", ["dims", "majorana-no-input", "sweep-out", "eraser-scan-csv"])

@@ -26,7 +26,7 @@ from triphase import (
 )
 from triphase import eraser
 from triphase.cli import _fmt, main, scan_csv
-from triphase.eraser import MAX_GRID_SIZE, _path_spinor, _projected_fringe, composite_intermediate
+from triphase.eraser import MAX_GRID_SIZE, _projected_fringe, composite_intermediate
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,7 +36,8 @@ seeds = st.integers(min_value=0, max_value=10**9)
 def output_probability(psi1, psi2, psi3, delta):
     """Detection probability of the projected fringe at one delta, on or off
     any scan grid, through the same state algebra as fringe_scan."""
-    return float(_projected_fringe(_path_spinor(psi1, psi2, psi3), np.exp(-1j * delta)))
+    path_spinor = psi3.amplitudes.conj() @ composite_intermediate(psi1, psi2).reshape(-1, 2)
+    return float(_projected_fringe(path_spinor, np.exp(-1j * delta)))
 
 
 def test_composite_factorizes_for_equal_arms():

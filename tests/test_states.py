@@ -1,6 +1,7 @@
 """Value types and linear-algebra primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ def test_pure_state_validation():
         PureState([0.9, 0.0])  # norm off by more than the tolerance
     with pytest.raises(ValueError):
         PureState([1.0])  # dim 1
+    # a matrix or a (1, N) row is not flattened into a state of its size
+    for matrix in (np.eye(2) / math.sqrt(2), [[1.0, 0.0]], [[0.6, 0.8j, 0.0]]):
+        shape = re.escape(str(np.shape(matrix)))
+        for build in (PureState, PureState.normalized):
+            with pytest.raises(ValueError, match=rf"^amplitudes must be one-dimensional, got shape {shape}$"):
+                build(matrix)
     for zero in ([0.0, 0.0], [0j, -0.0, 0.0]):  # no power of two makes these normal
         with pytest.raises(ValueError, match=r"^cannot normalize a vector of norm 0\.0$"):
             PureState.normalized(zero)
@@ -153,6 +160,10 @@ def test_random_pure_state_basics():
     assert np.array_equal(s.amplitudes, random_pure_state(5, 7).amplitudes)
     with pytest.raises(ValueError):
         random_pure_state(1, 0)
+    for dim in (2.5, math.inf):
+        with pytest.raises(ValueError, match=r"^dim must be a whole number, got "):
+            random_pure_state(dim, 1)
+    assert np.array_equal(random_pure_state(5.0, 7).amplitudes, s.amplitudes)
 
 
 def test_random_pure_state_haar_moment():
