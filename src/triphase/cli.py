@@ -100,7 +100,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
+    # a JSONDecodeError, a byte that is not UTF-8 and an integer past
+    # Python's digit limit are all ValueErrors; json recurses per nesting level
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -103,6 +103,10 @@ class PureState:
     @classmethod
     def basis(cls, dim: int, index: int) -> "PureState":
         """Computational basis state |index> in the given dimension."""
+        for name, value in (("dim", dim), ("index", index)):
+            if value % 1 != 0:  # NaN and inf included, which int() would not convert
+                raise ValueError(f"basis {name} must be a whole number, got {value}")
+        dim, index = int(dim), int(index)
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dim {dim}")
         vec = np.zeros(dim, dtype=complex)

@@ -9,33 +9,12 @@ The per-point phases have the closed forms
     gamma1 = +2 atan(tan(theta/2) tan((phi + alpha)/2))
     gamma2 = -2 atan(tan(theta/2) tan((phi - alpha)/2))
 
-each gaining 2pi per full alpha turn, 4pi in total. On its continuous
-branch each component minus its linear term sign(theta) (phi + alpha),
-sign(theta) (alpha - phi) stays inside (-pi, pi), so the branch of every
-sample is the whole number of turns nearest (linear term - principal
-value) / 2pi, at any grid. With t = tan(theta/2) and u = (phi +- alpha)/2,
-each component's slope t / (cos^2 u + t^2 sin^2 u) peaks at 1/|t| on its
-tangent pole, alpha = pi - phi for gamma1 and pi + phi for gamma2, and
-has median 2|t| / (1 + t^2) over the loop.
-
-The cross-check re-derives the wrapped phase through the constellation
-route in factor form: the roots are found once per phi, at alpha = 0,
-where phases.point_overlaps gives each point's overlaps with q2 and q3 as
-two terms each, and rotating the pair multiplies each point row's second
-component by w = e^{i alpha}, so those overlaps are affine in w.
-Each sample then takes one arg, of the product of the points' triangle
-Bargmann invariants. Over the whole orbit |w| = 1 the overlap a + b w
-never falls below ||a| - |b||, for the qutrit |sin(theta/2)|, so the
-elementwise vanishing scan runs only when that floor, less a rounding
-margin, can reach EPS_NULL: |theta| below about 2.02e-12.
-
-Three bounded caches hold the theta-independent parts, so repeated
-(phi, steps), as in a theta scan, pay only the theta-dependent rest: the
-cross-check's alpha = 0 rows of the last 8 phi (64 B each) and w blocks
-of the last 8 (steps, block start) (64 KB each, at most 512 KB), and the
-closed forms' grid, tangent rows tan((phi +- alpha)/2) and linear terms
-of the last 8 (phi, steps), for grids of at most 4096 intervals (at most
-164 KB each, about 1.3 MB).
+each gaining 2pi per full alpha turn, 4pi in total (_branches). With
+t = tan(theta/2) and u = (phi +- alpha)/2, each component's slope
+t / (cos^2 u + t^2 sin^2 u) peaks at 1/|t| on its tangent pole, alpha =
+pi - phi for gamma1 and pi + phi for gamma2, and has median 2|t| / (1 + t^2)
+over the loop (_steep_loci). _pipeline_wrapped re-derives the wrapped
+phase through the constellation route, as a cross-check.
 """
 
 from __future__ import annotations
@@ -179,8 +158,9 @@ def _cached_rotations(steps: int, start: int) -> np.ndarray:
 def _cached_half(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_closed_form_half at the reduced phi, read-only: what repeated
     (phi, steps), as in a theta scan, share. Only grids of at most _BLOCK =
-    4096 intervals are cached (see sweep_alpha); the last _CACHED_BLOCKS =
-    8 are kept, at most 4097 x 40 B = 164 KB each, about 1.3 MB in all."""
+    4096 intervals are cached (sweep_alpha builds a larger grid's half
+    afresh at each call, with the same bits); the last _CACHED_BLOCKS = 8
+    are kept, at most 4097 x 40 B = 164 KB each, about 1.3 MB in all."""
     half = _closed_form_half(phi, steps)
     for rows in half:
         rows.setflags(write=False)
@@ -189,7 +169,8 @@ def _cached_half(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
     """Wrapped family phase at every alpha of the closed grid of `steps`
-    intervals through the constellation route, in factor form.
+    intervals through the constellation route, in factor form: the
+    cross-check of the closed forms, which it does not consult.
 
     The roots are found once, at alpha = 0 (_cached_rows): moving qubits ->
     symmetrized product state -> unit constellation rows, the kernels that
@@ -199,23 +180,23 @@ def _pipeline_wrapped(theta: float, phi: float, steps: int) -> np.ndarray:
     own. Rotating the pair about z by alpha multiplies each row's second
     component by w = e^{i alpha}, up to a global phase that cancels, so
     <q2|point> = a + b w and <point|q3> = c + d conj(w). Per block of
-    samples, on component-major (points, block) memory: both overlap stacks
-    from the cached w (_cached_rotations), every overlap checked under the
-    one vanishing rule, and one principal_phase of
+    _BLOCK samples, on component-major (points, block) memory: both overlap
+    stacks from the cached w (_cached_rotations), every overlap checked
+    under the one vanishing rule, and one principal_phase of
     prod_j <point_j|q3><q3|q2><q2|point_j>, the product of the triangles'
-    Bargmann invariants. The closed forms are not consulted. Every overlap
-    lies in (EPS_NULL, 1], so the qutrit's product of five cannot
-    underflow; many more points would need phases.normal_product's
-    rescaling.
+    Bargmann invariants. Every overlap lies in (EPS_NULL, 1], so the
+    qutrit's product of five cannot underflow; many more points would need
+    phases.normal_product's rescaling.
 
-    The check is check_overlaps on every block, unless no computed overlap
-    can reach EPS_NULL: when |<q3|q2>| > EPS_NULL and each point's floor
-    min(||a| - |b||, ||c| - |d||), the least modulus of its overlaps over
-    the orbit |w| = 1, exceeds EPS_NULL by _FLOOR_MARGIN, a bound on the
-    rounding of a computed overlap and of the floor. Then the scan would
-    pass every sample, so it is skipped: the same rule, with the same
-    errors and bits. The floors are taken in Python floats from the
-    terms' list: for a handful of points that is cheaper than numpy calls.
+    The orbit floor: over |w| = 1, |a + b w| never falls below ||a| - |b||,
+    for the qutrit |sin(theta/2)|. So check_overlaps scans every block
+    unless |<q3|q2>| > EPS_NULL and each point's floor min(||a| - |b||,
+    ||c| - |d||) exceeds EPS_NULL by _FLOOR_MARGIN, a bound on the rounding
+    of a computed overlap and of the floor; then the scan would pass every
+    sample, so skipping it applies the same rule, with the same errors and
+    bits. The scan runs for |theta| below about 2.02e-12. The floors are
+    taken in Python floats from the terms' list: for a handful of points
+    that is cheaper than numpy calls.
     """
     rows = _cached_rows(phi)
     cd, o32, ab = point_overlaps(rows, *_fixed_qubits(theta))
@@ -248,20 +229,16 @@ class SweepResult:
 
     gamma1/gamma2 are the unwrapped per-qubit series (the rows of one
     (2, S) stack), each on the analytic branch that starts at its principal
-    value at alpha = 0; gamma_total is their sum, gamma_wrapped its
-    principal value. singular_alphas are the tangent poles pi -+ phi, in
-    [0, 2pi), when they are steep loci (see sweep_alpha).
-    gamma_pipeline_wrapped re-derives the wrapped total at every sample
-    through the constellation route in factor form: the roots found once,
-    at alpha = 0, by the kernels decompose_phase also wraps, and one arg
-    per sample of the product of the points' triangle Bargmann invariants
-    (see _pipeline_wrapped). The closed forms are the independent side of
-    this cross-check. On build_family_states' state decompose_phase,
-    which finds the roots of each sample's rotated state, agrees with it
-    within 1e-12 for |theta| >= 0.02 (measured 6.6e-13). The gap is
-    rounding in the two routes and grows with the slope 2/|tan(theta/2)|
-    (worst over every sample, 1024 steps, phi in {0, pi/4, 3}: 1.5e-12 at
-    theta = 0.01, 3.5e-12 at 0.005, 1.8e-12 at 0.001).
+    value at alpha = 0 (_branches); gamma_total is their sum, gamma_wrapped
+    its principal value. singular_alphas are the steep loci (_steep_loci).
+    gamma_pipeline_wrapped is the wrapped total re-derived at every sample
+    by the cross-check (_pipeline_wrapped). decompose_phase on
+    build_family_states' state, which finds the roots of each sample's
+    rotated state, agrees with it within 1e-12 for |theta| >= 0.02
+    (measured 6.6e-13). The gap is rounding in the two routes and grows
+    with the slope 2/|tan(theta/2)| (worst over every sample, 1024 steps,
+    phi in {0, pi/4, 3}: 1.5e-12 at theta = 0.01, 3.5e-12 at 0.005,
+    1.8e-12 at 0.001).
     """
 
     alphas: np.ndarray
@@ -301,11 +278,13 @@ class SweepResult:
 def _branches(theta: float, tangents: np.ndarray, linear: np.ndarray) -> np.ndarray:
     """The closed forms on their continuous branches, rows gamma1, gamma2,
     each starting at its principal value, from the theta-independent half
-    (_closed_form_half), which is left as it is. The nearest whole turn to
-    (linear term - principal value) / 2pi is that sample's branch: the
-    margin to the rounding edge is pi - |component - linear term|, and a
-    sample on a tangent pole, where the principal value is +-pi, has the
-    widest margin, pi."""
+    (_closed_form_half), which is left as it is. On its branch each
+    component minus its linear term, sign(theta) (phi + alpha) or
+    sign(theta) (alpha - phi), stays inside (-pi, pi), so the nearest whole
+    turn to (linear term - principal value) / 2pi is that sample's branch
+    at any grid: the margin to the rounding edge is pi - |component -
+    linear term|, and a sample on a tangent pole, where the principal value
+    is +-pi, has the widest margin, pi."""
     raw = _closed_form_arrays(theta, tangents)
     # sign(theta) times the linear terms, less raw; then in place raw +
     # 2pi (turns - turns at alpha = 0)
@@ -343,16 +322,11 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     """Sweep alpha over [0, 2pi] on a uniform grid of `steps` intervals
     (steps + 1 samples, endpoint included), at every theta.
 
-    The per-qubit phase series and the steep loci are analytic (see the
-    module docstring): each sample's branch is the whole turn nearest its
-    linear term, so the unwrapped series and the winding need no grid
-    resolution, and the loci are the exact tangent poles pi -+ phi whenever
-    |tan(theta/2)| < 1/3, the closed form of the rule "peak slope above 5x
-    the median slope". The grid is the one asked for. Each component's
-    slope lies between |t| and 1/|t|, t = tan(theta/2), so a step of a
-    coarse grid may cross a pole by nearly a full turn; a caller who wants
-    rows that resolve the steep stretch asks for more steps (at least
-    8/|t| keeps every step within pi/4).
+    The series, the winding and the steep loci are analytic (_branches,
+    _steep_loci), so they need no grid resolution, and the grid is the one
+    asked for. Each component's slope lies between |t| and 1/|t|, t =
+    tan(theta/2), so a step of a coarse grid may cross a pole by nearly a
+    full turn; at least 8/|t| steps keep every step within pi/4.
 
     Small theta meets two limits, both at a sample on or next to a pole:
     - the cross-check gap (SweepResult.pipeline_gap) grows like eps/|t|,
@@ -364,26 +338,17 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
       coincide; the tests hold it to 1024 eps/|t|;
     - a sample whose point has an overlap of modulus at most EPS_NULL =
       1e-12 with q2 or q3 (the point lies next to that state's antipode)
-      raises UndefinedPhaseError. On a pole that overlap is about |t|, so
-      this takes |theta| below about 2e-12: at (1e-12, pi/4, 1024),
-      <point|q3> = 5e-13. No overlap falls below |sin(theta/2)| anywhere
-      on the loop, so the cross-check scans its overlaps elementwise only
-      when that floor is within a rounding margin of EPS_NULL, |theta|
-      below about 2.02e-12; above it the scan could not fire, and skipping
-      it applies the same rule.
+      raises UndefinedPhaseError, and _pipeline_wrapped says when it scans
+      for one. On a pole that overlap is about |t|, so this takes |theta|
+      below about 2e-12: at (1e-12, pi/4, 1024), <point|q3> = 5e-13.
 
-    The constellation cross-check finds the roots once, at alpha = 0, and
-    takes one arg per sample (the module docstring's factor form), batched
-    in fixed-size blocks, so memory stays flat and a 2**20-interval sweep
-    at a new phi takes about 0.13 s (15 medians of 5 runs, over five
-    processes, 0.10-0.16 s; 2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6).
-    Three caches keep the theta-independent parts across calls, so a
-    theta scan at one (phi, steps) computes them once: the cross-check's
-    alpha = 0 rows of the last 8 phi (_cached_rows) and w = e^{i alpha}
-    blocks of the last 8 (steps, block start) (_cached_rotations), and the
-    closed forms' grid, tangent rows and linear terms of the last 8 (phi,
-    steps) with steps <= 4096 (_cached_half); a larger grid builds that
-    half afresh at each call, with the same arithmetic and bits.
+    The cross-check runs in blocks of _BLOCK samples, so memory stays flat
+    and a 2**20-interval sweep at a new phi takes about 0.13 s (15 medians
+    of 5 runs, over five processes, 0.10-0.16 s; 2-vCPU Xeon VM, Python
+    3.11.7, numpy 2.4.6). The caches _cached_rows, _cached_rotations and
+    _cached_half keep the theta-independent parts, so a theta scan at one
+    (phi, steps) computes them once; a process that runs one sweep, as
+    each CLI call does, gains nothing from them.
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and

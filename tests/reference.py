@@ -14,7 +14,8 @@ series computed one component at a time, and the forms the library
 replaced by faster or shorter ones with the same bits (complex division by
 a real, np.linalg.norm, np.where in wrap_angle, |0>^n from product_state,
 one closed-form pass per series, a Python loop over each row's peak runs,
-the sweep's inline triangle overlaps).
+the sweep's inline triangle overlaps), and the one list of the sweep's
+caches, which every test starts with empty.
 None of it is on a production path.
 """
 
@@ -25,7 +26,7 @@ import math
 import mpmath
 import numpy as np
 
-from triphase import PureState, UndefinedPhaseError, inner_product, product_state, wrap_angle
+from triphase import PureState, UndefinedPhaseError, inner_product, product_state, sweep, wrap_angle
 from triphase.angles import TWO_PI, reduce_angle
 from triphase.majorana import _binomial_weights, constellation_qubits
 from triphase.states import check_unitary
@@ -38,6 +39,14 @@ ZERO = PureState.basis(2, 0)
 PLUS = PureState(np.array([1.0, 1.0]) / SQRT2)
 YPLUS = PureState(np.array([1.0, 1.0j]) / SQRT2)
 BEYOND_FLOAT = 10 ** 400  # a JSON integer float() cannot convert
+# the cross-check's alpha = 0 rows by phi and w blocks by (steps, start), and
+# the closed forms' theta-free halves by (phi, steps)
+SWEEP_CACHES = (sweep._cached_rows, sweep._cached_rotations, sweep._cached_half)
+
+
+def clear_sweep_caches():
+    for cache in SWEEP_CACHES:
+        cache.cache_clear()
 
 
 def canonical_bounds(phi1: PureState, phi2: PureState, phi3: PureState) -> tuple[float, float]:

@@ -21,7 +21,6 @@ from triphase import (
     decompose_phase,
     extract_geometric_phase,
     fringe_pair,
-    fringe_scan,
     inner_product,
     points_to_state,
     qubit_to_bloch,
@@ -180,10 +179,9 @@ def test_c6_eraser_protocol():
                 extract_geometric_phase(psi1, psi2, psi3), direct))
             projected, plain = fringe_pair(psi1, psi2, psi3, cfg)
             worst_grid = max(worst_grid, angle_dist(projected.peak - plain.peak, direct))
-            scan = fringe_scan(psi1, psi2, psi3, cfg)
-            assert np.all(scan.probabilities >= 0.0) and np.all(scan.probabilities <= 1.0)
-            contrast = float(scan.probabilities.max() - scan.probabilities.min())
-            worst_contrast = max(worst_contrast, abs(contrast - scan.visibility))
+            assert np.all(projected.probabilities >= 0.0) and np.all(projected.probabilities <= 1.0)
+            contrast = float(projected.probabilities.max() - projected.probabilities.min())
+            worst_contrast = max(worst_contrast, abs(contrast - projected.visibility))
     assert worst_closed <= 1e-9, worst_closed
     assert worst_grid <= TWO_PI / grid, worst_grid
     assert worst_contrast <= (PI / grid) ** 2 + 1e-12, worst_contrast
@@ -238,10 +236,12 @@ def test_c9_cli_determinism(tmp_path):
     assert abs(json.loads(phase_out)["gamma"] - PI / 4) <= 1e-9
 
     out = tmp_path / "sweep.csv"
-    args = ["sweep", "--theta", str(PI / 6), "--phi", str(PI / 4),
-            "--steps", "500", "--out", str(out)]
-    run(args)
-    first_csv, first_json = out.read_bytes(), (tmp_path / "sweep.json").read_bytes()
-    run(args)
-    assert out.read_bytes() == first_csv
-    assert (tmp_path / "sweep.json").read_bytes() == first_json
+    for theta, phi, steps in [(PI / 6, PI / 4, 500), (0.52, 0.785, 200)]:
+        args = ["sweep", "--theta", str(theta), "--phi", str(phi),
+                "--steps", str(steps), "--out", str(out)]
+        run(args)
+        first_csv, first_json = out.read_bytes(), (tmp_path / "sweep.json").read_bytes()
+        run(args)
+        assert out.read_bytes() == first_csv
+        assert (tmp_path / "sweep.json").read_bytes() == first_json
+        assert b"\r" not in first_csv

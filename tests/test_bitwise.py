@@ -166,7 +166,7 @@ def test_sweep_matches_the_division_forms(theta, phi, steps, monkeypatch):
     new = sweep_alpha(theta, phi, steps)
     # the reference side builds its own grid: a warm closed-form half would
     # hand it the grid of the first side
-    sweep._cached_half.cache_clear()
+    reference.clear_sweep_caches()
     monkeypatch.setattr(sweep, "wrap_angle", reference.wrap_angle_where)
     monkeypatch.setattr(sweep, "_pipeline_wrapped", reference.pipeline_wrapped_by_division)
     monkeypatch.setattr(sweep, "_alpha_grid", reference.alpha_grid_by_linspace)

@@ -209,7 +209,15 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     assert run_cli(["phase", missing], capsys)[0] == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run_cli(["phase", str(bad)], capsys)[0] == 1
+    # bytes that are not UTF-8, and an amplitude past Python's 4300-digit
+    # limit on int(): the error names the file, as for malformed JSON
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 2, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 4999))
+    for path in (bad, undecodable, huge):
+        code, _, err = run_cli(["phase", str(path)], capsys)
+        assert code == 1 and err.startswith(f"error: {path} is not valid JSON: "), err
     wrong = write_json(tmp_path / "wrong.json", {"psi1": state_obj([1 + 0j, 0j])})
     assert run_cli(["phase", wrong], capsys)[0] == 1
     assert run_cli(["nonsense-command"], capsys)[0] == 1
@@ -315,10 +323,11 @@ def test_canonicalize_json_passes_verification(tmp_path, capsys, dim):
 
 def test_canonicalize_json_at_the_dim_cap_stays_small(tmp_path, capsys):
     # N x k factors, not the N x N unitary (74.7 MB of JSON at this dim)
-    path = write_json(tmp_path / "t.json", haar_triple(17, MAX_POWER + 1))
-    code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
-    assert code == 0
-    assert len(out.encode()) < 1_000_000
+    for seed in (17, 1030):
+        path = write_json(tmp_path / "t.json", haar_triple(seed, MAX_POWER + 1))
+        code, out, _ = run_cli(["canonicalize", path, "--json"], capsys)
+        assert code == 0
+        assert len(out.encode()) < 1_000_000
 
 
 def test_canonicalize_parallel_inputs_note(tmp_path, capsys):
@@ -438,11 +447,13 @@ def test_sweep_usage_errors(tmp_path, capsys):
                             "--steps", "10", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1 and "steps" in err
     # a theta too steep for the grid is no usage error: the sweep keeps the
-    # requested 64 intervals
-    code, out, _ = run_cli(["sweep", "--theta", "1e-7", "--phi", "0.2",
-                            "--steps", "64", "--out", str(tmp_path / "x.csv")], capsys)
-    assert code == 0 and out.startswith("wrote 65 rows")
-    assert len((tmp_path / "x.csv").read_text().splitlines()) == 66
+    # requested 64 intervals, and the sidecar's winding is 4pi at 12 digits
+    for phi in ("0.2", "0.785"):
+        code, out, _ = run_cli(["sweep", "--theta", "1e-7", "--phi", phi,
+                                "--steps", "64", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0 and out.startswith("wrote 65 rows")
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 66
+        assert json.loads((tmp_path / "x.json").read_text())["winding"] == float(format(4 * math.pi, ".12g"))
 
 
 def test_sweep_exits_2_only_under_the_vanishing_rule(tmp_path, capsys):
@@ -454,6 +465,10 @@ def test_sweep_exits_2_only_under_the_vanishing_rule(tmp_path, capsys):
     assert "<point|q3> has modulus 5e-13" in err
     code, _, _ = run_cli(["sweep", "--theta", "1e-12", "--phi", "1", "--steps", "1024", "--out", out], capsys)
     assert code == 0
+    # theta = 3e-12 clears 2 asin(1e-12 + 1e-14), the orbit floor less its
+    # margin, so the cross-check skips its vanishing scan: a header and 1025 rows
+    code, _, _ = run_cli(["sweep", "--theta", "3e-12", "--phi", "0.785", "--steps", "1024", "--out", out], capsys)
+    assert code == 0 and len((tmp_path / "x.csv").read_text().splitlines()) == 1026
 
 
 def test_sweep_exit_2_names_the_global_sample(tmp_path, capsys):
@@ -596,6 +611,11 @@ def test_sweep_json_reports_the_pipeline_gap(tmp_path, capsys):
     args = ["sweep", "--theta", "0.02", "--phi", "0.785", "--steps", "256"]
     code, text, _ = run_cli([*args, "--out", str(tmp_path / "text.csv")], capsys)
     assert code == 0 and "pipeline_gap" not in text and "diagnostics" not in text
+    # theta = 0.02 keeps the requested 256 intervals, and the loci are the
+    # tangent poles pi -+ phi at 12 digits
+    assert len((tmp_path / "text.csv").read_text().splitlines()) == 258
+    loci = json.loads((tmp_path / "text.json").read_text())["singular_alphas"]
+    assert loci == [float(format(math.pi + sign * 0.785, ".12g")) for sign in (-1, 1)]
     code, out, _ = run_cli([*args, "--out", str(tmp_path / "json.csv"), "--json"], capsys)
     assert code == 0
     for suffix in (".csv", ".json"):
@@ -610,27 +630,6 @@ def test_json_writer_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         _json_text({"gamma": math.nan})
     assert _json_text({"gamma": 0.5}) == '{\n  "gamma": 0.5\n}\n'
-
-
-def test_byte_determinism(tmp_path, triple_file):
-    # full process runs so stdout bytes are compared end to end
-    def run(args):
-        return subprocess.run([sys.executable, "-m", "triphase", *args],
-                              capture_output=True, check=True).stdout
-
-    first = run(["phase", triple_file, "--json"])
-    assert first == run(["phase", triple_file, "--json"])
-
-    out = tmp_path / "s.csv"
-    sweep_args = ["sweep", "--theta", "0.52", "--phi", "0.785", "--steps", "200",
-                  "--out", str(out)]
-    run(sweep_args)
-    csv_first = out.read_bytes()
-    sidecar_first = (tmp_path / "s.json").read_bytes()
-    run(sweep_args)
-    assert out.read_bytes() == csv_first
-    assert (tmp_path / "s.json").read_bytes() == sidecar_first
-    assert b"\r" not in csv_first
 
 
 def test_import_loads_no_scipy():

@@ -1,9 +1,12 @@
 """The experiment scripts run end to end and write the files they announce."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from triphase.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,14 +28,22 @@ def test_eraser_demo_writes_scan(tmp_path):
 
 
 def test_run_family_sweep_writes_one_csv_per_theta(tmp_path):
-    proc = run_script("run_family_sweep.py", "--steps", "64", "--outdir", str(tmp_path))
+    outdir = tmp_path / "scan"
+    proc = run_script("run_family_sweep.py", "--steps", "4096", "--outdir", str(outdir))
     assert proc.returncode == 0, proc.stderr
-    names = sorted(p.name for p in tmp_path.iterdir())
+    names = sorted(p.name for p in outdir.iterdir())
     assert names == ["sweep_theta_0.2618.csv", "sweep_theta_0.5236.csv", "sweep_theta_1.0472.csv"]
     for name in names:
-        lines = (tmp_path / name).read_text().splitlines()
+        lines = (outdir / name).read_text().splitlines()
         assert lines[0] == "alpha,gamma1,gamma2,gamma_wrapped,gamma_unwrapped"
-        assert len(lines) == 66
+        assert len(lines) == 4098
+    # the script sweeps pi/3, pi/6, then pi/12 at one (phi, steps), so its
+    # third sweep reuses the cached closed-form half; this process sweeps
+    # pi/12 cold and must write the same bytes
+    cold = tmp_path / "cold.csv"
+    args = ["sweep", "--theta", repr(math.pi / 12), "--phi", repr(math.pi / 4), "--steps", "4096", "--out", str(cold)]
+    assert main(args) == 0
+    assert cold.read_bytes() == (outdir / "sweep_theta_0.2618.csv").read_bytes()
 
 
 def test_cli_corpus_runs_are_identical(tmp_path):

@@ -57,7 +57,9 @@ def test_inner_product_dimension_mismatch():
     (lambda: qubit_to_bloch(PureState.basis(3, 0)), DimensionMismatchError, "^expected a qubit, got dim 3$"),
     (lambda: PureState.basis(3, 3), ValueError, "^basis index 3 out of range for dim 3$"),
     (lambda: PureState.basis(2, -1), ValueError, "^basis index -1 out of range for dim 2$"),
-], ids=["qubit_to_bloch-qutrit", "basis-past-end", "basis-negative"])
+    (lambda: PureState.basis(2.5, 0), ValueError, "^basis dim must be a whole number, got 2.5$"),
+    (lambda: PureState.basis(3, 1.5), ValueError, "^basis index must be a whole number, got 1.5$"),
+], ids=["qubit_to_bloch-qutrit", "basis-past-end", "basis-negative", "basis-fractional-dim", "basis-fractional-index"])
 def test_states_reject_out_of_range_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()

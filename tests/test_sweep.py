@@ -7,6 +7,7 @@ import pytest
 
 from reference import (
     angle_dist,
+    clear_sweep_caches,
     count_eigvals,
     dicke_embed,
     locate_steep_on_grid,
@@ -460,14 +461,6 @@ def test_sweep_dual_path_and_invariants():
     assert result.winding == pytest.approx(4 * PI, abs=1e-6)
 
 
-def test_sweep_detects_both_singular_points():
-    result = sweep_alpha(PI / 6, PI / 4, 1000)
-    spacing = 2 * PI / 1000
-    assert len(result.singular_alphas) == 2
-    assert abs(result.singular_alphas[0] - 3 * PI / 4) <= spacing
-    assert abs(result.singular_alphas[1] - 5 * PI / 4) <= spacing
-
-
 def test_singular_alphas_follow_the_analytic_rule():
     # each component's slope t / (cos^2 u + t^2 sin^2 u), t = tan(theta/2),
     # peaks at 1/|t| on its tangent pole, alpha = pi - phi or pi + phi, and
@@ -511,16 +504,6 @@ def test_sweep_winding_across_parameters():
         assert result.winding == pytest.approx(4 * PI, abs=1e-6), (theta, phi)
 
 
-def test_slope_profile_monotone_and_analytic():
-    # the peak sits at the tangent pole of one component, where the analytic
-    # slope is 1/tan(theta/2)
-    thetas = [PI / 3, PI / 6, PI / 12]
-    slopes = [sweep_alpha(theta, PI / 4, 4096).peak_slope for theta in thetas]
-    assert slopes[0] < slopes[1] < slopes[2]
-    for theta, slope in zip(thetas, slopes):
-        assert slope == pytest.approx(1.0 / math.tan(theta / 2), abs=1e-3)
-
-
 def test_slope_profile_flattens_toward_wide_angles():
     slope = sweep_alpha(1.55, PI / 4, 2048).peak_slope
     assert slope == pytest.approx(1.0 / math.tan(1.55 / 2), abs=1e-3)
@@ -536,11 +519,6 @@ CACHES = (sweep._cached_rows, sweep._cached_rotations)
 
 def sweep_bytes(result):
     return [getattr(result, name).tobytes() for name in SWEEP_FIELDS] + [result.singular_alphas]
-
-
-def clear_caches():
-    for cache in (*CACHES, sweep._cached_half):
-        cache.cache_clear()
 
 
 def cache_counts():
@@ -560,7 +538,7 @@ def test_cached_rows_give_the_bits_of_a_cold_sweep():
     for cache in CACHES:
         assert cache.cache_info().hits >= 4 * len(cases)
     for (theta, phi, steps), got in warm.items():
-        clear_caches()
+        clear_sweep_caches()
         assert got == sweep_bytes(sweep_alpha(theta, phi, steps)), (theta, phi, steps)
 
 
@@ -609,7 +587,7 @@ def test_row_cache_keys_on_phi_and_steps():
     sweep_alpha(-0.5, 2.0, 8192)
     assert cache_counts() == ((2, 2), (3, 5))
     # a repeat at the same (phi, steps) hits both, at any theta, and gives the cold bits
-    clear_caches()
+    clear_sweep_caches()
     sweep_alpha(0.7, 1.0, 8192)
     assert sweep_bytes(sweep_alpha(-0.5, 1.0, 8192)) == cold
     assert cache_counts() == ((1, 1), (3, 3))
@@ -634,7 +612,7 @@ def test_cached_halves_give_the_bits_of_cold_and_uncached_sweeps(monkeypatch):
     assert sweep._cached_half.cache_info()[:2] == (9 * 3, 9)  # all but 4097 steps are cached
     cold = {}
     for key in warm:
-        clear_caches()
+        clear_sweep_caches()
         cold[key] = sweep_bytes(sweep_alpha(*key))
     monkeypatch.setattr(sweep, "_cached_half", sweep._closed_form_half)
     for key, got in warm.items():
@@ -669,9 +647,9 @@ def test_alpha_grid_is_linspace_bit_for_bit():
 def test_signed_zero_phi_gives_the_same_bits():
     # phi = -0.0 reduces to 0.0, so it keys the rows 0.0 keys
     for steps in (256, 5000):
-        clear_caches()
+        clear_sweep_caches()
         plus = sweep_bytes(sweep_alpha(0.3, 0.0, steps))
-        clear_caches()
+        clear_sweep_caches()
         minus = sweep_bytes(sweep_alpha(0.3, -0.0, steps))
         assert plus == minus == sweep_bytes(sweep_alpha(0.3, 0.0, steps))
         assert sweep._cached_rows.cache_info()[:2] == (1, 1)
