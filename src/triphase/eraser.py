@@ -40,7 +40,7 @@ import numpy as np
 
 from .angles import TWO_PI, principal_phase, wrap_angle
 from .phases import EPS_NULL, check_overlaps, normal_product
-from .states import _INV_SQRT2, _TINY, DimensionMismatchError, PureState, inner_product, scaled_norm
+from .states import _INV_SQRT2, _TINY, DimensionMismatchError, PureState, _whole_number, inner_product, scaled_norm
 
 MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
 
@@ -55,9 +55,7 @@ class EraserConfig:
     def __post_init__(self):
         if not 16 <= self.grid_size <= MAX_GRID_SIZE:
             raise ValueError(f"grid_size must lie in [16, {MAX_GRID_SIZE}], got {self.grid_size}")
-        if self.grid_size != int(self.grid_size):
-            raise ValueError(f"grid_size must be a whole number of samples, got {self.grid_size}")
-        object.__setattr__(self, "grid_size", int(self.grid_size))
+        object.__setattr__(self, "grid_size", _whole_number(self.grid_size, "grid_size"))
 
 
 @dataclass(frozen=True, eq=False)

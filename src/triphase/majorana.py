@@ -54,6 +54,7 @@ from .states import (
     BlochPoint,
     DimensionMismatchError,
     PureState,
+    _whole_number,
     bloch_angles,
     bloch_qubits,
 )
@@ -202,10 +203,7 @@ def product_state(q: PureState, n: int) -> PureState:
         raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"n must lie in [1, MAX_POWER = {MAX_POWER}], got {n}")
-    if n != int(n):
-        raise ValueError(f"n must be a whole number, got {n}")
-    n = int(n)
+    n = _whole_number(n, "n")
     a, b = q.amplitudes
-    weights = _binomial_weights(n)
-    amps = np.array([weights[k] * a ** (n - k) * b ** k for k in range(n + 1)])
-    return PureState.normalized(amps)
+    k = np.arange(n + 1)
+    return PureState.normalized(_binomial_weights(n) * a ** (n - k) * b ** k)

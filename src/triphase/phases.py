@@ -166,14 +166,15 @@ class CanonicalTriple:
 
     The unitary U = I + W (R - I) W^dagger is the identity off span(W): W
     (N x k, k = min(N, 4)) has orthonormal columns spanning phi2, phi3 and
-    their targets, and R (k x k) rotates within it. Only W and R are stored,
-    so the reduction costs O(N), and so does applying U to a vector:
-    U x = x + W (R W^dagger x - W^dagger x).
+    their targets, and R (k x k) rotates within it. W and R are stored, with
+    psi3, the QR's fourth column, so the reduction costs O(N), and so does
+    applying U to a vector: U x = x + W (R W^dagger x - W^dagger x).
     """
 
     psi2_qubit = PureState.basis(2, 0)  # a class constant: every canonical psi2 is |0>^(N-1)
     psi1: PureState
     psi3_qubit: PureState
+    _psi3: PureState      # psi3_qubit^(N-1), which psi3() returns
     span: np.ndarray      # W
     rotation: np.ndarray  # R
     degenerate_frame: bool = False
@@ -187,7 +188,7 @@ class CanonicalTriple:
         return PureState.basis(self.dim, 0)
 
     def psi3(self) -> PureState:
-        return product_state(self.psi3_qubit, self.dim - 1)
+        return self._psi3
 
 
 def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> CanonicalTriple:
@@ -216,7 +217,8 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     columns[:, 0] = phi2.amplitudes
     columns[:, 1] = phi3.amplitudes
     columns[0, 2] = 1.0  # product_state(|0>, n) is the basis column e0
-    columns[:, 3] = product_state(q3, n).amplitudes
+    psi3 = product_state(q3, n)
+    columns[:, 3] = psi3.amplitudes
     span, coords = np.linalg.qr(columns)  # coords = W^dagger columns
     u, _, vh = np.linalg.svd(coords[:, 2:] @ coords[:, :2].conj().T)
     rotation = u @ vh
@@ -224,4 +226,4 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     check_unitary(rotation)
     c1 = span.conj().T @ phi1.amplitudes
     psi1 = PureState.normalized(phi1.amplitudes + span @ (rotation @ c1 - c1))
-    return CanonicalTriple(psi1, q3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)
+    return CanonicalTriple(psi1, q3, psi3, span, rotation, 1.0 - abs(g) < _PARALLEL_TOL)

@@ -37,6 +37,13 @@ class DimensionMismatchError(ValueError):
     """Two objects that must share a dimension do not."""
 
 
+def _whole_number(value, name: str) -> int:
+    """int(value), or ValueError naming it if value % 1 != 0, as for NaN and +-inf."""
+    if value % 1 != 0:
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def vector_norm(vec: np.ndarray) -> float:
     """Euclidean norm of a complex array, bit for bit numpy.linalg.norm's:
     the sum of the dot products of the real and imaginary parts, rooted."""
@@ -103,10 +110,7 @@ class PureState:
     @classmethod
     def basis(cls, dim: int, index: int) -> "PureState":
         """Computational basis state |index> in the given dimension."""
-        for name, value in (("dim", dim), ("index", index)):
-            if value % 1 != 0:  # NaN and inf included, which int() would not convert
-                raise ValueError(f"basis {name} must be a whole number, got {value}")
-        dim, index = int(dim), int(index)
+        dim, index = _whole_number(dim, "basis dim"), _whole_number(index, "basis index")
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dim {dim}")
         vec = np.zeros(dim, dtype=complex)
@@ -195,9 +199,7 @@ def random_pure_state(dim: int, seed: int) -> PureState:
     """Haar-random ray: normalized vector of iid standard complex Gaussians."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if dim % 1 != 0:  # inf included, which int() would not convert
-        raise ValueError(f"dim must be a whole number, got {dim}")
-    dim = int(dim)
+    dim = _whole_number(dim, "dim")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.normalized(vec)

@@ -28,7 +28,7 @@ import numpy as np
 from .angles import TWO_PI, principal_phase, reduce_angle, wrap_angle
 from .majorana import symmetric_amplitudes
 from .phases import EPS_NULL, POINT_OVERLAPS, check_overlaps, point_overlaps, unit_constellation_rows
-from .states import _INV_SQRT2, PureState
+from .states import _INV_SQRT2, PureState, _whole_number
 
 MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass, and intervals of the largest cached grid
@@ -356,11 +356,10 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     """
     if not _MIN_STEPS <= steps <= MAX_SWEEP_INTERVALS:
         raise ValueError(f"steps must lie in [{_MIN_STEPS}, {MAX_SWEEP_INTERVALS}], got {steps}")
-    if steps != int(steps):
-        raise ValueError(f"steps must be a whole number of intervals, got {steps}")
+    steps = _whole_number(steps, "steps")
     if not -math.pi / 2 < theta < math.pi / 2 or theta == 0.0:
         raise ValueError(f"theta must lie in (-pi/2, pi/2) and be nonzero, got {theta}")
-    phi, steps = reduce_angle(phi, "phi"), int(steps)
+    phi = reduce_angle(phi, "phi")
 
     if steps <= _BLOCK:
         alphas, tangents, linear = _cached_half(phi, steps)

@@ -13,9 +13,10 @@ unitary U = I + W (R - I) W^dagger applied in O(N), a sweep's printed
 series computed one component at a time, and the forms the library
 replaced by faster or shorter ones with the same bits (complex division by
 a real, np.linalg.norm, np.where in wrap_angle, |0>^n from product_state,
-one closed-form pass per series, a Python loop over each row's peak runs,
-the sweep's inline triangle overlaps), and the one list of the sweep's
-caches, which every test starts with empty.
+a Python loop over a tensor power's amplitudes, one closed-form pass per
+series, a Python loop over each row's peak runs, the sweep's inline
+triangle overlaps), and the one list of the sweep's caches, which every
+test starts with empty.
 None of it is on a production path.
 """
 
@@ -383,12 +384,25 @@ def symmetric_amplitudes_by_division(qubits: np.ndarray) -> np.ndarray:
     return np.moveaxis(poly / weights, 0, -1)
 
 
+def canonical_qubit(g: complex, n: int) -> PureState:
+    """canonicalize_triple's psi3 qubit for <phi2|phi3> = g and power n: its
+    second amplitude is real and at least 0."""
+    w = g ** (1.0 / n)
+    return PureState.normalized(np.array([w, math.sqrt(max(0.0, 1.0 - abs(w) ** 2))], dtype=complex))
+
+
+def product_state_by_loop(q: PureState, n: int) -> np.ndarray:
+    """product_state's amplitudes, each built in a Python loop over k."""
+    a, b = q.amplitudes
+    weights = _binomial_weights(n)
+    return PureState.normalized(np.array([weights[k] * a ** (n - k) * b ** k for k in range(n + 1)])).amplitudes
+
+
 def canonicalize_by_stacking(phi1: PureState, phi2: PureState, phi3: PureState) -> tuple:
     """canonicalize_triple's (span, rotation, psi1 amplitudes), with the
     columns from np.column_stack and |0>^n from product_state."""
     n = phi1.dim - 1
-    w = inner_product(phi2, phi3) ** (1.0 / n)
-    q3 = PureState.normalized(np.array([w, math.sqrt(max(0.0, 1.0 - abs(w) ** 2))], dtype=complex))
+    q3 = canonical_qubit(inner_product(phi2, phi3), n)
     columns = np.column_stack([phi2.amplitudes, phi3.amplitudes,
                                product_state(ZERO, n).amplitudes, product_state(q3, n).amplitudes])
     span, coords = np.linalg.qr(columns)

@@ -144,6 +144,23 @@ def test_canonicalize_matches_the_stacked_columns():
         assert bits(canon.psi2_qubit.amplitudes) == bits(ZERO.amplitudes)
 
 
+def test_product_state_matches_the_loop_on_canonical_qubits():
+    # the qubits canonicalize_triple raises to a power, whose second
+    # amplitude is real, with b = 0 (a parallel pair) and a = 0 (an
+    # orthogonal pair); a complex second amplitude moves bits, and no CLI
+    # path prints a power of one
+    rng = np.random.default_rng(17)
+    cases = [(reference.canonical_qubit(g, n), n) for g in (1.0, np.exp(0.7j), 0.0) for n in (1, 2, 5, 64, 1029)]
+    for _ in range(300):
+        n = int(rng.integers(1, majorana.MAX_POWER + 1))
+        g = complex(*rng.standard_normal(2))
+        cases.append((reference.canonical_qubit(g * rng.uniform() / abs(g), n), n))
+    assert sum(abs(q.amplitudes[1]) == 0.0 for q, _ in cases) == 10
+    assert sum(q.amplitudes[0] == 0.0 for q, _ in cases) == 5
+    for q, n in cases:
+        assert bits(majorana.product_state(q, n).amplitudes) == bits(reference.product_state_by_loop(q, n)), n
+
+
 def test_symmetric_amplitudes_match_the_division_form():
     rng = np.random.default_rng(15)
     for n in range(1, 64):

@@ -35,6 +35,7 @@ from triphase import (
     random_pure_state,
     three_vertex_phase,
 )
+from triphase import phases
 from triphase.angles import principal_phase
 from triphase.phases import (
     STATE_OVERLAPS,
@@ -396,6 +397,20 @@ def check_canonical(phi1, phi2, phi3, tol=1e-9):
         return result
     assert angle_dist(three_vertex_phase(*transformed), before) <= tol
     return result
+
+
+def test_canonicalize_builds_the_tensor_power_once(monkeypatch):
+    built = []
+
+    def recorded(q, n):
+        built.append(product_state(q, n))
+        return built[-1]
+
+    monkeypatch.setattr(phases, "product_state", recorded)
+    for seed, dim in ((70, 2), (71, 5), (72, 41)):
+        result = canonicalize_triple(*(random_pure_state(dim, seed + 100 * j) for j in range(3)))
+        assert result.psi3() is result.psi3() is built[-1]
+    assert len(built) == 3
 
 
 def test_canonicalize_qubit_triple():

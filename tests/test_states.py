@@ -1,7 +1,9 @@
 """Value types and linear-algebra primitives."""
 
+import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from reference import SQRT2, bloch_qubit, cartesian, random_unitary, states_equa
 from triphase import (
     BlochPoint,
     DimensionMismatchError,
+    EraserConfig,
     PureState,
     inner_product,
+    product_state,
     qubit_to_bloch,
     random_pure_state,
+    sweep_alpha,
 )
 from triphase.angles import reduce_angle
 from triphase.states import check_unitary, vector_norm
@@ -53,16 +58,39 @@ def test_inner_product_dimension_mismatch():
         inner_product(PureState.basis(2, 0), PureState.basis(3, 0))
 
 
+# each count argument: a call that passes it one value (64 is whole and in
+# range for all six), and what the result shows of the count it took
+COUNT_ARGUMENTS = {
+    "n": (lambda v: product_state(PureState.basis(2, 0), v), lambda r: r.amplitudes.tobytes()),
+    "grid_size": (lambda v: EraserConfig(v), lambda r: (type(r.grid_size), r.grid_size)),
+    "steps": (lambda v: sweep_alpha(0.5, 0.1, v), lambda r: r.gamma_pipeline_wrapped.tobytes()),
+    "basis dim": (lambda v: PureState.basis(v, 0), lambda r: r.amplitudes.tobytes()),
+    "basis index": (lambda v: PureState.basis(65, v), lambda r: r.amplitudes.tobytes()),
+    "dim": (lambda v: random_pure_state(v, 1), lambda r: r.amplitudes.tobytes()),
+}
+NOT_WHOLE = [math.nan, math.inf, -math.inf, 64.5, Fraction(129, 2)]
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: qubit_to_bloch(PureState.basis(3, 0)), DimensionMismatchError, "^expected a qubit, got dim 3$"),
     (lambda: PureState.basis(3, 3), ValueError, "^basis index 3 out of range for dim 3$"),
     (lambda: PureState.basis(2, -1), ValueError, "^basis index -1 out of range for dim 2$"),
     (lambda: PureState.basis(2.5, 0), ValueError, "^basis dim must be a whole number, got 2.5$"),
     (lambda: PureState.basis(3, 1.5), ValueError, "^basis index must be a whole number, got 1.5$"),
-], ids=["qubit_to_bloch-qutrit", "basis-past-end", "basis-negative", "basis-fractional-dim", "basis-fractional-index"])
+    # NaN and +-inf fail the whole-number test, or a range check before it
+    *[(functools.partial(make, value), ValueError, f"^{name} must .*, got {re.escape(str(value))}$")
+      for name, (make, _) in COUNT_ARGUMENTS.items() for value in NOT_WHOLE],
+], ids=["qubit_to_bloch-qutrit", "basis-past-end", "basis-negative", "basis-fractional-dim", "basis-fractional-index",
+        *[f"{name}-{value}" for name in COUNT_ARGUMENTS for value in NOT_WHOLE]])
 def test_states_reject_out_of_range_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+def test_count_arguments_take_whole_numpy_scalars_as_ints(name):
+    make, taken = COUNT_ARGUMENTS[name]
+    assert taken(make(np.float64(64.0))) == taken(make(np.int64(64))) == taken(make(64))
 
 
 def test_pure_state_validation():
