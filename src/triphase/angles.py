@@ -22,6 +22,11 @@ def reduce_angle(x: float, name: str = "angle") -> float:
 
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to the principal branch (-pi, pi]."""
+    if type(x) is float and math.isfinite(x):
+        # the numpy form's operations on Python floats, with its bits: round
+        # ties to even, as np.rint does, and its int converts back exactly
+        w = x - TWO_PI * round(x / TWO_PI)
+        return w + TWO_PI if w <= -math.pi else w + 0.0
     w = np.asarray(x, dtype=float)[()]  # a numpy scalar for a scalar x
     # np.rint ties to even, so odd multiples of pi can land on -pi; adding
     # 0.0 elsewhere keeps every bit, as no w here is -0.0 (x - x is +0.0)
@@ -49,7 +54,8 @@ def principal_phase(z):
     """
     r = np.arctan2(z.imag + 0.0, z.real)  # the sum is also a contiguous copy
     if r.ndim == 0:
-        return math.pi if r == -math.pi else float(r) + 0.0
+        r = float(r)
+        return math.pi if r == -math.pi else r + 0.0
     r += 0.0
     r[r == -np.pi] = np.pi
     return r

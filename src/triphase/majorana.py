@@ -112,15 +112,19 @@ def constellation_qubits(amplitudes: np.ndarray) -> np.ndarray:
     if not scale.min() > 0.0:
         raise ValueError("a state has only zero amplitudes")
     small = magnitude <= DEFICIENCY_REL_TOL * scale
-    # leading small coefficients: the index of the first large one, which
-    # exists since the largest coefficient is not small
-    deficiency = np.argmin(small, axis=0)
-    counts = np.bincount(deficiency, minlength=n + 1)
+    if not small[0].any():  # no row is deficient: one group, of degree n
+        groups = [(0, slice(None))]
+    else:
+        # leading small coefficients: the index of the first large one, which
+        # exists since the largest coefficient is not small
+        deficiency = np.argmin(small, axis=0)
+        counts = np.bincount(deficiency, minlength=n + 1)
+        groups = [(d, slice(None) if counts[d] == amps.shape[1] else deficiency == d)
+                  for d in np.flatnonzero(counts[:n]).tolist()]
     out = np.zeros((2, n, amps.shape[1]), dtype=complex)
     upper, lower = out  # the |0> and |1> components, each (n, S)
     lower[...] = 1.0
-    for d in np.flatnonzero(counts[:n]).tolist():
-        cols = slice(None) if counts[d] == amps.shape[1] else deficiency == d
+    for d, cols in groups:
         degree = n - d
         # monic: z^degree + tail[0] z^(degree-1) + ... + tail[-1]; every
         # |tail| <= sqrt(C(n, n/2)) / DEFICIENCY_REL_TOL <= 9.6e20 for n <= 63,
@@ -204,6 +208,6 @@ def product_state(q: PureState, n: int) -> PureState:
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"n must lie in [1, MAX_POWER = {MAX_POWER}], got {n}")
     n = _whole_number(n, "n")
-    a, b = q.amplitudes
-    k = np.arange(n + 1)
-    return PureState.normalized(_binomial_weights(n) * a ** (n - k) * b ** k)
+    a, b = q.amplitudes.tolist()
+    k = np.arange(n + 1)  # k[::-1] is n - k, a view
+    return PureState.normalized(_binomial_weights(n) * a ** k[::-1] * b ** k)

@@ -15,6 +15,7 @@ from .majorana import constellation_qubits, product_state
 from .states import _TINY, DimensionMismatchError, PureState, check_unitary, inner_product, scale_by_power_of_two
 
 EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
+_NORMAL_FLOOR = 1e-100  # three overlaps above it multiply to above 1e-300, a normal float
 _PARALLEL_TOL = 1e-12
 STATE_OVERLAPS = ("<psi1|psi3>", "<psi3|psi2>", "<psi2|psi1>")
 POINT_OVERLAPS = ("<point|q3>", "<q3|q2>", "<q2|point>")
@@ -75,9 +76,12 @@ def bargmann_phases(o13, o32, o21, *, names=STATE_OVERLAPS, eps_null: float = EP
     three overlaps (complex scalars or broadcasting stacks), multiplied in
     that order (normal_product, so faint overlaps whose product underflows
     keep their phase); raises UndefinedPhaseError when one of them
-    vanishes."""
+    vanishes. Past the vanishing rule at an eps_null of _NORMAL_FLOOR or
+    more, the plain product is normal_product's, and its range test is
+    skipped."""
     check_overlaps(names, (o13, o32, o21), eps_null)
-    return principal_phase(normal_product(o13, o32, o21))
+    product = o13 * o32 * o21 if eps_null >= _NORMAL_FLOOR else normal_product(o13, o32, o21)
+    return principal_phase(product)
 
 
 def unit_constellation_rows(amplitudes: np.ndarray) -> np.ndarray:
@@ -155,7 +159,7 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
         raise DimensionMismatchError("q2 and q3 must be qubits")
     points = unit_constellation_rows(sym1.amplitudes[None, :])
     t13, o32, t21 = point_overlaps(points, q2.amplitudes, q3.amplitudes)
-    phases = bargmann_phases(t13.sum(-1)[0], o32, t21.sum(-1)[0], names=POINT_OVERLAPS).tolist()
+    phases = bargmann_phases(t13[0].sum(-1), o32, t21[0].sum(-1), names=POINT_OVERLAPS).tolist()
     points.setflags(write=False)  # point_qubits is a read-only view, like PureState's amplitudes
     return PhaseDecomposition(tuple(phases), wrap_angle(math.fsum(phases)), points[0])
 

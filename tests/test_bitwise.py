@@ -1,10 +1,11 @@
 """The fast and stacked forms on the triples and sweep paths give the bits of
 the forms they replaced (reference.py), compared as int64 views on seeded
 inputs, and the triple routes make no np.linalg.norm call and build no
-|0>^n, and decompose_phase finds each state's roots once and builds no
-BlochPoint."""
+|0>^n, canonicalize_triple checks W and R for unitarity once each, and
+decompose_phase finds each state's roots once and builds no BlochPoint."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,11 +46,14 @@ def test_wrap_angle_matches_the_where_form():
     rng = np.random.default_rng(11)
     values = np.concatenate([special, rng.uniform(-1e4, 1e4, 10**5)])
     with np.errstate(invalid="ignore"):  # inf wraps to NaN in both forms
-        assert bits(wrap_angle(values)) == bits(reference.wrap_angle_where(values))
-        for x in values[:1000].tolist():
-            new, old = wrap_angle(x), reference.wrap_angle_where(x)
-            assert type(new) is float
-            assert bits(np.float64(new)) == bits(np.float64(old))
+        wrapped = wrap_angle(values)
+        assert bits(wrapped) == bits(reference.wrap_angle_where(values))
+        for k, x in enumerate(values[:1000].tolist()):
+            # a Python float, a numpy float and a 0-d array: each a float with the array form's bits
+            for scalar in (x, np.float64(x), np.array(x)):
+                new, old = wrap_angle(scalar), reference.wrap_angle_where(scalar)
+                assert type(new) is float
+                assert bits(np.float64(new)) == bits(np.float64(old)) == bits(wrapped[k]), x
 
 
 def test_principal_phase_matches_the_wrapped_arctan2():
@@ -74,11 +78,13 @@ def test_principal_phase_matches_the_wrapped_arctan2():
     mixed = np.array([complex(math.nan, 1.0), -1.0 - 1e-17j, complex(1.0, math.nan), -2.0 - 1e-17j])
     for z in (mixed, mixed[::-1], mixed.reshape(2, 2).T):
         assert bits(principal_phase(z)) == bits(reference.principal_phase_where(z))
-    for z in [*special, *values[len(special):len(special) + 1000].tolist()]:
-        for scalar in (z, np.complex128(z)):
+    arrayed = principal_phase(values)
+    for k, z in enumerate(values[:len(special) + 1000].tolist()):
+        # a Python complex, a numpy complex and a 0-d array: each a float with the array form's bits
+        for scalar in (z, np.complex128(z), np.array(z)):
             new, old = principal_phase(scalar), reference.principal_phase_where(scalar)
             assert type(new) is float
-            assert bits(np.float64(new)) == bits(np.float64(old)), z
+            assert bits(np.float64(new)) == bits(np.float64(old)) == bits(arrayed[k]), z
 
 
 def test_vector_norm_matches_linalg_norm():
@@ -130,6 +136,28 @@ def test_triple_phases_match_the_where_form(monkeypatch):
     monkeypatch.setattr(phases, "wrap_angle", reference.wrap_angle_where)
     monkeypatch.setattr(phases, "principal_phase", reference.principal_phase_where)
     assert new == list(outputs())
+
+
+def test_bargmann_phases_skip_only_a_range_test_that_cannot_fail():
+    # at an eps_null of _NORMAL_FLOOR or more, bargmann_phases multiplies
+    # the overlaps that pass the vanishing rule without normal_product's
+    # range test: on overlaps down to just above the floor, as scalars and
+    # as stacks, the phases keep normal_product's bits
+    rng = np.random.default_rng(22)
+    floor = phases._NORMAL_FLOOR
+    size = 3 * 10**4
+    moduli = np.minimum(10.0 ** rng.uniform(-100, 0, (3, size)), 1.0)
+    moduli[:, :100] = floor * (1.0 + 1e-15)  # the faintest products allowed
+    o13, o32, o21 = moduli * np.exp(1j * rng.uniform(-4.0, 4.0, (3, size)))
+    assert np.abs(o13 * o32 * o21).min() >= sys.float_info.min
+    for eps_null in (floor, phases.EPS_NULL):
+        keep = np.minimum.reduce(moduli) > eps_null
+        stacks = (o13[keep], o32[keep], o21[keep])
+        want = phases.principal_phase(phases.normal_product(*stacks))
+        assert bits(phases.bargmann_phases(*stacks, eps_null=eps_null)) == bits(want)
+        for triple in zip(*(x[:300].tolist() for x in stacks)):
+            got = phases.bargmann_phases(*triple, eps_null=eps_null)
+            assert bits(np.float64(got)) == bits(np.float64(phases.principal_phase(phases.normal_product(*triple))))
 
 
 def test_canonicalize_matches_the_stacked_columns():
@@ -258,6 +286,21 @@ def test_triple_routes_make_no_norm_call_and_no_ket0_power(monkeypatch):
     assert norms == []
     assert len(powers) == len(triples)  # psi3's qubit only
     assert ZERO.amplitudes.tolist() not in powers
+
+
+def test_canonicalize_checks_span_and_rotation_once_each(monkeypatch):
+    # the two unitarity checks a faster canonicalization must keep: one on
+    # W (N x k) and one on R (k x k), k = min(N, 4), per call
+    rng = np.random.default_rng(21)
+    checked = []
+    original = phases.check_unitary
+    monkeypatch.setattr(phases, "check_unitary", lambda m: checked.append(m) or original(m))
+    for dim in (2, 3, 5, 13):
+        checked.clear()
+        canon = canonicalize_triple(*haar_triple(rng, dim))
+        k = min(dim, 4)
+        assert [m.shape for m in checked] == [(dim, k), (k, k)]
+        assert checked[0] is canon.span and checked[1] is canon.rotation
 
 
 def test_decompose_finds_roots_once_and_builds_no_bloch_point(monkeypatch):
