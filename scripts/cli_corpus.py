@@ -14,10 +14,10 @@ the same command line can be compared.
 The corpus covers all five commands in text, `--json` and `--degrees` output,
 eraser's three `--mode`s with `--scan-csv`, sweep CSVs with their sidecars
 (two on grids too coarse for their steep theta, and three straddling the
-theta below which the sweep's vanishing scan runs), and requests that exit
-with code 1 or 2. N seeded Haar triples (dims 2-20) run through phase,
-canonicalize, eraser and majorana; fixed triples, states and point sets
-cover the special cases.
+theta below which the sweep's vanishing scan runs), requests that exit
+with code 1 or 2, and the help of the program and of each command. N
+seeded Haar triples (dims 2-20) run through phase, canonicalize, eraser and
+majorana; fixed triples, states and point sets cover the special cases.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ class Corpus:
         os.chdir(case)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # --help prints, then exits
+                    code = exc.code
         finally:
             os.chdir(cwd)
         for fname, text in (("exit", f"{code}\n"), ("stdout", out.getvalue()), ("stderr", err.getvalue())):
@@ -212,6 +215,9 @@ def build(root: Path, cases: int) -> None:
         corpus.sweep("floor-above", 3e-12, math.pi / 4, 1024, *flags)
         corpus.sweep("floor-below", 2e-12, math.pi / 4, 1024, *flags)
         corpus.sweep("floor-negative", -2.05e-12, 0.3, 4096, *flags)
+    # the help texts, which restate the grid caps
+    for command in ([], ["phase"], ["majorana"], ["canonicalize"], ["eraser"], ["sweep"]):
+        corpus.run("-".join([*command, "help"]), [*command, "--help"])
 
 
 def main() -> None:

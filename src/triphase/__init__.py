@@ -24,7 +24,6 @@ from .phases import (
 )
 from .states import (
     BlochPoint,
-    DimensionMismatchError,
     PureState,
     inner_product,
     qubit_to_bloch,
@@ -41,7 +40,6 @@ from .sweep import (
 __all__ = [
     "BlochPoint",
     "CanonicalTriple",
-    "DimensionMismatchError",
     "EraserConfig",
     "FamilyParams",
     "FringeScan",

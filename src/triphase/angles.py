@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+MAX_GRID = 2 ** 20  # most samples of [0, 2pi): eraser delta grids and sweep alpha intervals
 
 
 def reduce_angle(x: float, name: str = "angle") -> float:

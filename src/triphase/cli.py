@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .angles import TWO_PI, principal_phase, wrap_angle
-from .eraser import EraserConfig, FringeScan, fringe_pair
+from .eraser import EraserConfig, FringeScan, _landmarks, fringe_pair, fringe_scan
 from .majorana import points_to_state, state_to_points
 from .phases import (_PARALLEL_TOL, EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple,
                      three_vertex_phase)
@@ -264,18 +264,21 @@ def cmd_canonicalize(args) -> tuple[dict, list[str]]:
 def cmd_eraser(args) -> tuple[dict, list[str]]:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     cfg = EraserConfig(grid_size=args.grid)
-    projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
     if args.mode == "grid_argmax":
-        delta_f, delta_m = projected.peak, plain.peak
+        projected, plain = fringe_pair(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
+        delta_f, delta_m, vis = projected.peak, plain.peak, projected.visibility
         off = max(abs(wrap_angle(s.peak - s.center)) for s in (projected, plain))
         if off > TWO_PI / cfg.grid_size:  # a fringe too faint to resolve on this grid
             print(f"warning: a grid peak lies {off * cfg.grid_size / TWO_PI:.3g} grid steps "
                   "from its closed-form constructive point", file=sys.stderr)
-    else:  # "closed_form" and "both" report the closed-form constructive points
-        delta_f, delta_m = projected.center, plain.center
+    else:  # "closed_form" and "both" report the scans' centers, read from the overlaps
+        # without sampling, plain fringe first as in fringe_pair
+        _, delta_m = _landmarks(psi1, psi2, None, args.tolerance)
+        vis, delta_f = _landmarks(psi1, psi2, psi3, args.tolerance)
     gamma = float(wrap_angle(delta_f - delta_m))
-    vis = projected.visibility
     if args.scan_csv:
+        if args.mode != "grid_argmax":  # these modes sample the projected scan only to write it
+            projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
         _write_text(args.scan_csv, scan_csv(projected))
     payload = {
         "grid_size": cfg.grid_size,
@@ -422,7 +425,3 @@ def main(argv=None) -> int:
         return EXIT_UNDEFINED if isinstance(exc, UndefinedPhaseError) else EXIT_IO
     sys.stdout.write(text)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -38,23 +38,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, principal_phase, wrap_angle
+from .angles import MAX_GRID, TWO_PI, principal_phase, wrap_angle
 from .phases import EPS_NULL, check_overlaps, normal_product
-from .states import _INV_SQRT2, _TINY, DimensionMismatchError, PureState, _whole_number, inner_product, scaled_norm
-
-MAX_GRID_SIZE = 2 ** 20  # same cap as the sweep grid
+from .states import _INV_SQRT2, _TINY, PureState, _whole_number, inner_product, scaled_norm
 
 
 @dataclass(frozen=True)
 class EraserConfig:
     """Scan resolution: the number of delta samples on [0, 2pi), a whole
-    number in [16, MAX_GRID_SIZE]."""
+    number in [16, MAX_GRID]."""
 
     grid_size: int = 4096
 
     def __post_init__(self):
-        if not 16 <= self.grid_size <= MAX_GRID_SIZE:
-            raise ValueError(f"grid_size must lie in [16, {MAX_GRID_SIZE}], got {self.grid_size}")
+        if not 16 <= self.grid_size <= MAX_GRID:
+            raise ValueError(f"grid_size must lie in [16, {MAX_GRID}], got {self.grid_size}")
         object.__setattr__(self, "grid_size", _whole_number(self.grid_size, "grid_size"))
 
 
@@ -85,7 +83,7 @@ def composite_intermediate(psi1: PureState, psi2: PureState) -> np.ndarray:
     2*i + p is internal component i on path p.
     """
     if psi1.dim != psi2.dim:
-        raise DimensionMismatchError(f"state dimensions differ: {psi1.dim} != {psi2.dim}")
+        raise ValueError(f"state dimensions differ: {psi1.dim} != {psi2.dim}")
     out = np.empty(2 * psi1.dim, dtype=complex)
     out[0::2] = psi1.amplitudes
     out[1::2] = psi2.amplitudes
@@ -118,7 +116,7 @@ def _refine_argmax(deltas: np.ndarray, probs: np.ndarray) -> float:
 def _delta_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform grid delta_k = 2pi k/grid on [0, 2pi) and its factors
     e^{-i delta_k}, read-only; at most two sizes are kept (24 MB each at
-    MAX_GRID_SIZE)."""
+    MAX_GRID)."""
     deltas = TWO_PI * np.arange(grid) / grid
     phase_factors = np.exp(-1j * deltas)
     deltas.setflags(write=False)
@@ -187,7 +185,10 @@ def fringe_pair(psi1: PureState, psi2: PureState, psi3: PureState,
     """The two scans of the eraser readout, (projected, plain).
 
     The plain scan runs first, so a vanishing <psi1|psi2> (a flat reference
-    fringe) fails before the projected scan is sampled.
+    fringe) fails before the projected scan is sampled. At the default grid
+    of 4096 a call takes 0.08-0.09 ms at dims 2-20 (best of 5 x 200 calls per
+    dim, in three processes; one read 0.13 ms at one dim; machine as in
+    extract_geometric_phase).
     """
     plain = fringe_scan(psi1, psi2, None, cfg, eps_null=eps_null)
     projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=eps_null)

@@ -52,7 +52,6 @@ import numpy as np
 
 from .states import (
     BlochPoint,
-    DimensionMismatchError,
     PureState,
     _whole_number,
     bloch_angles,
@@ -204,7 +203,7 @@ def product_state(q: PureState, n: int) -> PureState:
     [1, MAX_POWER] or not a whole number.
     """
     if q.dim != 2:
-        raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
+        raise ValueError(f"expected a qubit, got dim {q.dim}")
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"n must lie in [1, MAX_POWER = {MAX_POWER}], got {n}")
     n = _whole_number(n, "n")

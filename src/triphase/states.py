@@ -33,10 +33,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)  # multiplying by it is dividing by sqrt(2), b
 _TINY = sys.float_info.min  # the smallest normal float, 2**-1022, as a Python float: fast to compare
 
 
-class DimensionMismatchError(ValueError):
-    """Two objects that must share a dimension do not."""
-
-
 def _whole_number(value, name: str) -> int:
     """int(value), or ValueError naming it if value % 1 != 0, as for NaN and +-inf."""
     if value % 1 != 0:
@@ -166,7 +162,7 @@ def check_unitary(m: np.ndarray) -> None:
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugating the first argument."""
     if a.amplitudes.size != b.amplitudes.size:
-        raise DimensionMismatchError(f"state dimensions differ: {a.dim} != {b.dim}")
+        raise ValueError(f"state dimensions differ: {a.dim} != {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -194,7 +190,7 @@ def bloch_qubits(polar, azimuth) -> np.ndarray:
 def qubit_to_bloch(q: PureState) -> BlochPoint:
     """Bloch angles of a qubit ray; the global phase is discarded."""
     if q.dim != 2:
-        raise DimensionMismatchError(f"expected a qubit, got dim {q.dim}")
+        raise ValueError(f"expected a qubit, got dim {q.dim}")
     polar, azimuth = bloch_angles(q.amplitudes)
     return BlochPoint(float(polar), float(azimuth))
 

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, principal_phase, reduce_angle, wrap_angle
+from .angles import MAX_GRID, TWO_PI, principal_phase, reduce_angle, wrap_angle
 from .majorana import symmetric_amplitudes
 from .phases import EPS_NULL, POINT_OVERLAPS, check_overlaps, point_overlaps, unit_constellation_rows
 from .states import _INV_SQRT2, PureState, _whole_number
 
-MAX_SWEEP_INTERVALS = 2 ** 20
 _BLOCK = 4096            # alpha samples per batched pipeline pass, and intervals of the largest cached grid
 _CACHED_BLOCKS = 8       # entries kept per cache: rows by phi, w blocks by (steps, start), halves by (phi, steps)
 _MIN_STEPS = 64
@@ -354,8 +353,8 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and
     UndefinedPhaseError under the vanishing rule above.
     """
-    if not _MIN_STEPS <= steps <= MAX_SWEEP_INTERVALS:
-        raise ValueError(f"steps must lie in [{_MIN_STEPS}, {MAX_SWEEP_INTERVALS}], got {steps}")
+    if not _MIN_STEPS <= steps <= MAX_GRID:
+        raise ValueError(f"steps must lie in [{_MIN_STEPS}, {MAX_GRID}], got {steps}")
     steps = _whole_number(steps, "steps")
     if not -math.pi / 2 < theta < math.pi / 2 or theta == 0.0:
         raise ValueError(f"theta must lie in (-pi/2, pi/2) and be nonzero, got {theta}")

@@ -11,7 +11,6 @@ import pytest
 
 from reference import BEYOND_FLOAT, SQRT2, angle_dist, count_overlaps, phase_mp, triple_with_overlaps
 from triphase import (
-    DimensionMismatchError,
     EraserConfig,
     PureState,
     UndefinedPhaseError,
@@ -24,9 +23,9 @@ from triphase import (
 )
 from triphase import cli
 from triphase.cli import _json_text, main
-from triphase.eraser import MAX_GRID_SIZE
+from triphase.angles import MAX_GRID
+from triphase.eraser import composite_intermediate
 from triphase.majorana import MAX_DIM, MAX_POWER
-from triphase.sweep import MAX_SWEEP_INTERVALS
 from triphase.states import BlochPoint
 
 
@@ -224,10 +223,11 @@ def test_parse_errors_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error, code", [
-    (UndefinedPhaseError, 2), (DimensionMismatchError, 1), (ValueError, 1),
+    (UndefinedPhaseError, 2), (np.linalg.LinAlgError, 1), (ValueError, 1),
 ])
 def test_exit_code_follows_the_exception_type(triple_file, capsys, monkeypatch, error, code):
-    # UndefinedPhaseError is a ValueError: main must test for it first
+    # UndefinedPhaseError is a ValueError: main must test for it first. Any
+    # other ValueError exits 1, as LinAlgError from canonicalize's QR or SVD
     def failing_command(args):
         raise error("the command failed")
 
@@ -404,6 +404,25 @@ def test_eraser_mode_reads_scan_landmarks(tmp_path, capsys, dim):
     assert payload["gamma"] == pytest.approx(wrap_angle(projected.peak - plain.peak), abs=1e-11)
 
 
+@pytest.mark.parametrize("mode, scan_csv, samples", [
+    ("closed_form", False, 0), ("both", False, 0), ("closed_form", True, 1), ("both", True, 1),
+    ("grid_argmax", False, 2), ("grid_argmax", True, 2),
+])
+def test_eraser_samples_only_what_it_prints_or_writes(tmp_path, triple_file, capsys, monkeypatch,
+                                                      mode, scan_csv, samples):
+    # each sampled fringe builds its two-path composite once
+    calls = []
+
+    def counted(psi1, psi2):
+        calls.append(psi1)
+        return composite_intermediate(psi1, psi2)
+
+    monkeypatch.setattr("triphase.eraser.composite_intermediate", counted)
+    flags = ["--scan-csv", str(tmp_path / "scan.csv")] if scan_csv else []
+    assert run_cli(["eraser", triple_file, "--mode", mode, *flags], capsys)[0] == 0
+    assert len(calls) == samples
+
+
 def test_eraser_repeated_state(tmp_path, capsys):
     obj = quarter_turn_triple()
     obj["psi2"] = obj["psi1"]
@@ -498,11 +517,11 @@ def test_negative_exponent_value_is_a_number(tmp_path, capsys):
 def test_grid_caps_exit_1(tmp_path, triple_file, capsys):
     # validation only: both requests fail before any grid is allocated
     code, _, err = run_cli(["sweep", "--theta", "0.5", "--phi", "0.2",
-                            "--steps", str(MAX_SWEEP_INTERVALS + 1),
+                            "--steps", str(MAX_GRID + 1),
                             "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1 and "steps" in err
     assert not (tmp_path / "x.csv").exists()
-    code, _, err = run_cli(["eraser", triple_file, "--grid", str(MAX_GRID_SIZE + 1)], capsys)
+    code, _, err = run_cli(["eraser", triple_file, "--grid", str(MAX_GRID + 1)], capsys)
     assert code == 1 and "grid_size" in err
 
 

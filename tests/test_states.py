@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SQRT2, bloch_qubit, cartesian, random_unitary, states_equal
+from reference import SQRT2, ZERO, bloch_qubit, cartesian, random_unitary, states_equal
 from triphase import (
     BlochPoint,
-    DimensionMismatchError,
     EraserConfig,
     PureState,
+    fringe_scan,
     inner_product,
     product_state,
     qubit_to_bloch,
@@ -54,15 +54,18 @@ def test_inner_product_hermitian_symmetry(sa, sb, dim):
 
 
 def test_inner_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match=r"^state dimensions differ: 2 != 3$"):
         inner_product(PureState.basis(2, 0), PureState.basis(3, 0))
 
 
 # each count argument: a call that passes it one value (64 is whole and in
-# range for all six), and what the result shows of the count it took
+# range for all six), and what the result shows of the count it took. A
+# grid_size of 100.5 taken as is would sample 101 deltas ending at 6.2519,
+# not the uniform grid on [0, 2pi), so its entry shows a scan's deltas
 COUNT_ARGUMENTS = {
-    "n": (lambda v: product_state(PureState.basis(2, 0), v), lambda r: r.amplitudes.tobytes()),
-    "grid_size": (lambda v: EraserConfig(v), lambda r: (type(r.grid_size), r.grid_size)),
+    "n": (lambda v: product_state(random_pure_state(2, 1), v), lambda r: r.amplitudes.tobytes()),
+    "grid_size": (lambda v: EraserConfig(v), lambda r: (
+        type(r.grid_size), r.grid_size, fringe_scan(ZERO, ZERO, None, r).deltas.tobytes())),
     "steps": (lambda v: sweep_alpha(0.5, 0.1, v), lambda r: r.gamma_pipeline_wrapped.tobytes()),
     "basis dim": (lambda v: PureState.basis(v, 0), lambda r: r.amplitudes.tobytes()),
     "basis index": (lambda v: PureState.basis(65, v), lambda r: r.amplitudes.tobytes()),
@@ -72,16 +75,19 @@ NOT_WHOLE = [math.nan, math.inf, -math.inf, 64.5, Fraction(129, 2)]
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: qubit_to_bloch(PureState.basis(3, 0)), DimensionMismatchError, "^expected a qubit, got dim 3$"),
+    (lambda: qubit_to_bloch(PureState.basis(3, 0)), ValueError, "^expected a qubit, got dim 3$"),
     (lambda: PureState.basis(3, 3), ValueError, "^basis index 3 out of range for dim 3$"),
     (lambda: PureState.basis(2, -1), ValueError, "^basis index -1 out of range for dim 2$"),
     (lambda: PureState.basis(2.5, 0), ValueError, "^basis dim must be a whole number, got 2.5$"),
     (lambda: PureState.basis(3, 1.5), ValueError, "^basis index must be a whole number, got 1.5$"),
-    # NaN and +-inf fail the whole-number test, or a range check before it
-    *[(functools.partial(make, value), ValueError, f"^{name} must .*, got {re.escape(str(value))}$")
+    (lambda: random_pure_state(math.inf, 1), ValueError, "^dim must be a whole number, got inf$"),
+    # 64.5 passes every range check; NaN and +-inf fail the whole-number
+    # test, or a range check before it
+    *[(functools.partial(make, value), ValueError,
+       f"^{name} must {'be a whole number' if math.isfinite(value) else '.*'}, got {re.escape(str(value))}$")
       for name, (make, _) in COUNT_ARGUMENTS.items() for value in NOT_WHOLE],
 ], ids=["qubit_to_bloch-qutrit", "basis-past-end", "basis-negative", "basis-fractional-dim", "basis-fractional-index",
-        *[f"{name}-{value}" for name in COUNT_ARGUMENTS for value in NOT_WHOLE]])
+        "dim-inf-past-range", *[f"{name}-{value}" for name in COUNT_ARGUMENTS for value in NOT_WHOLE]])
 def test_states_reject_out_of_range_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -90,7 +96,7 @@ def test_states_reject_out_of_range_arguments(call, error, message):
 @pytest.mark.parametrize("name", COUNT_ARGUMENTS)
 def test_count_arguments_take_whole_numpy_scalars_as_ints(name):
     make, taken = COUNT_ARGUMENTS[name]
-    assert taken(make(np.float64(64.0))) == taken(make(np.int64(64))) == taken(make(64))
+    assert taken(make(64.0)) == taken(make(np.float64(64.0))) == taken(make(np.int64(64))) == taken(make(64))
 
 
 def test_pure_state_validation():
@@ -190,10 +196,6 @@ def test_random_pure_state_basics():
     assert np.array_equal(s.amplitudes, random_pure_state(5, 7).amplitudes)
     with pytest.raises(ValueError):
         random_pure_state(1, 0)
-    for dim in (2.5, math.inf):
-        with pytest.raises(ValueError, match=r"^dim must be a whole number, got "):
-            random_pure_state(dim, 1)
-    assert np.array_equal(random_pure_state(5.0, 7).amplitudes, s.amplitudes)
 
 
 def test_random_pure_state_haar_moment():

@@ -28,7 +28,8 @@ from triphase import (
     wrap_angle,
 )
 from triphase import phases, sweep
-from triphase.sweep import MAX_SWEEP_INTERVALS, _closed_form_arrays
+from triphase.angles import MAX_GRID
+from triphase.sweep import _closed_form_arrays
 
 PI = math.pi
 
@@ -142,9 +143,9 @@ def test_sweep_validation():
         FamilyParams(0.5, 1.0, -math.inf)
     # validation only: the cap is checked before any grid is allocated
     with pytest.raises(ValueError, match="steps"):
-        sweep_alpha(0.5, 1.0, MAX_SWEEP_INTERVALS + 1)
+        sweep_alpha(0.5, 1.0, MAX_GRID + 1)
     # a fractional interval count is refused, not truncated
-    for steps in (100.7, 64.5, MAX_SWEEP_INTERVALS - 0.5):
+    for steps in (100.7, 64.5, MAX_GRID - 0.5):
         with pytest.raises(ValueError, match=f"^steps must be a whole number, got {steps}$"):
             sweep_alpha(0.5, 0.1, steps)
     assert sweep_alpha(0.5, 0.1, 100.0).alphas.size == 101
