@@ -13,16 +13,18 @@ the sweep's unwrapped series and winding; sweep alphas on the closed
 [0, 2pi]. Floats are formatted with 12 significant digits and lowercase
 exponents, lines end with \\n, so repeated invocations are byte-identical.
 
-Each command returns its JSON object and its text lines; main writes one
-of them to stdout, once, after the command succeeds: the JSON with --json,
-the lines otherwise. A failing command writes nothing to stdout, only its
-error to stderr.
+Each command only computes, returning its JSON object, its text lines and
+its output files (path -> text, in write order). main writes the files, then
+the JSON (--json) or the lines to stdout. A failing command writes only its
+error, to stderr, and leaves no output file: main removes any it had started.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 
@@ -160,7 +162,7 @@ def _state_obj(s: PureState) -> dict:
     return {"dim": s.dim, "amplitudes": _pairs(s.amplitudes)}
 
 
-def cmd_phase(args) -> tuple[dict, list[str]]:
+def cmd_phase(args) -> tuple[dict, list[str], dict[str, str]]:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     o13, o32, o21 = inner_product(psi1, psi3), inner_product(psi3, psi2), inner_product(psi2, psi1)
     gamma = bargmann_phases(o13, o32, o21, eps_null=args.tolerance)
@@ -173,7 +175,7 @@ def cmd_phase(args) -> tuple[dict, list[str]]:
     for name, entry in overlaps.items():
         lines.append(f"|<{name.replace('_', '|')}>| = {_fmt(entry['abs'])}  "
                      f"arg = {_angle_text(entry['arg'], args.degrees)}")
-    return {"gamma": gamma, "bargmann_abs": abs(b), "overlaps": overlaps}, lines
+    return {"gamma": gamma, "bargmann_abs": abs(b), "overlaps": overlaps}, lines, {}
 
 
 def _parse_points(path: str) -> tuple[BlochPoint, ...]:
@@ -190,14 +192,14 @@ def _parse_points(path: str) -> tuple[BlochPoint, ...]:
     return tuple(points)
 
 
-def cmd_majorana(args) -> tuple[dict, list[str]]:
+def cmd_majorana(args) -> tuple[dict, list[str], dict[str, str]]:
     if args.from_points:
         if args.state or args.degrees or args.renormalize:
             raise ValueError("--from-points reads only the points file; "
                              "it takes no state file, --degrees or --renormalize")
         state = points_to_state(_parse_points(args.from_points))
         return _state_obj(state), [f"dim = {state.dim}"] + [
-            f"amplitude {k}: {_fmt(a.real)} {_fmt(a.imag)}" for k, a in enumerate(state.amplitudes)]
+            f"amplitude {k}: {_fmt(a.real)} {_fmt(a.imag)}" for k, a in enumerate(state.amplitudes)], {}
     if not args.state:
         raise ValueError("majorana needs a state file or --from-points")
     state = _parse_state(_load_json(args.state), renormalize=args.renormalize, label=args.state)
@@ -209,10 +211,10 @@ def cmd_majorana(args) -> tuple[dict, list[str]]:
     }
     return payload, [f"dim = {state.dim}", f"convention: {MAJORANA_CONVENTION}"] + [
         f"point {i}: polar = {_angle_text(p.polar, args.degrees)}  "
-        f"azimuth = {_angle_text(p.azimuth, args.degrees)}" for i, p in enumerate(points)]
+        f"azimuth = {_angle_text(p.azimuth, args.degrees)}" for i, p in enumerate(points)], {}
 
 
-def cmd_canonicalize(args) -> tuple[dict, list[str]]:
+def cmd_canonicalize(args) -> tuple[dict, list[str], dict[str, str]]:
     phi1, phi2, phi3 = _load_triple(args.triple, args.renormalize)
     result = canonicalize_triple(phi1, phi2, phi3)
     trans2, trans3 = result.psi2(), result.psi3()
@@ -258,10 +260,10 @@ def cmd_canonicalize(args) -> tuple[dict, list[str]]:
         f"overlap_delta = {_fmt(overlap_delta)}",
         "phase_delta = " + ("n/a (undefined phase)" if phase_delta is None else _fmt(phase_delta)),
     ]
-    return payload, lines
+    return payload, lines, {}
 
 
-def cmd_eraser(args) -> tuple[dict, list[str]]:
+def cmd_eraser(args) -> tuple[dict, list[str], dict[str, str]]:
     psi1, psi2, psi3 = _load_triple(args.triple, args.renormalize)
     cfg = EraserConfig(grid_size=args.grid)
     if args.mode == "grid_argmax":
@@ -276,10 +278,11 @@ def cmd_eraser(args) -> tuple[dict, list[str]]:
         _, delta_m = _landmarks(psi1, psi2, None, args.tolerance)
         vis, delta_f = _landmarks(psi1, psi2, psi3, args.tolerance)
     gamma = float(wrap_angle(delta_f - delta_m))
+    files = {}
     if args.scan_csv:
         if args.mode != "grid_argmax":  # these modes sample the projected scan only to write it
             projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=args.tolerance)
-        _write_text(args.scan_csv, scan_csv(projected))
+        files[args.scan_csv] = scan_csv(projected)
     payload = {
         "grid_size": cfg.grid_size,
         "mode": args.mode,
@@ -291,21 +294,8 @@ def cmd_eraser(args) -> tuple[dict, list[str]]:
     lines = [f"delta_f = {_angle_text(payload['delta_f'], args.degrees)}",
              f"delta_m = {_angle_text(payload['delta_m'], args.degrees)}",
              f"gamma = {_angle_text(gamma, args.degrees)}", f"visibility = {_fmt(vis)}"]
-    if args.scan_csv:
-        lines.append(f"scan written to {args.scan_csv}")
-    return payload, lines
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from None
-
-
-def _sidecar_path(out: str) -> str:
-    return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
+    lines += [f"scan written to {path}" for path in files]
+    return payload, lines, files
 
 
 def _csv(header: str, *columns: np.ndarray) -> str:
@@ -325,12 +315,11 @@ def scan_csv(scan: FringeScan) -> str:
     return _csv("delta,probability", scan.deltas, scan.probabilities)
 
 
-def cmd_sweep(args) -> tuple[dict, list[str]]:
+def cmd_sweep(args) -> tuple[dict, list[str], dict[str, str]]:
     result = sweep_alpha(args.theta, args.phi, args.steps)
-    _write_text(args.out, sweep_csv(result))
-    sidecar = _sidecar_path(args.out)
-    _write_text(sidecar, _json_text({"singular_alphas": list(result.singular_alphas),
-                                     "winding": result.winding}))
+    sidecar = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".json"
+    files = {args.out: sweep_csv(result),
+             sidecar: _json_text({"singular_alphas": list(result.singular_alphas), "winding": result.winding})}
     payload = {
         "out": args.out,
         "sidecar": sidecar,
@@ -345,7 +334,7 @@ def cmd_sweep(args) -> tuple[dict, list[str]]:
         f"sidecar: {sidecar}",
         f"winding = {_angle_text(result.winding, args.degrees)}",
         "singular_alphas = " + " ".join(alphas),
-    ]
+    ], files
 
 
 def _tolerance(text: str) -> float:
@@ -415,12 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    started = []  # the files this call opened, removed again if any step fails
     try:
-        args = parser.parse_args(argv)
-        payload, lines = args.func(args)
+        args = build_parser().parse_args(argv)
+        payload, lines, files = args.func(args)
         text = _json_text(payload) if args.json else "".join(line + "\n" for line in lines)
+        for path, body in files.items():
+            try:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    started.append(path)
+                    fh.write(body)
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc}") from None
     except ValueError as exc:  # UndefinedPhaseError is a ValueError too
+        for path in started:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED if isinstance(exc, UndefinedPhaseError) else EXIT_IO
     sys.stdout.write(text)

@@ -186,9 +186,7 @@ def fringe_pair(psi1: PureState, psi2: PureState, psi3: PureState,
 
     The plain scan runs first, so a vanishing <psi1|psi2> (a flat reference
     fringe) fails before the projected scan is sampled. At the default grid
-    of 4096 a call takes 0.08-0.09 ms at dims 2-20 (best of 5 x 200 calls per
-    dim, in three processes; one read 0.13 ms at one dim; machine as in
-    extract_geometric_phase).
+    of 4096 a call takes 0.088-0.100 ms (timed as extract_geometric_phase).
     """
     plain = fringe_scan(psi1, psi2, None, cfg, eps_null=eps_null)
     projected = fringe_scan(psi1, psi2, psi3, cfg, eps_null=eps_null)
@@ -207,8 +205,9 @@ def extract_geometric_phase(psi1: PureState, psi2: PureState, psi3: PureState) -
     peaks, is within 2pi/grid_size of it while both fringes are resolved on
     the grid (see FringeScan).
 
-    Cost: 0.008-0.009 ms per call (best of 3 runs x 15 repeats x 200 Haar
-    triples at each of dims 2, 3, 5, 9, 13 and 20, on a shared 2-vCPU
+    Cost: 0.0095-0.011 ms per call (per dim 2, 3, 5, 9, 13 and 20, the
+    median of 12 rounds, each timing 5 calls on 200 Haar triples, this and
+    fringe_pair in turn per triple; four processes on a shared 2-vCPU
     x86-64 VM, Python 3.11.7, numpy 2.4.6).
     """
     _, center_m = _landmarks(psi1, psi2, None, EPS_NULL)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import principal_phase, wrap_angle
-from .majorana import constellation_qubits, product_state
+from .majorana import MAX_POWER, constellation_qubits, product_state
 from .states import _TINY, PureState, check_unitary, inner_product, scale_by_power_of_two
 
 EPS_NULL = 1e-12      # an overlap of modulus at or below this counts as zero
@@ -217,6 +217,8 @@ def canonicalize_triple(phi1: PureState, phi2: PureState, phi3: PureState) -> Ca
     """
     if not (phi1.dim == phi2.dim == phi3.dim):
         raise ValueError(f"dimensions differ: {phi1.dim}, {phi2.dim}, {phi3.dim}")
+    if phi1.dim > MAX_POWER + 1:  # checked before the O(N) work, in the caller's terms
+        raise ValueError(f"dim must be at most MAX_POWER + 1 = {MAX_POWER + 1}, got {phi1.dim}")
     n = phi1.dim - 1
     g = inner_product(phi2, phi3)
     w = g ** (1.0 / n)

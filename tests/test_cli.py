@@ -235,9 +235,51 @@ def test_exit_code_follows_the_exception_type(triple_file, capsys, monkeypatch, 
     assert run_cli(["phase", triple_file], capsys) == (code, "", "error: the command failed\n")
 
 
-@pytest.mark.parametrize("case", ["dims", "majorana-no-input", "sweep-out", "eraser-scan-csv"])
+def test_stdout_fails_before_any_file_is_written(tmp_path, triple_file, capsys, monkeypatch):
+    # main builds stdout first: a payload JSON cannot hold (NaN) exits 1
+    # before the command's files are written, and without --json both appear
+    paths = tmp_path / "a.csv", tmp_path / "b.json"
+    files = dict(zip(map(str, paths), ("a\n", "{}\n")))
+    monkeypatch.setattr(cli, "cmd_phase", lambda args: ({"gamma": math.nan}, ["gamma = nan"], files))
+    code, out, err = run_cli(["phase", triple_file, "--json"], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ") and "Traceback" not in err
+    assert not any(path.exists() for path in paths)
+    assert run_cli(["phase", triple_file], capsys) == (0, "gamma = nan\n", "")
+    assert [path.read_text() for path in paths] == list(files.values())
+
+
+def test_commands_return_files_without_writing_them(tmp_path, triple_file):
+    # the sweep's CSV comes before its sidecar, the order main writes them in
+    out, scan = str(tmp_path / "x.csv"), str(tmp_path / "scan.csv")
+    for argv, paths in ((["sweep", "--theta", "0.5", "--phi", "0.2", "--steps", "64", "--out", out],
+                         [out, str(tmp_path / "x.json")]),
+                        (["eraser", triple_file, "--scan-csv", scan], [scan]),
+                        (["phase", triple_file], [])):
+        args = cli.build_parser().parse_args(argv)
+        assert list(args.func(args)[2]) == paths
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "triple.json"]
+
+
+def test_undefined_requests_write_no_file(tmp_path, capsys):
+    # exit 2 leaves neither the sweep's CSV and sidecar nor, in any mode, the eraser's scan
+    out = str(tmp_path / "x.csv")
+    code, stdout, _ = run_cli(["sweep", "--theta", "1e-12", "--phi", repr(math.pi / 4),
+                               "--steps", "1024", "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    obj = quarter_turn_triple()
+    obj["psi2"] = state_obj([SQRT2 / 2 + 0j, -SQRT2 / 2 + 0j])  # orthogonal to psi1
+    path = write_json(tmp_path / "t.json", obj)
+    for mode in ("closed_form", "both", "grid_argmax"):
+        code, stdout, _ = run_cli(["eraser", path, "--mode", mode, "--scan-csv", out], capsys)
+        assert (code, stdout) == (2, "")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "t.json"]
+
+
+@pytest.mark.parametrize("case", ["dims", "majorana-no-input", "sweep-out", "sweep-sidecar", "eraser-scan-csv"])
 def test_usage_and_write_errors_exit_1(tmp_path, triple_file, capsys, case):
     missing = str(tmp_path / "no-such-dir" / "x.csv")
+    blocked = tmp_path / "blocked"
+    (blocked / "x.json").mkdir(parents=True)  # the sidecar of blocked/x.csv is a directory
     mixed = quarter_turn_triple()
     mixed["psi2"] = state_obj([1 + 0j, 0j, 0j])
     args, message = {
@@ -246,11 +288,16 @@ def test_usage_and_write_errors_exit_1(tmp_path, triple_file, capsys, case):
         "majorana-no-input": (["majorana"], "majorana needs a state file or --from-points"),
         "sweep-out": (["sweep", "--theta", "0.5", "--phi", "0.2", "--steps", "64", "--out", missing],
                       f"cannot write {missing}: "),
+        "sweep-sidecar": (["sweep", "--theta", "0.5", "--phi", "0", "--steps", "64",
+                           "--out", str(blocked / "x.csv")], f"cannot write {blocked / 'x.json'}: "),
         "eraser-scan-csv": (["eraser", triple_file, "--scan-csv", missing], f"cannot write {missing}: "),
     }[case]
+    before = sorted(tmp_path.rglob("*"))
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    # the sweep's CSV, written before its sidecar failed, is removed again
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_norm_gate_and_renormalize_flag(tmp_path, capsys):
@@ -542,7 +589,8 @@ def test_canonicalize_power_cap_exits_1(tmp_path, capsys):
     triple = write_json(tmp_path / "triple.json",
                         {f"psi{i + 1}": state_obj(v) for i, v in enumerate(basis)})
     code, out, err = run_cli(["canonicalize", triple], capsys)
-    assert code == 1 and out == "" and "MAX_POWER" in err and "Traceback" not in err
+    assert (code, out) == (1, "")
+    assert err == f"error: dim must be at most MAX_POWER + 1 = {MAX_POWER + 1}, got {dim}\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
