@@ -13,8 +13,9 @@ the same command line can be compared.
 
 The corpus covers all five commands in text, `--json` and `--degrees` output,
 eraser's three `--mode`s with `--scan-csv`, sweep CSVs with their sidecars
-(two on grids too coarse for their steep theta, and three straddling the
-theta below which the sweep's vanishing scan runs), requests that exit
+(two on grids too coarse for their steep theta, three straddling the
+theta below which the sweep's vanishing scan runs, and two next to
+theta = pi/2, where q2 and q3 become orthogonal), requests that exit
 with code 1 or 2, and the help of the program and of each command. N
 seeded Haar triples (dims 2-20) run through phase, canonicalize, eraser and
 majorana; fixed triples, states and point sets cover the special cases.
@@ -218,6 +219,10 @@ def build(root: Path, cases: int) -> None:
     # the help texts, which restate the grid caps
     for command in ([], ["phase"], ["majorana"], ["canonicalize"], ["eraser"], ["sweep"]):
         corpus.run("-".join([*command, "help"]), [*command, "--help"])
+    # next to theta = pi/2 the fixed pair's <q3|q2> = cos theta vanishes:
+    # pi/2 - 1e-13 exits 2 at every phi, and pi/2 - 1e-11 exits 0
+    corpus.sweep("orthogonal-pair", math.pi / 2 - 1e-13, 0.7, 64)
+    corpus.sweep("near-orthogonal-pair", math.pi / 2 - 1e-11, 0.7, 64)
 
 
 def main() -> None:

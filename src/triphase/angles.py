@@ -22,25 +22,23 @@ def reduce_angle(x: float, name: str = "angle") -> float:
 
 
 def wrap_angle(x):
-    """Reduce an angle (scalar or array) to the principal branch (-pi, pi]."""
-    if type(x) is float and math.isfinite(x):
-        # the numpy form's operations on Python floats, with its bits: round
-        # ties to even, as np.rint does, and its int converts back exactly
-        w = x - TWO_PI * round(x / TWO_PI)
-        return w + TWO_PI if w <= -math.pi else w + 0.0
-    w = np.asarray(x, dtype=float)[()]  # a numpy scalar for a scalar x
-    # np.rint ties to even, so odd multiples of pi can land on -pi; adding
-    # 0.0 elsewhere keeps every bit, as no w here is -0.0 (x - x is +0.0)
-    if w.ndim == 0:
-        w = w - TWO_PI * np.rint(w / TWO_PI)
-        return float(w + TWO_PI * (w <= -np.pi))
-    # the same operations on an array, in place on one new array
-    t = w / TWO_PI
-    np.rint(t, out=t)
-    t *= TWO_PI
-    np.subtract(w, t, out=t)
-    t += TWO_PI * (t <= -np.pi)
-    return t
+    """Reduce an angle to (-pi, pi]: an array to a new array, a scalar to a float (NaN if not finite)."""
+    if type(x) is not float:
+        if np.ndim(x):  # in place on one new array
+            w = np.asarray(x, dtype=float)
+            t = w / TWO_PI
+            np.rint(t, out=t)
+            t *= TWO_PI
+            np.subtract(w, t, out=t)
+            t += TWO_PI * (t <= -np.pi)  # rint ties to even: an odd multiple of pi lands on -pi
+            return t
+        x = float(x)
+    if not math.isfinite(x):
+        return x - x  # the array form's NaN, with its bits
+    # the array form's operations with its bits: round ties to even like np.rint,
+    # its int converts back exactly, and + 0.0 keeps every bit (no w is -0.0)
+    w = x - TWO_PI * round(x / TWO_PI)
+    return w + TWO_PI if w <= -math.pi else w + 0.0
 
 
 def principal_phase(z):

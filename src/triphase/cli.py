@@ -13,10 +13,11 @@ the sweep's unwrapped series and winding; sweep alphas on the closed
 [0, 2pi]. Floats are formatted with 12 significant digits and lowercase
 exponents, lines end with \\n, so repeated invocations are byte-identical.
 
-Each command only computes, returning its JSON object, its text lines and
-its output files (path -> text, in write order). main writes the files, then
-the JSON (--json) or the lines to stdout. A failing command writes only its
-error, to stderr, and leaves no output file: main removes any it had started.
+Each command returns its JSON object, its text lines and its output files
+(path -> text, in write order), and writes nothing itself but eraser's
+grid-readout warning, to stderr. main writes the files, then the JSON
+(--json) or the lines to stdout. A failing command writes only its error,
+to stderr, and leaves no output file: main removes any it had started.
 """
 
 from __future__ import annotations

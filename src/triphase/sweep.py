@@ -351,7 +351,8 @@ def sweep_alpha(theta: float, phi: float, steps: int) -> SweepResult:
 
     Raises ValueError for steps outside [64, 2**20] or not a whole number,
     theta outside (-pi/2, pi/2) or zero, and non-finite phi, and
-    UndefinedPhaseError under the vanishing rule above.
+    UndefinedPhaseError under the vanishing rule above, which |theta| within
+    about 1e-12 of pi/2 meets too: <q3|q2> = cos theta (1e-13 at pi/2 - 1e-13).
     """
     if not _MIN_STEPS <= steps <= MAX_GRID:
         raise ValueError(f"steps must lie in [{_MIN_STEPS}, {MAX_GRID}], got {steps}")

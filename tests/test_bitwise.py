@@ -45,7 +45,8 @@ def test_wrap_angle_matches_the_where_form():
     special = [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300, math.inf, -math.inf, math.nan] + odd
     rng = np.random.default_rng(11)
     values = np.concatenate([special, rng.uniform(-1e4, 1e4, 10**5)])
-    with np.errstate(invalid="ignore"):  # inf wraps to NaN in both forms
+    # inf wraps to NaN in both forms, and np.float32 rounds 1e300 to inf
+    with np.errstate(invalid="ignore", over="ignore"):
         wrapped = wrap_angle(values)
         assert bits(wrapped) == bits(reference.wrap_angle_where(values))
         for k, x in enumerate(values[:1000].tolist()):
@@ -54,6 +55,11 @@ def test_wrap_angle_matches_the_where_form():
                 new, old = wrap_angle(scalar), reference.wrap_angle_where(scalar)
                 assert type(new) is float
                 assert bits(np.float64(new)) == bits(np.float64(old)) == bits(wrapped[k]), x
+            # a float32 and a Python int near x: each a float with the where form's bits on that value
+            for scalar in (np.float32(x), int(x)) if math.isfinite(x) else (np.float32(x),):
+                new, old = wrap_angle(scalar), reference.wrap_angle_where(scalar)
+                assert type(new) is float
+                assert bits(np.float64(new)) == bits(np.float64(old)), repr(scalar)
 
 
 def test_principal_phase_matches_the_wrapped_arctan2():

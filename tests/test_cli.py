@@ -535,6 +535,14 @@ def test_sweep_exits_2_only_under_the_vanishing_rule(tmp_path, capsys):
     # margin, so the cross-check skips its vanishing scan: a header and 1025 rows
     code, _, _ = run_cli(["sweep", "--theta", "3e-12", "--phi", "0.785", "--steps", "1024", "--out", out], capsys)
     assert code == 0 and len((tmp_path / "x.csv").read_text().splitlines()) == 1026
+    # within about 1e-12 of |theta| = pi/2, <q3|q2> = cos theta vanishes at every phi
+    for sign in ("", "-"):
+        rest = ["--phi", "0.7", "--steps", "64", "--out", out]
+        code, stdout, err = run_cli(["sweep", f"--theta={sign}1.5707963267947966", *rest], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: undefined phase: <q3|q2> has modulus 1e-13, not above 1e-12\n"
+        code, _, _ = run_cli(["sweep", f"--theta={sign}1.5707963267848966", *rest], capsys)
+        assert code == 0
 
 
 def test_sweep_exit_2_names_the_global_sample(tmp_path, capsys):

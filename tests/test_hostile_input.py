@@ -67,8 +67,10 @@ def sweep_case(draw):
     theta = draw(st.one_of(
         st.floats(0.05, 1.5), st.floats(-1.5, -0.05),  # grids of at most 1024 intervals
         # 0, pi/2, nan, inf and 1e300 exit 1 at once; 1e-300 and -1e-7 sweep
-        # the requested grid, exiting 2 where a sample meets the vanishing rule
-        st.sampled_from([0.0, 1e-300, -1e-7, math.pi / 2, math.nan, math.inf, 1e300]),
+        # the requested grid, exiting 2 where a sample meets the vanishing
+        # rule; +-(pi/2 - 1e-13) exit 2, as <q3|q2> = cos theta vanishes
+        st.sampled_from([0.0, 1e-300, -1e-7, math.pi / 2, math.nan, math.inf, 1e300,
+                         math.pi / 2 - 1e-13, 1e-13 - math.pi / 2]),
     ))
     steps = draw(st.one_of(st.integers(-2, 1024), st.sampled_from([2 ** 20 + 1, 10 ** 30])))
     phi = draw(st.one_of(st.floats(-10, 10), st.floats()))

@@ -402,6 +402,15 @@ def test_vanishing_rule_bounds_the_small_theta_domain():
     assert result.winding == 4 * PI and result.singular_alphas == (PI - 1.0, PI + 1.0)
 
 
+def test_vanishing_rule_bounds_theta_next_to_pi_over_2():
+    # <q3|q2> = cos theta, so |theta| within about 1e-12 of pi/2 meets the
+    # vanishing rule at every phi, and 1e-11 away the sweep keeps its winding
+    for sign in (1.0, -1.0):
+        with pytest.raises(UndefinedPhaseError, match=r"<q3\|q2> has modulus 1e-13, not above 1e-12$"):
+            sweep_alpha(sign * (PI / 2 - 1e-13), 0.7, 64)
+        assert sweep_alpha(sign * (PI / 2 - 1e-11), 0.7, 64).winding == sign * 4 * PI
+
+
 def test_vanishing_sample_is_named_by_its_global_index():
     # the pole alpha = 3pi/4 is sample 3 steps / 8; past 4096 steps it lies
     # beyond the first block of the batched pass, and the error still names
