@@ -1,10 +1,16 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import cmath
+import contextlib
+import gc
 import json
 import math
+import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +46,12 @@ def quarter_turn_triple():
         "psi2": state_obj([1 + 0j, 0j]),
         "psi3": state_obj([s + 0j, s * 1j]),
     }
+
+
+def orthogonal_triple():
+    obj = quarter_turn_triple()
+    obj["psi2"] = state_obj([SQRT2 / 2 + 0j, -SQRT2 / 2 + 0j])  # orthogonal to psi1: exit 2
+    return obj
 
 
 def haar_triple(seed, dim):
@@ -266,9 +278,7 @@ def test_undefined_requests_write_no_file(tmp_path, capsys):
     code, stdout, _ = run_cli(["sweep", "--theta", "1e-12", "--phi", repr(math.pi / 4),
                                "--steps", "1024", "--out", out], capsys)
     assert (code, stdout) == (2, "")
-    obj = quarter_turn_triple()
-    obj["psi2"] = state_obj([SQRT2 / 2 + 0j, -SQRT2 / 2 + 0j])  # orthogonal to psi1
-    path = write_json(tmp_path / "t.json", obj)
+    path = write_json(tmp_path / "t.json", orthogonal_triple())
     for mode in ("closed_form", "both", "grid_argmax"):
         code, stdout, _ = run_cli(["eraser", path, "--mode", mode, "--scan-csv", out], capsys)
         assert (code, stdout) == (2, "")
@@ -298,6 +308,122 @@ def test_usage_and_write_errors_exit_1(tmp_path, triple_file, capsys, case):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     # the sweep's CSV, written before its sidecar failed, is removed again
     assert sorted(tmp_path.rglob("*")) == before
+
+
+SRC = Path(cli.__file__).resolve().parents[1]  # the triphase under test, for child processes
+
+
+def program_env(**overrides):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout unless a test asks for -u
+    env.update(overrides)
+    return env
+
+
+def run_program(args, cwd, flags=(), **streams):
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, *flags, "-m", "triphase", *args], cwd=cwd, env=program_env(),
+                          text=True, timeout=120, **streams)
+
+
+@contextlib.contextmanager
+def failing_sink(sink):
+    """A write descriptor whose every write fails: /dev/full (ENOSPC), or a
+    pipe whose read end is closed (EPIPE)."""
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this platform has no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_a_failed_stdout_write_exits_1_and_leaves_no_file(tmp_path, sink, flags):
+    # buffered, such a failure surfaced only at teardown: "Exception ignored",
+    # exit 120 and both sweep files left; unbuffered, a traceback and the files
+    sweep = ["sweep", "--theta", "0.5", "--phi", "0.3", "--steps", "64", "--out", "f.csv"]
+    with failing_sink(sink) as fd:
+        for args in (sweep, ["--help"], ["phase", "--help"]):
+            proc = run_program(args, tmp_path, flags, stdout=fd)
+            assert proc.returncode == 1, (args, proc.stderr)
+            assert re.fullmatch(r"error: cannot write stdout: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+def test_a_failed_stderr_write_exits_1(tmp_path, flags):
+    write_json(tmp_path / "orthogonal.json", orthogonal_triple())
+    write_json(tmp_path / "t.json", quarter_turn_triple())
+    with failing_sink("dev-full") as fd:
+        for args in (["phase", "orthogonal.json"], ["phase", "t.json", "--grid", "64"], ["phase", "nope.json"]):
+            proc = run_program(args, tmp_path, flags, stderr=fd)
+            assert (proc.returncode, proc.stdout) == (1, ""), args
+        # a command that writes nothing to stderr does not notice
+        proc = run_program(["phase", "t.json"], tmp_path, flags, stderr=fd)
+        assert proc.returncode == 0 and proc.stdout.startswith("gamma = 0.785398163397")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orthogonal.json", "t.json"]
+
+
+ENTRY_CASES = {
+    "exit-0": ["sweep", "--theta", "0.5", "--phi", "0.3", "--steps", "64", "--out", "s.csv"],
+    "exit-1": ["phase", "t.json", "--grid", "64"],  # usage line and error on stderr
+    "exit-2": ["phase", "orthogonal.json"],
+}
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_program_entries_match_in_process_main(tmp_path, monkeypatch, capsys, case, entry):
+    # python -m triphase and the triphase console script both run main() as
+    # the program; each must give in-process main(argv)'s exit code and bytes
+    if entry == "script":
+        script = shutil.which("triphase")
+        if script is None:
+            pytest.skip("no triphase console script on PATH (pip install -e . provides one)")
+        command, env = [script], program_env(PYTHONDEVMODE="1", PYTHONWARNINGS="error")
+    else:
+        command, env = [sys.executable, "-X", "dev", "-W", "error", "-m", "triphase"], program_env()
+    results = []
+    for name in ("in-process", "program"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        write_json(workdir / "t.json", quarter_turn_triple())
+        write_json(workdir / "orthogonal.json", orthogonal_triple())
+        if name == "in-process":
+            monkeypatch.chdir(workdir)
+            code, out, err = main(ENTRY_CASES[case]), *capsys.readouterr()
+        else:
+            proc = subprocess.run(command + ENTRY_CASES[case], cwd=workdir, env=env, capture_output=True,
+                                  text=True, timeout=120)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        results.append((code, out, err, files))
+    assert results[0] == results[1]
+    assert results[0][0] == int(case[-1])
+
+
+def test_only_the_program_freezes_the_collector(tmp_path, triple_file, capsys):
+    # main(argv) leaves an embedding caller's collector alone; main() as the
+    # program freezes what it leaves alive, so teardown skips collecting it
+    frozen = gc.get_freeze_count()
+    for argv in (["phase", triple_file], ["phase", str(tmp_path / "nope.json")]):
+        main(argv)
+        assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+    code = ("import gc, sys; from triphase.cli import main; sys.argv[:] = ['triphase', 'phase', sys.argv[1]]; "
+            "frozen = gc.get_freeze_count(); code = main(); print(code, gc.get_freeze_count() > frozen, "
+            "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, triple_file], env=program_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.startswith("gamma = 0.785398163397")
+    assert proc.stderr == "0 True\n"
 
 
 def test_norm_gate_and_renormalize_flag(tmp_path, capsys):
