@@ -16,13 +16,19 @@ exponents, lines end with \\n, so repeated invocations are byte-identical.
 Each command returns its JSON object, its text lines and its output files
 (path -> text, in write order), and writes nothing itself but eraser's
 grid-readout warning, to stderr. main writes the files, then the JSON
-(--json) or the lines to stdout, and flushes it. A failing command writes
-only its error, to stderr, and leaves no output file: main removes any it
-had started. A failed stdout write is such a failure, exit 1; a failed
-stderr write raises its OSError out of main, exit 1 too.
+(--json) or the lines to stdout. A failing command writes only its error,
+to stderr, and leaves no output file: main removes any it had started.
+Every printed byte, usage lines and help included, goes through one
+writer, _write, which writes and flushes. A failed stdout write is such a
+failure, exit 1; a failed stderr write raises its OSError out of main,
+exit 1 too. A descriptor closed when the program starts leaves its stream
+None, and each write to it fails with EBADF: with descriptor 1 closed,
+output exits 1 with `error: cannot write stdout: ...` and an error keeps
+its exit code; with descriptor 2 closed, a run that writes stderr (an
+error, a usage line, eraser's warning) exits 1 with stdout empty.
 
 main() without argv is the program, python -m triphase or the triphase
-script: it flushes both streams, points a failed one at os.devnull, and
+script: it flushes both open streams, points a failed one at os.devnull, and
 calls gc.freeze(), so teardown neither retries the write nor collects the
 ~21k objects numpy and triphase leave alive. main(argv) leaves the caller's
 descriptors and collector alone. Per process, p10 of 60 interleaved rounds
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import os
@@ -43,13 +50,13 @@ import sys
 
 import numpy as np
 
-from .angles import TWO_PI, principal_phase, wrap_angle
-from .eraser import EraserConfig, FringeScan, _landmarks, fringe_pair, fringe_scan
+from .angles import MAX_GRID, TWO_PI, principal_phase, wrap_angle
+from .eraser import MIN_GRID, EraserConfig, FringeScan, _landmarks, fringe_pair, fringe_scan
 from .majorana import points_to_state, state_to_points
 from .phases import (_PARALLEL_TOL, EPS_NULL, UndefinedPhaseError, bargmann_phases, canonicalize_triple,
                      three_vertex_phase)
 from .states import NORM_TOL, BlochPoint, PureState, inner_product, vector_norm
-from .sweep import SweepResult, sweep_alpha
+from .sweep import _MIN_STEPS, SweepResult, sweep_alpha
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -74,18 +81,24 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse exits with 2 on usage errors; 2 is reserved for undefined math
     def error(self, message):
-        self.print_usage(sys.stderr)
+        _write(sys.stderr, self.format_usage())
         raise ValueError(message)
 
     def print_help(self, file=None):  # argparse's own drops a failed write and exits 0
         _write_stdout(self.format_help())
 
 
+def _write(stream, text: str) -> None:
+    if stream is None:  # the program started with this descriptor closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    stream.write(text)
+    stream.flush()
+
+
 def _write_stdout(text: str) -> None:
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:  # a full disk, a closed pipe
+        _write(sys.stdout, text)
+    except OSError as exc:  # a full disk, a closed pipe or descriptor
         raise ValueError(f"cannot write stdout: {exc}") from None
 
 
@@ -97,18 +110,15 @@ def _fmt(x: float) -> str:
 
 
 def _clean(obj):
-    """Round floats to the 12-significant-digit wire precision, recursively."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
+    """Round floats to the 12-significant-digit wire precision, recursively.
+    Anything else is left to json.dumps, which raises TypeError on a non-JSON type."""
     if isinstance(obj, float):
         return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return obj
 
 
 def _json_text(obj) -> str:
@@ -295,8 +305,8 @@ def cmd_eraser(args) -> tuple[dict, list[str], dict[str, str]]:
         delta_f, delta_m, vis = projected.peak, plain.peak, projected.visibility
         off = max(abs(wrap_angle(s.peak - s.center)) for s in (projected, plain))
         if off > TWO_PI / cfg.grid_size:  # a fringe too faint to resolve on this grid
-            print(f"warning: a grid peak lies {off * cfg.grid_size / TWO_PI:.3g} grid steps "
-                  "from its closed-form constructive point", file=sys.stderr)
+            _write(sys.stderr, f"warning: a grid peak lies {off * cfg.grid_size / TWO_PI:.3g} grid steps "
+                               "from its closed-form constructive point\n")
     else:  # "closed_form" and "both" report the scans' centers, read from the overlaps
         # without sampling, plain fringe first as in fringe_pair
         _, delta_m = _landmarks(psi1, psi2, None, args.tolerance)
@@ -369,61 +379,58 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _flag(*names, **kwargs) -> argparse.ArgumentParser:
-    flag = argparse.ArgumentParser(add_help=False)
-    flag.add_argument(*names, **kwargs)
-    return flag
-
-
 def build_parser() -> argparse.ArgumentParser:
     # each command takes only the common flags it reads; any other is a usage error
-    json_ = _flag("--json", action="store_true", help="emit machine-readable JSON on stdout")
-    tolerance = _flag("--tolerance", type=_tolerance, default=EPS_NULL,
-                      help="a result is undefined (exit 2) when an overlap it is computed from "
-                           f"has modulus at or below this (default {EPS_NULL:g})")
-    degrees = _flag("--degrees", action="store_true",
-                    help="display angles in degrees (human output only, never files)")
-    renormalize = _flag("--renormalize", action="store_true",
-                        help="accept input states with norm off by up to 1e-3")
+    common = {
+        "--json": dict(action="store_true", help="emit machine-readable JSON on stdout"),
+        "--tolerance": dict(type=_tolerance, default=EPS_NULL, help="a result is undefined (exit 2) when an "
+                            f"overlap it is computed from has modulus at or below this (default {EPS_NULL:g})"),
+        "--degrees": dict(action="store_true", help="display angles in degrees (human output only, never files)"),
+        "--renormalize": dict(action="store_true", help="accept input states with norm off by up to 1e-3"),
+    }
+    max_grid = f"2^{MAX_GRID.bit_length() - 1}"  # MAX_GRID is a power of two
 
     parser = _Parser(prog="triphase",
                      description="Three-vertex geometric phases on the Bloch sphere")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("phase", parents=[json_, tolerance, degrees, renormalize],
-                       help="geometric phase of a state triple")
-    p.add_argument("triple", help="triple JSON file (psi1, psi2, psi3)")
-    p.set_defaults(func=cmd_phase)
+    def command(name, func, help, *flags) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("majorana", parents=[json_, degrees, renormalize],
-                       help="point constellation of a state, or its inverse")
+    p = command("phase", cmd_phase, "geometric phase of a state triple",
+                "--json", "--tolerance", "--degrees", "--renormalize")
+    p.add_argument("triple", help="triple JSON file (psi1, psi2, psi3)")
+
+    p = command("majorana", cmd_majorana, "point constellation of a state, or its inverse",
+                "--json", "--degrees", "--renormalize")
     p.add_argument("state", nargs="?", help="state JSON file")
     p.add_argument("--from-points", metavar="FILE",
                    help="reconstruct the state from a points JSON file instead")
-    p.set_defaults(func=cmd_majorana)
 
-    p = sub.add_parser("canonicalize", parents=[json_, tolerance, renormalize],
-                       help="reduce a triple to product-state form")
+    p = command("canonicalize", cmd_canonicalize, "reduce a triple to product-state form",
+                "--json", "--tolerance", "--renormalize")
     p.add_argument("triple", help="triple JSON file")
-    p.set_defaults(func=cmd_canonicalize)
 
-    p = sub.add_parser("eraser", parents=[json_, tolerance, degrees, renormalize],
-                       help="interferometric phase readout of a triple")
+    p = command("eraser", cmd_eraser, "interferometric phase readout of a triple",
+                "--json", "--tolerance", "--degrees", "--renormalize")
     p.add_argument("triple", help="triple JSON file")
-    p.add_argument("--grid", type=int, default=4096, help="number of delta samples, 16 to 2^20 (default 4096)")
+    p.add_argument("--grid", type=int, default=EraserConfig.grid_size,
+                   help=f"number of delta samples, {MIN_GRID} to {max_grid} (default %(default)s)")
     p.add_argument("--mode", choices=("closed_form", "grid_argmax", "both"), default="both",
                    help="closed_form and both report the closed-form constructive points, "
                         "grid_argmax the refined peaks of the sampled fringes")
     p.add_argument("--scan-csv", metavar="PATH", help="also write the sampled fringe as CSV")
-    p.set_defaults(func=cmd_eraser)
 
-    p = sub.add_parser("sweep", parents=[json_, degrees],
-                       help="sweep the qutrit family phase over alpha")
+    p = command("sweep", cmd_sweep, "sweep the qutrit family phase over alpha", "--json", "--degrees")
     p.add_argument("--theta", type=float, required=True, help="half angle between the fixed states")
     p.add_argument("--phi", type=float, required=True, help="half angle between the moving points")
-    p.add_argument("--steps", type=int, required=True, help="number of alpha intervals, 64 to 2^20")
+    p.add_argument("--steps", type=int, required=True,
+                   help=f"number of alpha intervals, {_MIN_STEPS} to {max_grid}")
     p.add_argument("--out", required=True, help="output CSV path (sidecar JSON written next to it)")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -446,11 +453,11 @@ def main(argv=None) -> int:
         for path in started:
             with contextlib.suppress(OSError):
                 os.remove(path)
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_UNDEFINED if isinstance(exc, UndefinedPhaseError) else EXIT_IO
     finally:
         if argv is None:  # the program itself, python -m triphase or the triphase script
-            for stream in (sys.stdout, sys.stderr):
+            for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
                 try:
                     stream.flush()
                 except OSError:  # the signal module's SIGPIPE recipe: teardown's flush finds devnull

@@ -43,16 +43,19 @@ from .phases import EPS_NULL, check_overlaps, normal_product
 from .states import _INV_SQRT2, _TINY, PureState, _whole_number, inner_product, scaled_norm
 
 
+MIN_GRID = 16  # fewest delta samples of [0, 2pi) in a scan
+
+
 @dataclass(frozen=True)
 class EraserConfig:
     """Scan resolution: the number of delta samples on [0, 2pi), a whole
-    number in [16, MAX_GRID]."""
+    number in [MIN_GRID, MAX_GRID]."""
 
     grid_size: int = 4096
 
     def __post_init__(self):
-        if not 16 <= self.grid_size <= MAX_GRID:
-            raise ValueError(f"grid_size must lie in [16, {MAX_GRID}], got {self.grid_size}")
+        if not MIN_GRID <= self.grid_size <= MAX_GRID:
+            raise ValueError(f"grid_size must lie in [{MIN_GRID}, {MAX_GRID}], got {self.grid_size}")
         object.__setattr__(self, "grid_size", _whole_number(self.grid_size, "grid_size"))
 
 

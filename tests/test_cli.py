@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import errno
 import gc
 import json
 import math
@@ -368,6 +369,57 @@ def test_a_failed_stderr_write_exits_1(tmp_path, flags):
         # a command that writes nothing to stderr does not notice
         proc = run_program(["phase", "t.json"], tmp_path, flags, stderr=fd)
         assert proc.returncode == 0 and proc.stdout.startswith("gamma = 0.785398163397")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orthogonal.json", "t.json"]
+
+
+# the error line of a write to a stream whose descriptor was closed at start
+EBADF_LINE = f"error: cannot write stdout: {OSError(errno.EBADF, os.strerror(errno.EBADF))}\n"
+
+
+def test_a_stream_closed_at_start_fails_each_write(tmp_path, triple_file, capsys, monkeypatch):
+    # a program started with descriptor 1 or 2 closed has sys.stdout or sys.stderr None
+    orthogonal = write_json(tmp_path / "orthogonal.json", orthogonal_triple())
+    missing = str(tmp_path / "nope.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None)
+        for argv in (["phase", triple_file, "--grid", "64"], ["phase", orthogonal], ["phase", missing]):
+            with pytest.raises(OSError) as info:
+                main(argv)
+            assert info.value.errno == errno.EBADF, argv
+    assert capsys.readouterr() == ("", "")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        code = main(["phase", triple_file])
+    assert (code, *capsys.readouterr()) == (1, "", EBADF_LINE)
+
+
+def run_closed(fd, args, cwd):
+    """python -m triphase as the program, started with descriptor fd closed."""
+    code = (f"import os, sys; os.close({fd}); "
+            "os.execv(sys.executable, [sys.executable, '-m', 'triphase', *sys.argv[1:]])")
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=program_env(), capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_a_descriptor_closed_at_start(tmp_path):
+    # such a run once ended in an AttributeError traceback and exit 1, undefined
+    # phases included, and with stderr closed its error: and usage lines went to stdout
+    write_json(tmp_path / "t.json", quarter_turn_triple())
+    write_json(tmp_path / "orthogonal.json", orthogonal_triple())
+    ebadf = re.escape(EBADF_LINE)
+    for args, code, err in ((["phase", "t.json"], 1, ebadf), (["--help"], 1, ebadf),
+                            (["phase", "orthogonal.json"], 2, "error: undefined phase: .*\n"),
+                            (["phase", "nope.json"], 1, "error: cannot read nope.json: .*\n")):
+        proc = run_closed(1, args, tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, ""), args
+        assert re.fullmatch(err, proc.stderr), (args, proc.stderr)
+    # with stderr closed, a failing command's error: line is a failed stderr write, exit 1
+    for args in (["phase", "t.json"], ["--help"]):
+        proc = run_closed(2, args, tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, run_program(args, tmp_path).stdout), args
+    for args in (["phase", "orthogonal.json"], ["phase", "nope.json"], ["phase", "t.json", "--grid", "64"]):
+        proc = run_closed(2, args, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", ""), args
     assert sorted(p.name for p in tmp_path.iterdir()) == ["orthogonal.json", "t.json"]
 
 
@@ -830,6 +882,8 @@ def test_sweep_json_reports_the_pipeline_gap(tmp_path, capsys):
 def test_json_writer_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         _json_text({"gamma": math.nan})
+    with pytest.raises(TypeError):  # json.dumps rejects a type JSON has no form for
+        _json_text({"flag": np.bool_(True)})
     assert _json_text({"gamma": 0.5}) == '{\n  "gamma": 0.5\n}\n'
 
 

@@ -20,6 +20,10 @@ def test_library_example_runs_and_gives_pi_over_4():
 def test_stated_export_count_matches_all():
     (count,) = re.findall(r"exports (\d+) names", README)
     assert int(count) == len(triphase.__all__)
+    # a name left in __all__ after its definition is deleted fails the star-import
+    namespace = {}
+    exec("from triphase import *", namespace)
+    assert set(triphase.__all__) <= namespace.keys()
 
 
 def test_ci_floor_leg_pins_the_declared_numpy_floor():
